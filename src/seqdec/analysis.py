@@ -1,34 +1,36 @@
 """Rule-agnostic stopping analysis, axiom checking, and identification.
 
-Everything here works against a :class:`RuleHandle`, which is either an
-automaton or a pure black-box evaluator with a declared horizon.  The
-central trick is finite discharge of "for every continuation" quantifiers:
-a rule with uniform bound K only ever reads K positions, so its whole
-decision behavior is a finite table over the length-K windows.  That table
-is validated against every single-symbol closure while it is built, which
-is also how a lying horizon declaration is caught.
+Everything here works against a :class:`RuleHandle`, either an automaton or
+a pure black-box evaluator with a declared horizon.  Both are read as one
+kind of machine: a start state, a step per symbol, and a decision per state
+that is None while the outcome is open.  An automaton's states are its own;
+a black box's are its windows up to the horizon, decided by a table that is
+validated against every single-symbol closure while it is built, which is
+how a lying horizon declaration is caught.
+
+Stopping questions walk at most K states along the input, K being the
+uniform bound.  K and the minimal sufficient segments come from one
+breadth-first search that carries each open word's state.  Only the
+checkers that enumerate windows build the table of all |alphabet|^K window
+decisions, and past ``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
 
 Checkers report a first counterexample in lexicographic enumeration order,
 so reports are deterministic.  Every Fail witness is fully replayable from
 its recorded sequence texts via :func:`replay_witness`.
-
-The environment variable ``SEQDEC_THREADS`` caps the worker count used when
-tabulating black-box rules; analyses themselves are deterministic
-regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .core import (
     Alphabet,
     Relabeling,
+    ResourceLimit,
     Segment,
     SeqSpec,
     SeqdecError,
@@ -50,13 +52,16 @@ from .heuristics import (
     CsrSpec,
     OsrSpec,
     RuleSpec,
-    csr_evaluate,
     csr_uniform_bound,
-    osr_evaluate,
+    evaluate_rule,
     segment_tree_automaton,
 )
 
 Word = tuple[int, ...]
+
+# Most windows any table here may hold: 16 times the largest table that the
+# test suite or the benchmark workloads build (65,536 windows).
+WINDOW_CAP = 1 << 20
 
 
 class HorizonViolation(SeqdecError):
@@ -91,28 +96,19 @@ class NotOsr(SeqdecError):
         self.sequence = sequence
 
 
-def worker_count() -> int:
-    """Worker cap from SEQDEC_THREADS; defaults to single-threaded."""
-    try:
-        return max(1, int(os.environ.get("SEQDEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class RuleHandle:
     """A decision rule under analysis: an automaton or a pure black box.
 
-    Black-box evaluators must be pure (same input, same output) and safe
-    for concurrent read-only use; the declared horizon asserts that
-    decisions depend only on the first that many positions.
+    Black-box evaluators must be pure (same input, same output); the
+    declared horizon asserts that decisions depend only on the first that
+    many positions.
     """
 
     alphabet: Alphabet
     automaton: DecisionAutomaton | None = None
     evaluator: Callable[[SeqSpec], str] | None = None
     horizon: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.automaton is None) == (self.evaluator is None):
@@ -139,9 +135,18 @@ class RuleHandle:
             return evaluate(self.automaton, seq)[0]
         return self.evaluator(seq)  # type: ignore[misc]
 
+    @cached_property
+    def facts(self) -> Facts:
+        return Facts.of(self)
+
 
 def _closure(alphabet: Alphabet, word: Word, cycle_idx: int) -> SeqSpec:
     return SeqSpec(alphabet, Segment(alphabet, word), Segment(alphabet, (cycle_idx,)))
+
+
+def _require_windows(alphabet: Alphabet, length: int) -> None:
+    if len(alphabet) ** length > WINDOW_CAP:
+        raise ResourceLimit(len(alphabet), length, WINDOW_CAP)
 
 
 def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
@@ -154,10 +159,10 @@ def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
     """
     h = rule.horizon
     assert h is not None and rule.evaluator is not None
+    _require_windows(rule.alphabet, h)
     n = len(rule.alphabet)
-    words = list(itertools.product(range(n), repeat=h))
-
-    def decide_word(word: Word) -> str:
+    layers: list[dict[Word, str | None]] = [dict() for _ in range(h + 1)]
+    for word in itertools.product(range(n), repeat=h):
         got = {rule.evaluator(_closure(rule.alphabet, word, c)) for c in range(n)}
         if len(got) > 1:
             text = Segment(rule.alphabet, word).text()
@@ -165,83 +170,110 @@ def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
                 f"decisions after window {text!r} differ across closures {sorted(got)}; "
                 f"the rule reads past the declared horizon {h}"
             )
-        return got.pop()
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decisions = list(pool.map(decide_word, words))
-    else:
-        decisions = [decide_word(w) for w in words]
-    layers: list[dict[Word, str | None]] = [dict() for _ in range(h + 1)]
-    layers[h] = dict(zip(words, decisions))
+        layers[h][word] = got.pop()
     for m in range(h - 1, -1, -1):
         for word, dec in layers[m + 1].items():
             short = word[:m]
-            if short in layers[m]:
-                if layers[m][short] != dec:
-                    layers[m][short] = None
-            else:
-                layers[m][short] = dec
+            layers[m][short] = dec if layers[m].get(short, dec) == dec else None
     return layers
 
 
-def _facts(rule: RuleHandle) -> dict:
-    """Bound, minimal sufficient segments, and the window decision table."""
-    if "bound" in rule._cache:
-        return rule._cache
-    if rule.automaton is not None:
-        verdict = verify_stopping(rule.automaton)
+@dataclass(eq=False)
+class Facts:
+    """Stopping facts of one rule, each built on first use.
+
+    The rule is read as a machine: ``start``, ``step(state, index)`` and
+    ``decision(state)``, which is None while the outcome is still open.  No
+    run stays open for more than ``limit`` symbols.  ``agreement_checked``
+    is the number of closures the last identification verified.
+    """
+
+    alphabet: Alphabet
+    start: Hashable
+    step: Callable[[Hashable, int], Hashable]
+    decision: Callable[[Hashable], str | None]
+    limit: int
+    agreement_checked: int | None = None
+
+    @classmethod
+    def of(cls, rule: RuleHandle) -> Facts:
+        aut = rule.automaton
+        if aut is None:
+            layers = _tabulate_blackbox(rule)
+            h = rule.horizon
+            # past the horizon the window, and so the decision, stays put
+            return cls(
+                rule.alphabet,
+                (),
+                lambda w, i: w if len(w) == h else w + (i,),
+                lambda w: layers[len(w)][w],
+                h,
+            )
+        verdict = verify_stopping(aut)
         if not verdict.stops:
             raise NonStoppingRuleError(
                 "the automaton admits an endless run; no stopping analysis applies"
             )
-        dec = decidedness(rule.automaton)
-        aut = rule.automaton
+        dec = decidedness(aut)
+        names, transitions = aut.alphabet.symbols, aut.transitions
+        return cls(
+            rule.alphabet,
+            aut.initial,
+            lambda q, i: transitions[q][names[i]],
+            lambda q: dec[q].decision,
+            verdict.bound,
+        )
 
-        def sufficient(word: Word) -> str | None:
-            state = aut.initial
-            for idx in word:
-                state = aut.transitions[state][aut.alphabet.name(idx)]
-            return dec[state].decision
+    def decisions(self, word: Iterable[int]) -> Iterator[str | None]:
+        """Decision after each prefix of ``word``, the empty prefix first."""
+        state = self.start
+        yield self.decision(state)
+        for idx in word:
+            state = self.step(state, idx)
+            yield self.decision(state)
 
-        depth_limit = verdict.bound
-    else:
-        layers = _tabulate_blackbox(rule)
-        rule._cache["layers"] = layers
+    def decided(self, word: Word) -> str | None:
+        """Decision forced by ``word``, or None if it is not sufficient."""
+        *_, last = self.decisions(word)
+        return last
 
-        def sufficient(word: Word) -> str | None:
-            return layers[len(word)][word]
+    @cached_property
+    def minimal(self) -> list[tuple[Word, str]]:
+        """Minimal sufficient segments, breadth first, lexicographic within a length.
 
-        depth_limit = rule.horizon
+        Each open word carries its state, so every word costs one step.
+        """
+        n = len(self.alphabet)
+        minimal: list[tuple[Word, str]] = []
+        frontier: list[tuple[Word, Hashable]] = [((), self.start)]
+        for _ in range(self.limit + 1):
+            nxt: list[tuple[Word, Hashable]] = []
+            for word, state in frontier:
+                got = self.decision(state)
+                if got is not None:
+                    minimal.append((word, got))
+                else:
+                    nxt.extend((word + (i,), self.step(state, i)) for i in range(n))
+            frontier = nxt
+        assert not frontier, "sufficiency search overran the stopping bound"
+        return minimal
 
-    n = len(rule.alphabet)
-    minimal: list[tuple[Word, str]] = []
-    max_open = -1
-    frontier: list[Word] = [()]
-    depth = 0
-    while frontier:
-        assert depth <= depth_limit, "sufficiency search overran the stopping bound"
-        nxt: list[Word] = []
-        for word in frontier:
-            got = sufficient(word)
-            if got is not None:
-                minimal.append((word, got))
-            else:
-                max_open = depth
-                nxt.extend(word + (i,) for i in range(n))
-        frontier = nxt
-        depth += 1
-    bound = max_open + 1
-    table = {}
-    for word in itertools.product(range(n), repeat=bound):
-        got = sufficient(word)
-        assert got is not None, "full-depth window must be decided"
-        table[word] = got
-    rule._cache.update(
-        {"bound": bound, "minimal": minimal, "table": table, "sufficient": sufficient}
-    )
-    return rule._cache
+    @property
+    def bound(self) -> int:
+        """One past the deepest open word, so the length of the last minimal segment."""
+        return len(self.minimal[-1][0])
+
+    @cached_property
+    def table(self) -> dict[Word, str]:
+        """Decision of every length-``bound`` window, in lexicographic order."""
+        n, k = len(self.alphabet), self.bound
+        _require_windows(self.alphabet, k)
+        layer: list[tuple[Word, Hashable]] = [((), self.start)]
+        for _ in range(k):
+            layer = [(w + (i,), self.step(q, i)) for w, q in layer for i in range(n)]
+        table = {word: self.decision(state) for word, state in layer}
+        assert None not in table.values(), "full-depth windows must be decided"
+        return table
 
 
 def uniform_bound_search(rule: RuleHandle) -> int:
@@ -251,17 +283,15 @@ def uniform_bound_search(rule: RuleHandle) -> int:
     at sufficient segments: the bound is one past the deepest segment that
     is still open.
     """
-    return _facts(rule)["bound"]
+    return rule.facts.bound
 
 
 def stopping_time(rule: RuleHandle, seq: SeqSpec) -> int:
     """Least k whose window of ``seq`` is sufficient."""
-    facts = _facts(rule)
-    sufficient = facts["sufficient"]
-    for k in range(facts["bound"] + 1):
-        if sufficient(seq.window(k)) is not None:
+    for k, got in enumerate(rule.facts.decisions(map(seq.at, itertools.count(1)))):
+        if got is not None:
             return k
-    raise AssertionError("unreachable: bound-length windows are sufficient")
+    raise AssertionError("unreachable: every run is decided within the bound")
 
 
 def enumerate_minimal_sufficient(rule: RuleHandle) -> Iterator[tuple[Segment, str]]:
@@ -271,29 +301,27 @@ def enumerate_minimal_sufficient(rule: RuleHandle) -> Iterator[tuple[Segment, st
     segment was open, and sufficiency is monotone under extension.
     Breadth-first, lexicographic within a length.
     """
-    for word, dec in _facts(rule)["minimal"]:
+    for word, dec in rule.facts.minimal:
         yield Segment(rule.alphabet, word), dec
 
 
 def sufficiency_of(rule: RuleHandle, seg: Segment) -> Sufficiency:
     """Sufficiency verdict for one segment under any rule handle."""
-    facts = _facts(rule)
-    sufficient = facts["sufficient"]
-    got = sufficient(tuple(seg.word))
+    decs = list(rule.facts.decisions(seg.word))
+    got = decs[-1]
     if got is None:
         return Sufficiency(NOT_SUFFICIENT, None)
-    if len(seg) > 0 and sufficient(tuple(seg.word[:-1])) is not None:
+    if len(decs) > 1 and decs[-2] is not None:
         return Sufficiency(SUFFICIENT, got)
     return Sufficiency(MINIMAL_SUFFICIENT, got)
 
 
 def decision_on(rule: RuleHandle, word: Word) -> str:
     """Decision forced by a window at least as long as the uniform bound."""
-    facts = _facts(rule)
-    bound = facts["bound"]
-    if len(word) < bound:
-        raise SeqdecError(f"window of length {len(word)} shorter than the bound {bound}")
-    return facts["table"][word[:bound]]
+    facts = rule.facts
+    if len(word) < facts.bound:
+        raise SeqdecError(f"window of length {len(word)} shorter than the bound {facts.bound}")
+    return facts.decided(word[: facts.bound])  # type: ignore[return-value]
 
 
 def tabulate_automaton(rule: RuleHandle) -> DecisionAutomaton:
@@ -302,10 +330,9 @@ def tabulate_automaton(rule: RuleHandle) -> DecisionAutomaton:
     This is the constructive per-instance bridge from an observed black box
     (a budgeted machine run, say) to an automaton.
     """
-    facts = _facts(rule)
-    depth = max(facts["bound"], 1)
-    table = facts["table"]
-    return segment_tree_automaton(rule.alphabet, depth, lambda w: table[w[: facts['bound']]])
+    facts = rule.facts
+    k, table = facts.bound, facts.table
+    return segment_tree_automaton(rule.alphabet, max(k, 1), lambda w: table[w[:k]])
 
 
 @dataclass(frozen=True)
@@ -325,10 +352,10 @@ class DecisiveSet:
 
 
 def decisive_set(rule: RuleHandle) -> DecisiveSet:
-    facts = _facts(rule)
+    facts = rule.facts
     alphabet = rule.alphabet
     witnesses: dict[str, tuple[str, str]] = {}
-    for word, dec in facts["minimal"]:
+    for word, dec in facts.minimal:
         seg = Segment(alphabet, word)
         for name in seg.symbol_set():
             if name != dec and name not in witnesses:
@@ -383,47 +410,34 @@ def check_monotonicity(rule: RuleHandle) -> AxiomReport:
     bound-limited rule beyond the window, which the table construction
     already validated, so each transformation is checked once.
     """
-    facts = _facts(rule)
-    k, table = facts["bound"], facts["table"]
+    facts = rule.facts
+    k, table = facts.bound, facts.table
     n = len(rule.alphabet)
     checked = 0
     for word in itertools.product(range(n), repeat=k + 1):
         chosen = table[word[:k]]
         chosen_idx = rule.alphabet.index(chosen) if chosen in rule.alphabet else None
         for pos in range(1, k + 1):
+            moves = []
             if chosen_idx is not None and word[pos] == chosen_idx:
                 swapped = list(word)
                 swapped[pos - 1], swapped[pos] = swapped[pos], swapped[pos - 1]
-                checked += 1
-                if table[tuple(swapped[:k])] != chosen:
-                    return AxiomReport(
-                        "monotonicity",
-                        False,
-                        {
-                            "sequence": _closure_text(rule.alphabet, word),
-                            "decision": chosen,
-                            "transform": "shift",
-                            "position": pos,
-                            "transformed": _closure_text(rule.alphabet, tuple(swapped)),
-                            "transformed_decision": table[tuple(swapped[:k])],
-                        },
-                        checked,
-                        k,
-                    )
+                moves.append(("shift", tuple(swapped)))
             if chosen_idx is None or word[pos - 1] != chosen_idx:
-                dropped = word[: pos - 1] + word[pos:]
+                moves.append(("deletion", word[: pos - 1] + word[pos:]))
+            for transform, moved in moves:
                 checked += 1
-                if table[dropped[:k]] != chosen:
+                if table[moved[:k]] != chosen:
                     return AxiomReport(
                         "monotonicity",
                         False,
                         {
                             "sequence": _closure_text(rule.alphabet, word),
                             "decision": chosen,
-                            "transform": "deletion",
+                            "transform": transform,
                             "position": pos,
-                            "transformed": _closure_text(rule.alphabet, dropped),
-                            "transformed_decision": table[dropped[:k]],
+                            "transformed": _closure_text(rule.alphabet, moved),
+                            "transformed_decision": table[moved[:k]],
                         },
                         checked,
                         k,
@@ -439,8 +453,8 @@ def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
     through that segment's minimal sufficient prefix with the remainder
     folded into the tail quantifier, so the check is exhaustive.
     """
-    facts = _facts(rule)
-    k, table, minimal = facts["bound"], facts["table"], facts["minimal"]
+    facts = rule.facts
+    k, table, minimal = facts.bound, facts.table, facts.minimal
     n = len(rule.alphabet)
     pool = [
         (word, dec, Segment(rule.alphabet, word).symbol_set()) for word, dec in minimal
@@ -477,8 +491,8 @@ def _distinguishing_extensions(
     rule: RuleHandle, word: Word
 ) -> tuple[tuple[Word, str], tuple[Word, str]]:
     """Two full windows extending an open word that decide differently."""
-    facts = _facts(rule)
-    k, table = facts["bound"], facts["table"]
+    facts = rule.facts
+    k, table = facts.bound, facts.table
     n = len(rule.alphabet)
     first: tuple[Word, str] | None = None
     for fill in itertools.product(range(n), repeat=max(k - len(word), 0)):
@@ -493,13 +507,12 @@ def _distinguishing_extensions(
 
 def check_replacement(rule: RuleHandle) -> AxiomReport:
     """Swapping one non-decisive symbol for another keeps sufficiency."""
-    facts = _facts(rule)
-    k = facts["bound"]
-    sufficient = facts["sufficient"]
+    facts = rule.facts
+    k = facts.bound
     dset = decisive_set(rule)
     dprime = set(dset.complement)
     checked = 0
-    for m_word, _ in facts["minimal"]:
+    for m_word, _ in facts.minimal:
         seg = Segment(rule.alphabet, m_word)
         if not seg.symbol_set() <= dprime:
             continue
@@ -509,7 +522,7 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
                     m_word[: pos - 1] + (rule.alphabet.index(name),) + m_word[pos:]
                 )
                 checked += 1
-                if sufficient(replaced) is None:
+                if facts.decided(replaced) is None:
                     (ext_a, dec_a), (ext_b, dec_b) = _distinguishing_extensions(
                         rule, replaced
                     )
@@ -534,13 +547,13 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
 
 def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
     """Shrinking the support of a non-decisive choice cannot flip it."""
-    facts = _facts(rule)
-    k = facts["bound"]
+    facts = rule.facts
+    k = facts.bound
     dset = decisive_set(rule)
     dprime = set(dset.complement)
     pool = [
         (word, dec, Segment(rule.alphabet, word).symbol_set())
-        for word, dec in facts["minimal"]
+        for word, dec in facts.minimal
         if Segment(rule.alphabet, word).symbol_set() <= dprime
     ]
     checked = 0
@@ -566,12 +579,12 @@ def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
 
 def check_snbc(rule: RuleHandle) -> AxiomReport:
     """No cycles across two-symbol minimal sufficient segments."""
-    facts = _facts(rule)
-    k = facts["bound"]
+    facts = rule.facts
+    k = facts.bound
     dset = decisive_set(rule)
     dprime = set(dset.complement)
     buckets: dict[frozenset[str], list[tuple[Word, str]]] = {}
-    for word, dec in facts["minimal"]:
+    for word, dec in facts.minimal:
         sset = Segment(rule.alphabet, word).symbol_set()
         if len(sset) == 2 and sset <= dprime:
             buckets.setdefault(sset, []).append((word, dec))
@@ -605,8 +618,8 @@ def check_snbc(rule: RuleHandle) -> AxiomReport:
 
 
 def _require_choice_rule(rule: RuleHandle, *, in_window: bool) -> None:
-    facts = _facts(rule)
-    for word, dec in facts["table"].items():
+    facts = rule.facts
+    for word, dec in facts.table.items():
         if dec not in rule.alphabet:
             raise NotAChoiceRule(
                 f"decision {dec!r} after {_word_text(rule.alphabet, word)!r} "
@@ -622,8 +635,8 @@ def _require_choice_rule(rule: RuleHandle, *, in_window: bool) -> None:
 def check_neutrality(rule: RuleHandle) -> AxiomReport:
     """Relabeling the alternatives must relabel the choice the same way."""
     _require_choice_rule(rule, in_window=False)
-    facts = _facts(rule)
-    k, table = facts["bound"], facts["table"]
+    facts = rule.facts
+    k, table = facts.bound, facts.table
     n = len(rule.alphabet)
     checked = 0
     for word in itertools.product(range(n), repeat=k):
@@ -668,8 +681,8 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
     cycle with one witness sequence per edge.
     """
     _require_choice_rule(rule, in_window=True)
-    facts = _facts(rule)
-    k, table = facts["bound"], facts["table"]
+    facts = rule.facts
+    k, table = facts.bound, facts.table
     n = len(rule.alphabet)
     edges: dict[tuple[str, str], dict] = {}
     checked = 0
@@ -771,21 +784,15 @@ def identify_csr(rule: RuleHandle) -> CsrSpec:
     sequence; unit threshold and reciprocal weights reproduce the rule.
     Agreement is verified over the whole witness family before returning.
     """
-    facts = _facts(rule)
-    counts = {}
-    for name in rule.alphabet:
-        counts[name] = max(stopping_time(rule, constant(rule.alphabet, name)), 1)
     spec = CsrSpec(
         rule.alphabet,
-        {name: Fraction(1, counts[name]) for name in rule.alphabet},
+        {
+            name: Fraction(1, max(stopping_time(rule, constant(rule.alphabet, name)), 1))
+            for name in rule.alphabet
+        },
         Fraction(1),
     )
-    _verify_agreement(
-        rule,
-        lambda seq: csr_evaluate(spec, seq)[0],
-        max(facts["bound"], csr_uniform_bound(spec)),
-        NotCsr,
-    )
+    rule.facts.agreement_checked = agreement_count(rule, spec)
     return spec
 
 
@@ -799,12 +806,12 @@ def identify_osr(rule: RuleHandle) -> OsrSpec:
     best-ranked non-decisive symbol.  Agreement is verified before
     returning.
     """
-    facts = _facts(rule)
-    span = max(facts["bound"], 1)
+    facts = rule.facts
+    span = max(facts.bound, 1)
     dset = decisive_set(rule)
     dprime = list(dset.complement)
     beaten: dict[str, set[str]] = {name: set() for name in dprime}
-    for word, dec in facts["minimal"]:
+    for word, dec in facts.minimal:
         sset = Segment(rule.alphabet, word).symbol_set()
         if sset <= set(dprime) and dec in beaten:
             beaten[dec] |= sset - {dec}
@@ -812,40 +819,35 @@ def identify_osr(rule: RuleHandle) -> OsrSpec:
     order = tuple(dset.decisive) + tuple(ranked)
     threshold_alt = ranked[0] if ranked else order[-1]
     spec = OsrSpec(rule.alphabet, order, threshold_alt, span)
-    _verify_agreement(rule, lambda seq: osr_evaluate(spec, seq), span, NotOsr)
+    facts.agreement_checked = agreement_count(rule, spec)
     return spec
 
 
-def _verify_agreement(
-    rule: RuleHandle,
-    candidate: Callable[[SeqSpec], str],
-    depth: int,
-    error_cls: type,
-) -> int:
+def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
+    """Size check of the identification round trip; raises on disagreement.
+
+    Compares the rule with ``spec`` on every single-symbol closure of every
+    window as long as the longer of their two bounds.
+    """
+    if isinstance(spec, CsrSpec):
+        depth, error_cls = csr_uniform_bound(spec), NotCsr
+    elif isinstance(spec, OsrSpec):
+        depth, error_cls = spec.span, NotOsr
+    else:
+        raise SeqdecError(f"no agreement check for {type(spec).__name__}")
     checked = 0
     n = len(rule.alphabet)
-    for word in itertools.product(range(n), repeat=depth):
+    for word in itertools.product(range(n), repeat=max(rule.facts.bound, depth)):
         for cyc in range(n):
             seq = _closure(rule.alphabet, word, cyc)
             checked += 1
-            if rule.decide(seq) != candidate(seq):
+            ours, theirs = rule.decide(seq), evaluate_rule(spec, seq)
+            if ours != theirs:
                 raise error_cls(
-                    f"recovered rule disagrees on {seq.text()!r} "
-                    f"({rule.decide(seq)!r} vs {candidate(seq)!r})",
+                    f"recovered rule disagrees on {seq.text()!r} ({ours!r} vs {theirs!r})",
                     sequence=seq,
                 )
     return checked
-
-
-def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
-    """Size check of the identification round trip; raises on disagreement."""
-    if isinstance(spec, CsrSpec):
-        depth = max(_facts(rule)["bound"], csr_uniform_bound(spec))
-        return _verify_agreement(rule, lambda s: csr_evaluate(spec, s)[0], depth, NotCsr)
-    if isinstance(spec, OsrSpec):
-        depth = max(_facts(rule)["bound"], spec.span)
-        return _verify_agreement(rule, lambda s: osr_evaluate(spec, s), depth, NotOsr)
-    raise SeqdecError(f"no agreement check for {type(spec).__name__}")
 
 
 def replay_witness(rule: RuleHandle, report: AxiomReport) -> bool:
@@ -965,7 +967,7 @@ def replay_witness(rule: RuleHandle, report: AxiomReport) -> bool:
             if edge["loser_config"] != cycle[(i + 1) % len(cycle)]:
                 return False
             seq = alphabet.sequence(edge["sequence"])
-            k = _facts(rule)["bound"]
+            k = rule.facts.bound
             win_bits = _bits_text(_config_of(seq.window(k), alphabet.index(edge["winner"])))
             lose_bits = _bits_text(_config_of(seq.window(k), alphabet.index(edge["loser"])))
             if win_bits != edge["winner_config"] or lose_bits != edge["loser_config"]:

@@ -213,12 +213,15 @@ def reachable_states(aut: DecisionAutomaton) -> list[str]:
     return order
 
 
-def _escaping_states(aut: DecisionAutomaton) -> set[str]:
+def _escaping_states(aut: DecisionAutomaton) -> dict[str, int]:
     """Non-terminal states from which every run must eventually absorb.
 
     Computed by peeling: a state escapes when all successors are terminal or
     already known to escape.  The complement within the non-terminal states
-    is exactly the set admitting an infinite terminal-free run.
+    is exactly the set admitting an infinite terminal-free run.  Each
+    escaping state maps to the longest path from it through non-terminal
+    states: the peel pops states in reverse topological order, so a state's
+    successors are final before it is.
     """
     nonterm = [q for q in aut.states if q not in aut.terminal]
     preds: dict[str, list[str]] = {q: [] for q in nonterm}
@@ -229,12 +232,14 @@ def _escaping_states(aut: DecisionAutomaton) -> set[str]:
             if tgt not in aut.terminal:
                 pending[q] += 1
                 preds[tgt].append(q)
-    escaping = set()
+    escaping: dict[str, int] = {}
+    depth = {q: 0 for q in nonterm}
     queue = deque(q for q in nonterm if pending[q] == 0)
     while queue:
         q = queue.popleft()
-        escaping.add(q)
+        escaping[q] = depth[q]
         for p in preds[q]:
+            depth[p] = max(depth[p], 1 + depth[q])
             pending[p] -= 1
             if pending[p] == 0:
                 queue.append(p)
@@ -311,20 +316,7 @@ def verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
             cycle_symbols=cycle_symbols,
             reach=_segment_to_state(aut, cycle_states[0]),
         )
-    depth: dict[str, int] = {}
-
-    def longest(q: str) -> int:
-        if q in depth:
-            return depth[q]
-        best = 0
-        for sym in aut.alphabet:
-            tgt = aut.transitions[q][sym]
-            if tgt not in aut.terminal:
-                best = max(best, 1 + longest(tgt))
-        depth[q] = best
-        return best
-
-    return StopVerdict(bound=1 + longest(aut.initial))
+    return StopVerdict(bound=1 + escaping[aut.initial])
 
 
 def _find_nonterminal_cycle(

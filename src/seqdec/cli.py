@@ -9,10 +9,9 @@ to stderr.  Exit codes are a stable scripting contract:
 * 1: an axiom failed, or identification found a disagreeing input
 * 2: input could not be parsed or validated
 * 3: a resource or assumption gave out (diverging run, exhausted budget,
-  violated horizon, non-stopping automaton)
+  violated horizon, non-stopping automaton, window table over its cap)
 
-Sequence literals use ``prefix|cycle`` notation, e.g. ``"a b|c"``.  The
-``SEQDEC_THREADS`` environment variable caps analysis workers.
+Sequence literals use ``prefix|cycle`` notation, e.g. ``"a b|c"``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .core import SeqSpec, Alphabet, ValidationError, prefix_of
+from .core import SeqSpec, Alphabet, ResourceLimit, ValidationError, prefix_of
 from . import automaton as automaton_mod
 from .automaton import DivergenceError, minimize, to_dot, verify_stopping
 from . import machines as machines_mod
@@ -35,7 +34,6 @@ from .analysis import (
     NotCsr,
     NotOsr,
     RuleHandle,
-    agreement_count,
     decisive_set,
     enumerate_minimal_sufficient,
     identify_csr,
@@ -242,7 +240,7 @@ def cmd_identify(args) -> int:
         return EXIT_FAIL
     payload = {
         "rule": heuristics.rule_to_dict(spec),
-        "checked": agreement_count(rule, spec),
+        "checked": rule.facts.agreement_checked,
     }
     if args.out:
         _emit(heuristics.rule_to_dict(spec), args.out)
@@ -343,6 +341,7 @@ def main(argv=None) -> int:
         BudgetExhausted,
         HorizonViolation,
         NonStoppingRuleError,
+        ResourceLimit,
         TapeBoundsError,
     ) as exc:
         print(f"seqdec: {exc}", file=sys.stderr)

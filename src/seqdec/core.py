@@ -32,6 +32,14 @@ class AlphabetMismatchError(SeqdecError):
     """Two operands were built over different alphabets."""
 
 
+class ResourceLimit(SeqdecError):
+    """A table of ``symbols ** length`` windows would exceed ``cap``; raised before building it."""
+
+    def __init__(self, symbols: int, length: int, cap: int):
+        super().__init__(f"{symbols}^{length} windows of length {length} exceed the cap of {cap}")
+        self.symbols, self.length, self.cap = symbols, length, cap
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite ordered set of symbol names.
@@ -325,11 +333,6 @@ def relabel(seq: SeqSpec, sigma: Relabeling) -> SeqSpec:
         return Segment(seg.alphabet, tuple(sigma.apply_index(i) for i in seg.word))
 
     return SeqSpec(seq.alphabet, mapped(seq.prefix), mapped(seq.cycle))
-
-
-def relabel_segment(seg: Segment, sigma: Relabeling) -> Segment:
-    _require_same_alphabet(seg.alphabet, sigma.alphabet)
-    return Segment(seg.alphabet, tuple(sigma.apply_index(i) for i in seg.word))
 
 
 def enumerate_segments(alphabet: Alphabet, length: int) -> Iterator[Segment]:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from seqdec.core import Segment, SeqSpec, constant
-from seqdec.automaton import MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, evaluate
+from seqdec.core import Alphabet, Segment, SeqSpec, constant
+from seqdec.automaton import MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, Sufficiency, evaluate
 from seqdec.heuristics import (
     Comparator,
     ConfigRuleSpec,
@@ -183,6 +183,15 @@ class TestMinimalSufficient:
 
 
 class TestHorizon:
+    def test_black_box_segment_past_horizon(self):
+        ab = Alphabet(("a", "b"))
+        spec = CsrSpec(ab, {"a": Fraction(1, 2), "b": ONE}, ONE)
+        box = RuleHandle.from_callable(ab, lambda s: csr_evaluate(spec, s)[0], horizon=2)
+        seg = ab.segment("a a a")
+        got = sufficiency_of(box, seg)
+        assert got == Sufficiency(SUFFICIENT, "a")
+        assert sufficiency_of(RuleHandle.from_automaton(tabulate_automaton(box)), seg) == got
+
     def test_lying_horizon_detected(self):
         rule = RuleHandle.from_callable(ABC, lambda s: s.symbol_at(3), horizon=2)
         with pytest.raises(HorizonViolation):
@@ -427,27 +436,6 @@ class TestReports:
         reports = run_suite(rule, "csr")
         assert [r.axiom for r in reports] == ["monotonicity", "informational-dominance"]
         assert set(SUITES["all"]) == set(CHECKERS)
-
-    def test_worker_count_env(self, monkeypatch):
-        from seqdec.analysis import worker_count
-
-        monkeypatch.setenv("SEQDEC_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("SEQDEC_THREADS", "bogus")
-        assert worker_count() == 1
-
-    def test_threaded_tabulation_matches_serial(self, monkeypatch):
-        def build():
-            return RuleHandle.from_callable(
-                ABC, lambda s: csr_evaluate(CSR3, s)[0], horizon=7
-            )
-
-        serial = build()
-        serial_ms = list(enumerate_minimal_sufficient(serial))
-        monkeypatch.setenv("SEQDEC_THREADS", "3")
-        threaded = build()
-        threaded_ms = list(enumerate_minimal_sufficient(threaded))
-        assert [(s.word, d) for s, d in serial_ms] == [(s.word, d) for s, d in threaded_ms]
 
 
 class TestPaperScenario:

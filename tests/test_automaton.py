@@ -209,6 +209,15 @@ class TestVerifyStopping:
     def test_one_step_machine(self):
         assert verify_stopping(one_step_chooser(XY)).bound == 1
 
+    def test_long_chain_needs_no_recursion(self):
+        # 1499 undecided states in a row: deeper than the recursion limit
+        from fractions import Fraction
+
+        from seqdec.heuristics import CsrSpec, csr_compile
+
+        spec = CsrSpec(XY, {"x": Fraction(1, 1500), "y": Fraction(1)}, Fraction(1))
+        assert verify_stopping(csr_compile(spec)).bound == 1500
+
     def test_nonterminal_cycle_witnessed(self):
         aut = DecisionAutomaton(
             XY,

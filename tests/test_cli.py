@@ -130,6 +130,46 @@ class TestCompile:
         code, payload = run_json(capsys, ["compile", str(path), "--minimize"])
         assert code == 0 and payload["uniform_bound"] == 1
 
+    def test_long_chain_exits_0(self, capsys, tmp_path):
+        spec = CsrSpec(XY, {"x": Fraction(1, 1500), "y": Fraction(1)}, Fraction(1))
+        path = tmp_path / "chain1500.json"
+        path.write_text(rule_to_json(spec))
+        code, payload = run_json(capsys, ["compile", str(path)])
+        assert code == 0
+        assert payload["uniform_bound"] == 1500 and payload["state_count"] == 1502
+
+
+class TestWindowCap:
+    """Bound 40 over two symbols: 2^40 windows, far past the table cap."""
+
+    @pytest.fixture
+    def chain40_file(self, tmp_path):
+        path = tmp_path / "chain40.json"
+        path.write_text(json.dumps({
+            "kind": "csr", "alphabet": ["a", "b"],
+            "weights": {"a": "1/40", "b": "1"}, "threshold": "1",
+        }))
+        return str(path)
+
+    def test_eval_walks_states(self, capsys, chain40_file):
+        code, payload = run_json(capsys, ["eval", chain40_file, "a a|b"])
+        assert code == 0
+        assert payload == {
+            "decision": "b", "stop_position": 3, "minimal_sufficient_prefix": "a a b",
+        }
+
+    def test_analyze_walks_states(self, capsys, chain40_file):
+        code, payload = run_json(capsys, ["analyze", chain40_file, "--seq", "|a"])
+        assert code == 0
+        assert payload["uniform_bound"] == 40 and payload["stopping_time"] == 40
+        assert len(payload["minimal_sufficient"]) == 41
+
+    def test_axioms_exit_3_without_traceback(self, capsys, chain40_file):
+        assert main(["axioms", chain40_file, "--suite", "csr"]) == 3
+        err = capsys.readouterr().err
+        assert "2^40" in err and str(1 << 20) in err
+        assert "Traceback" not in err
+
 
 class TestMinimizeAndDot:
     def test_minimize_automaton_file(self, capsys, tmp_path):
@@ -225,6 +265,21 @@ class TestIdentify:
         code, payload = run_json(capsys, ["identify", osr_file, "--as", "csr"])
         assert code == 1
         assert "disagreeing_sequence" in payload
+
+    def test_one_agreement_pass(self, capsys, tmp_path, monkeypatch):
+        # critical counts (2, 2, 2): bound 4, so 3^4 windows times 3 closures
+        from seqdec import analysis
+        from seqdec.heuristics import csr_compile
+
+        spec = CsrSpec(ABC, {s: Fraction(1, 2) for s in ABC}, Fraction(1))
+        path = tmp_path / "csr222_aut.json"
+        path.write_text(automaton_to_json(csr_compile(spec)))
+        calls = []
+        evaluate = analysis.evaluate
+        monkeypatch.setattr(analysis, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+        code, payload = run_json(capsys, ["identify", str(path), "--as", "csr"])
+        assert code == 0
+        assert payload["checked"] == 243 and len(calls) == 243
 
     def test_written_rule_loads(self, capsys, fig_file, tmp_path):
         out = tmp_path / "recovered.json"
