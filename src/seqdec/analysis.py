@@ -827,7 +827,8 @@ def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
     """Size check of the identification round trip; raises on disagreement.
 
     Compares the rule with ``spec`` on every single-symbol closure of every
-    window as long as the longer of their two bounds.
+    window as long as the longer of their two bounds; raises ResourceLimit
+    first when those windows are over the cap.
     """
     if isinstance(spec, CsrSpec):
         depth, error_cls = csr_uniform_bound(spec), NotCsr
@@ -835,9 +836,11 @@ def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
         depth, error_cls = spec.span, NotOsr
     else:
         raise SeqdecError(f"no agreement check for {type(spec).__name__}")
+    length = max(rule.facts.bound, depth)
+    _require_windows(rule.alphabet, length)
     checked = 0
     n = len(rule.alphabet)
-    for word in itertools.product(range(n), repeat=max(rule.facts.bound, depth)):
+    for word in itertools.product(range(n), repeat=length):
         for cyc in range(n):
             seq = _closure(rule.alphabet, word, cyc)
             checked += 1

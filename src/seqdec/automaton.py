@@ -3,9 +3,9 @@
 A decision automaton reads one symbol per position and moves through a
 finite state set.  Terminal states are absorbing and carry an output label;
 a run's decision is the output of the first terminal state it enters.  The
-analyses here are exact graph computations: per-state decidedness, segment
-sufficiency, stopping verification with a tight uniform bound, Moore-style
-minimization, and DOT export.
+analyses here are exact graph computations: per-state decidedness and
+stopping verification with a tight uniform bound, both read off one peel
+of the states that must absorb, Moore-style minimization, and DOT export.
 
 Automata are immutable after construction and every analysis is a pure
 function, so they are safe to share across concurrent workers.
@@ -213,15 +213,18 @@ def reachable_states(aut: DecisionAutomaton) -> list[str]:
     return order
 
 
-def _escaping_states(aut: DecisionAutomaton) -> dict[str, int]:
-    """Non-terminal states from which every run must eventually absorb.
+def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]]:
+    """The peel: non-terminal states from which every run must absorb.
 
-    Computed by peeling: a state escapes when all successors are terminal or
-    already known to escape.  The complement within the non-terminal states
-    is exactly the set admitting an infinite terminal-free run.  Each
-    escaping state maps to the longest path from it through non-terminal
-    states: the peel pops states in reverse topological order, so a state's
-    successors are final before it is.
+    A state escapes once all its successors are terminal or have escaped,
+    so states pop in reverse topological order and a state's successors
+    are final before it is.  The complement within the non-terminal states
+    is exactly the set admitting an infinite terminal-free run.
+
+    Each escaping state maps to its depth, the longest path from it through
+    non-terminal states, and to its forced decision: the one output all its
+    successors agree on (a terminal's output, an escaping successor's own
+    forced decision), else None.
     """
     nonterm = [q for q in aut.states if q not in aut.terminal]
     preds: dict[str, list[str]] = {q: [] for q in nonterm}
@@ -232,69 +235,37 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, int]:
             if tgt not in aut.terminal:
                 pending[q] += 1
                 preds[tgt].append(q)
-    escaping: dict[str, int] = {}
-    depth = {q: 0 for q in nonterm}
+    peel: dict[str, tuple[int, str | None]] = {}
     queue = deque(q for q in nonterm if pending[q] == 0)
     while queue:
         q = queue.popleft()
-        escaping[q] = depth[q]
+        depth, outputs = 0, set()
+        for sym in aut.alphabet:
+            tgt = aut.transitions[q][sym]
+            if tgt in aut.terminal:
+                outputs.add(aut.terminal[tgt])
+            else:
+                depth = max(depth, 1 + peel[tgt][0])
+                outputs.add(peel[tgt][1])
+        peel[q] = (depth, outputs.pop() if len(outputs) == 1 else None)
         for p in preds[q]:
-            depth[p] = max(depth[p], 1 + depth[q])
             pending[p] -= 1
             if pending[p] == 0:
                 queue.append(p)
-    return escaping
+    return peel
 
 
 def decidedness(aut: DecisionAutomaton) -> dict[str, Decidedness]:
-    """Per-state decision forced by the reachable graph structure."""
-    outputs: dict[str, frozenset[str]] = {
-        q: frozenset([out]) if (out := aut.terminal.get(q)) is not None else frozenset()
+    """Per-state decision forced by the reachable graph structure.
+
+    Only escaping states can be decided: a state that can reach a
+    terminal-free loop can put its decision off forever.
+    """
+    peel = _escaping_states(aut)
+    return {
+        q: Decidedness(aut.terminal[q] if q in aut.terminal else peel.get(q, (0, None))[1])
         for q in aut.states
     }
-    changed = True
-    while changed:
-        changed = False
-        for q in aut.states:
-            if q in aut.terminal:
-                continue
-            merged = outputs[q]
-            for sym in aut.alphabet:
-                merged = merged | outputs[aut.transitions[q][sym]]
-            if merged != outputs[q]:
-                outputs[q] = merged
-                changed = True
-    escaping = _escaping_states(aut)
-    result = {}
-    for q in aut.states:
-        if q in aut.terminal:
-            result[q] = Decidedness(aut.terminal[q])
-        elif q in escaping and len(outputs[q]) == 1:
-            result[q] = Decidedness(next(iter(outputs[q])))
-        else:
-            result[q] = Decidedness(None)
-    return result
-
-
-def sufficiency(aut: DecisionAutomaton, seg: Segment) -> Sufficiency:
-    """Classify a segment by the decidedness of the state it reaches.
-
-    A sufficient segment forces the decision no matter what follows; it is
-    minimal when no proper prefix already does.  Decidedness is monotone
-    along runs, so checking the one-shorter prefix would suffice; all proper
-    prefixes are checked anyway as a self-test of that monotonicity.
-    """
-    _require_same_alphabet(aut.alphabet, seg.alphabet)
-    dec = decidedness(aut)
-    verdict = dec[run(aut, seg)]
-    if not verdict.is_decided:
-        return Sufficiency(NOT_SUFFICIENT, None)
-    state = aut.initial
-    for idx in seg.word:
-        if dec[state].is_decided:
-            return Sufficiency(SUFFICIENT, verdict.decision)
-        state = aut.transitions[state][aut.alphabet.name(idx)]
-    return Sufficiency(MINIMAL_SUFFICIENT, verdict.decision)
 
 
 def verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
@@ -303,34 +274,33 @@ def verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
     The bound is one more than the longest path through reachable
     non-terminal states, which exists exactly when that subgraph is acyclic.
     The bound is tight: some run stays non-terminal for the whole path and
-    absorbs on its final symbol.
+    absorbs on its final symbol.  The witness loop is entered from the first
+    looping state in breadth-first order.
     """
-    reach = set(reachable_states(aut))
-    escaping = _escaping_states(aut)
-    looping = [q for q in reach if q not in aut.terminal and q not in escaping]
+    peel = _escaping_states(aut)
+    looping = [q for q in reachable_states(aut) if q not in aut.terminal and q not in peel]
     if looping:
-        cycle_states, cycle_symbols = _find_nonterminal_cycle(aut, looping[0])
+        cycle_states, cycle_symbols = _find_nonterminal_cycle(aut, looping[0], peel)
         return StopVerdict(
             bound=None,
             cycle_states=cycle_states,
             cycle_symbols=cycle_symbols,
             reach=_segment_to_state(aut, cycle_states[0]),
         )
-    return StopVerdict(bound=1 + escaping[aut.initial])
+    return StopVerdict(bound=1 + peel[aut.initial][0])
 
 
 def _find_nonterminal_cycle(
-    aut: DecisionAutomaton, start: str
+    aut: DecisionAutomaton, start: str, peel: dict[str, tuple[int, str | None]]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Walk non-escaping states until one repeats; return the loop."""
-    escaping = _escaping_states(aut)
+    """Walk states outside the peel until one repeats; return the loop."""
     path_states, path_symbols = [start], []
     seen = {start: 0}
     state = start
     while True:
         for sym in aut.alphabet:
             tgt = aut.transitions[state][sym]
-            if tgt not in aut.terminal and tgt not in escaping:
+            if tgt not in aut.terminal and tgt not in peel:
                 path_symbols.append(sym)
                 state = tgt
                 break
@@ -389,22 +359,24 @@ def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
             terminal={"q1": out},
         )
     reach = reachable_states(aut)
-    block: dict[str, object] = {
-        q: ("D", dec[q].decision) if dec[q].is_decided else ("U",) for q in reach
-    }
+    # only the partition matters: blocks are renamed breadth first below
+    classes: dict[object, int] = {}
+    block = {q: classes.setdefault(dec[q].decision, len(classes)) for q in reach}
     while True:
-        signature = {
-            q: (block[q], tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet))
+        refined: dict[object, int] = {}
+        new_block = {
+            q: refined.setdefault(
+                (block[q], tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet)),
+                len(refined),
+            )
             for q in reach
         }
-        fresh = {sig: i for i, sig in enumerate(sorted(set(signature.values()), key=repr))}
-        new_block = {q: (block[q][0], fresh[signature[q]]) for q in reach}
-        if len(set(new_block.values())) == len(set(block.values())):
+        if len(refined) == len(classes):
             break
-        block = new_block  # type: ignore[assignment]
+        block, classes = new_block, refined
 
-    names: dict[object, str] = {}
-    order: list[object] = []
+    names: dict[int, str] = {}
+    order: list[int] = []
     queue = deque([block[aut.initial]])
     names[block[aut.initial]] = "q0"
     rep = {block[q]: q for q in reversed(reach)}
@@ -508,7 +480,7 @@ def from_json_dict(data: dict) -> DecisionAutomaton:
             transitions=data["transitions"],
             terminal=data["terminal"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidAutomatonError(f"malformed automaton document: {exc}") from exc
 
 

@@ -431,7 +431,7 @@ def rule_from_dict(data: dict) -> RuleSpec:
             else:
                 comparator = Comparator(window, table={w: int(r) for w, r in comp["table"].items()})
             return ConfigRuleSpec(alphabet, window, comparator)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidRuleError(f"malformed rule document: {exc}") from exc
     raise InvalidRuleError(f"unknown rule kind {data.get('kind')!r}")
 

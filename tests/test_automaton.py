@@ -1,12 +1,14 @@
 """Tests for decision automata: runs, decidedness, stopping, minimization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqdec.core import SeqSpec, concat, constant, enumerate_segments
+from seqdec.core import Alphabet, SeqSpec, concat, constant, enumerate_segments
 from seqdec.automaton import (
     MINIMAL_SUFFICIENT,
     NOT_SUFFICIENT,
     SUFFICIENT,
+    Decidedness,
     DecisionAutomaton,
     DivergenceError,
     InvalidAutomatonError,
@@ -18,11 +20,11 @@ from seqdec.automaton import (
     minimize,
     reachable_states,
     run,
-    sufficiency,
     to_dot,
     to_json,
     verify_stopping,
 )
+from seqdec.analysis import RuleHandle, sufficiency_of
 from tests.conftest import XY, build_twosym_threshold2
 
 
@@ -61,6 +63,136 @@ def oracle_sufficiency(aut, seg, bound):
         closed = concat(seg + fill, constant(seg.alphabet, seg.alphabet.symbols[0]))
         decisions.add(evaluate(aut, closed)[0])
     return decisions.pop() if len(decisions) == 1 else None
+
+
+def oracle_decidedness(aut):
+    """Decidedness by fixpoint sweeps, one pass over all states per level.
+
+    A state's reachable outputs grow until no sweep changes them; a state
+    escapes once every successor is terminal or escapes.  A non-terminal
+    state is decided when it escapes and reaches exactly one output.
+    """
+    outputs = {
+        q: frozenset([out]) if (out := aut.terminal.get(q)) is not None else frozenset()
+        for q in aut.states
+    }
+    escaping = set()
+    changed = True
+    while changed:
+        changed = False
+        for q in aut.states:
+            if q in aut.terminal:
+                continue
+            succ = [aut.transitions[q][sym] for sym in aut.alphabet]
+            merged = outputs[q].union(*(outputs[t] for t in succ))
+            if merged != outputs[q]:
+                outputs[q] = merged
+                changed = True
+            if q not in escaping and all(t in aut.terminal or t in escaping for t in succ):
+                escaping.add(q)
+                changed = True
+    result = {}
+    for q in aut.states:
+        if q in aut.terminal:
+            result[q] = Decidedness(aut.terminal[q])
+        elif q in escaping and len(outputs[q]) == 1:
+            result[q] = Decidedness(next(iter(outputs[q])))
+        else:
+            result[q] = Decidedness(None)
+    return result
+
+
+@st.composite
+def random_automata(draw):
+    """Up to ten open states and three terminals over one to three symbols.
+
+    Acyclic draws only point forward or at terminals (the last open state
+    loops on itself when there is no terminal); cyclic ones point anywhere.
+    Unreachable states are left in.
+    """
+    alphabet = Alphabet(("a", "b", "c")[: draw(st.integers(1, 3))])
+    n_open = draw(st.integers(1, 10))
+    opens = [f"s{i}" for i in range(n_open)]
+    outputs = draw(st.lists(st.sampled_from(alphabet.symbols), max_size=3))
+    terminal = {f"t{i}": out for i, out in enumerate(outputs)}
+    acyclic = draw(st.booleans())
+    transitions = {t: absorbing_terminal_row(alphabet, t) for t in terminal}
+    for i, q in enumerate(opens):
+        targets = (opens[i + 1 :] if acyclic else opens) + list(terminal)
+        if not targets:
+            targets = opens[i:]
+        transitions[q] = {sym: draw(st.sampled_from(targets)) for sym in alphabet}
+    return DecisionAutomaton(alphabet, tuple(opens) + tuple(terminal), "s0", transitions, terminal)
+
+
+def on_open_cycle(aut, start):
+    """True when ``start`` returns to itself through non-terminal states."""
+    stack, seen = [start], set()
+    while stack:
+        q = stack.pop()
+        for sym in aut.alphabet:
+            t = aut.transitions[q][sym]
+            if t == start:
+                return True
+            if t not in aut.terminal and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return False
+
+
+def longest_open_path(aut, start):
+    """Edges on the longest path from ``start`` through non-terminal states.
+
+    Only meaningful when no such path loops; memoized depth-first search.
+    """
+    memo = {}
+
+    def depth(q):
+        if q not in memo:
+            succ = [aut.transitions[q][sym] for sym in aut.alphabet]
+            memo[q] = max((1 + depth(t) for t in succ if t not in aut.terminal), default=0)
+        return memo[q]
+
+    return depth(start)
+
+
+def decision_or_divergence(aut, seq):
+    try:
+        return evaluate(aut, seq)[0]
+    except DivergenceError:
+        return DivergenceError
+
+
+class TestOnePeel:
+    @settings(max_examples=150, deadline=None)
+    @given(aut=random_automata())
+    def test_matches_sweep_oracle(self, aut):
+        assert decidedness(aut) == oracle_decidedness(aut)
+
+        verdict = verify_stopping(aut)
+        looping = [
+            q for q in reachable_states(aut) if q not in aut.terminal and on_open_cycle(aut, q)
+        ]
+        assert verdict.stops == (not looping)
+        if verdict.stops:
+            assert verdict.bound == 1 + longest_open_path(aut, aut.initial)
+        else:
+            state = run(aut, verdict.reach)
+            assert state == verdict.cycle_states[0]
+            for sym in verdict.cycle_symbols:
+                assert state not in aut.terminal
+                state = aut.transitions[state][sym]
+            assert state == verdict.cycle_states[0]
+
+        small = minimize(aut)
+        assert isomorphic(minimize(small), small)
+        for plen in range(4):
+            for pre in enumerate_segments(aut.alphabet, plen):
+                for clen in (1, 2):
+                    for cyc in enumerate_segments(aut.alphabet, clen):
+                        seq = SeqSpec(aut.alphabet, pre, cyc)
+                        expect = decision_or_divergence(aut, seq)
+                        assert decision_or_divergence(small, seq) == expect
 
 
 class TestConstruction:
@@ -176,20 +308,21 @@ class TestDecidedness:
 
 class TestSufficiency:
     def test_classification(self, twosym_threshold2):
-        aut = twosym_threshold2
-        assert sufficiency(aut, XY.segment("x")).status == NOT_SUFFICIENT
-        v = sufficiency(aut, XY.segment("x x"))
+        rule = RuleHandle.from_automaton(twosym_threshold2)
+        assert sufficiency_of(rule, XY.segment("x")).status == NOT_SUFFICIENT
+        v = sufficiency_of(rule, XY.segment("x x"))
         assert v.status == MINIMAL_SUFFICIENT and v.decision == "x"
-        v = sufficiency(aut, XY.segment("x x y"))
+        v = sufficiency_of(rule, XY.segment("x x y"))
         assert v.status == SUFFICIENT and v.decision == "x"
 
     def test_matches_bruteforce_oracle(self, twosym_threshold2):
         aut = twosym_threshold2
+        rule = RuleHandle.from_automaton(aut)
         bound = verify_stopping(aut).bound
         for length in range(bound + 1):
             for seg in enumerate_segments(XY, length):
                 expect = oracle_sufficiency(aut, seg, bound)
-                got = sufficiency(aut, seg)
+                got = sufficiency_of(rule, seg)
                 assert (got.decision if got.is_sufficient else None) == expect
 
 

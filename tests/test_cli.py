@@ -170,6 +170,38 @@ class TestWindowCap:
         assert "2^40" in err and str(1 << 20) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["csr", "osr"])
+    def test_identify_exit_3_without_traceback(self, capsys, chain40_file, target):
+        assert main(["identify", chain40_file, "--as", target]) == 3
+        err = capsys.readouterr().err
+        assert "2^40" in err and "Traceback" not in err
+
+
+MALFORMED_DOCUMENTS = {
+    "csr-weights-list": {
+        "kind": "csr", "alphabet": ["a", "b"], "weights": ["1"], "threshold": "1",
+    },
+    "terminal-list": {
+        "alphabet": ["x", "y"], "states": ["q", "t"], "initial": "q",
+        "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}},
+        "terminal": ["t"],
+    },
+    "transition-row-list": {
+        "alphabet": ["x", "y"], "states": ["q", "t"], "initial": "q",
+        "transitions": {"q": ["t", "t"], "t": {"x": "t", "y": "t"}},
+        "terminal": {"t": "x"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_exit_2_without_traceback(capsys, tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("seqdec: ") and "Traceback" not in err
+
 
 class TestMinimizeAndDot:
     def test_minimize_automaton_file(self, capsys, tmp_path):
