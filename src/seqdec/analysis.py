@@ -9,14 +9,18 @@ validated against every single-symbol closure while it is built, which is
 how a lying horizon declaration is caught.
 
 Stopping questions walk at most K states along the input, K being the
-uniform bound.  K and the minimal sufficient segments come from one
-breadth-first search that carries each open word's state.  Only the
-checkers that enumerate windows build the table of all |alphabet|^K window
-decisions, and past ``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
+uniform bound.  One reverse-topological pass over the reachable open states
+gives K (one more than the longest run through them) and each state's
+reachable decisions; the minimal sufficient segments come from a
+breadth-first search that carries each open word's state.  Informational
+dominance searches pairs of states.  Only the checkers that enumerate
+windows build the table of all |alphabet|^K window decisions, and past
+``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
 
-Checkers report a first counterexample in lexicographic enumeration order,
-so reports are deterministic.  Every Fail witness is fully replayable from
-its recorded sequence texts via :func:`replay_witness`.
+Checkers report a first counterexample in a fixed order, so reports are
+deterministic: windows in lexicographic order for the enumerating checkers,
+the search order for informational dominance.  Every Fail witness is fully
+replayable from its recorded sequence texts via :func:`replay_witness`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Alphabet,
@@ -53,7 +57,6 @@ from .heuristics import (
     OsrSpec,
     RuleSpec,
     csr_uniform_bound,
-    evaluate_rule,
     segment_tree_automaton,
 )
 
@@ -146,7 +149,7 @@ def _closure(alphabet: Alphabet, word: Word, cycle_idx: int) -> SeqSpec:
 
 def _require_windows(alphabet: Alphabet, length: int) -> None:
     if len(alphabet) ** length > WINDOW_CAP:
-        raise ResourceLimit(len(alphabet), length, WINDOW_CAP)
+        raise ResourceLimit(f"{len(alphabet)}^{length} windows of length {length}", WINDOW_CAP)
 
 
 def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
@@ -176,6 +179,20 @@ def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
             short = word[:m]
             layers[m][short] = dec if layers[m].get(short, dec) == dec else None
     return layers
+
+
+class OpenState(NamedTuple):
+    """What is known of one reachable open state.
+
+    ``word`` is a shortest word reaching it, lexicographic among the
+    shortest; ``depth`` is the longest run from it through open states; and
+    ``toward`` maps each decision some continuation can still force to the
+    least symbol that leads toward it.
+    """
+
+    word: Word
+    depth: int
+    toward: dict[str, int]
 
 
 @dataclass(eq=False)
@@ -261,7 +278,67 @@ class Facts:
     @property
     def bound(self) -> int:
         """One past the deepest open word, so the length of the last minimal segment."""
-        return len(self.minimal[-1][0])
+        opened = self.open_states
+        return 1 + opened[self.start].depth if opened else 0
+
+    @cached_property
+    def open_states(self) -> dict[Hashable, OpenState]:
+        """Every reachable open state, breadth first, with what lies below it.
+
+        Open states form a DAG, so after one breadth-first pass a single
+        reverse-topological pass gives each its depth and its decisions.
+        """
+        n = len(self.alphabet)
+        if self.decision(self.start) is not None:
+            return {}
+        words: dict[Hashable, Word] = {self.start: ()}
+        succ: dict[Hashable, list[Hashable]] = {}
+        order = [self.start]
+        for q in order:
+            succ[q] = row = [self.step(q, i) for i in range(n)]
+            for i, r in enumerate(row):
+                if r not in words and self.decision(r) is None:
+                    words[r] = words[q] + (i,)
+                    order.append(r)
+        pending = {q: 0 for q in order}
+        preds: dict[Hashable, list[Hashable]] = {q: [] for q in order}
+        for q in order:
+            for r in succ[q]:
+                if r in words:
+                    pending[q] += 1
+                    preds[r].append(q)
+        below: dict[Hashable, tuple[int, dict[str, int]]] = {}
+        ready = [q for q in order if pending[q] == 0]
+        for q in ready:
+            depth, toward = 0, {}
+            for i, r in enumerate(succ[q]):
+                if r in words:
+                    depth = max(depth, 1 + below[r][0])
+                    for d in below[r][1]:
+                        toward.setdefault(d, i)
+                else:
+                    toward.setdefault(self.decision(r), i)
+            below[q] = (depth, toward)
+            for p in preds[q]:
+                pending[p] -= 1
+                if pending[p] == 0:
+                    ready.append(p)
+        assert len(below) == len(order), "open states must form a DAG"
+        return {q: OpenState(words[q], *below[q]) for q in order}
+
+    def can_reach(self, state: Hashable, decision: str) -> bool:
+        """True when some continuation from a reachable ``state`` forces ``decision``."""
+        got = self.decision(state)
+        return decision in self.open_states[state].toward if got is None else got == decision
+
+    def path_to(self, state: Hashable, decision: str) -> Word:
+        """Word from a reachable ``state`` that forces ``decision``, by ``toward`` symbols."""
+        word: list[int] = []
+        while self.decision(state) is None:
+            i = self.open_states[state].toward[decision]
+            word.append(i)
+            state = self.step(state, i)
+        return tuple(word)
 
     @cached_property
     def table(self) -> dict[Word, str]:
@@ -448,43 +525,74 @@ def check_monotonicity(rule: RuleHandle) -> AxiomReport:
 def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
     """A sufficient segment avoiding x blocks x after any strict truncation.
 
-    Sufficient segments are covered through their minimal prefixes: any
-    violation through a longer sufficient segment is the same violation
-    through that segment's minimal sufficient prefix with the remainder
-    folded into the tail quantifier, so the check is exhaustive.
+    A strict truncation of a minimal sufficient segment deciding d is an
+    open state q from which d is still reachable, and a sufficient segment
+    avoiding d is a word over the other symbols that takes the start state
+    to a decided state.  So, for each decision d, one breadth-first search
+    over state pairs starts from (q, start) for every such q at once and
+    reads one symbol other than d per step while the second component is
+    open.  The rule fails where the second component is decided and d is
+    still reachable from the first; pairs from which d is out of reach are
+    dropped, since reachable decisions only shrink along a run.
+
+    Decisions are searched in alphabet order, other outputs after them by
+    name, so the witness has the shortest blocking segment for the first
+    failing decision.  ``checked`` counts product transitions.
     """
     facts = rule.facts
-    k, table, minimal = facts.bound, facts.table, facts.minimal
-    n = len(rule.alphabet)
-    pool = [
-        (word, dec, Segment(rule.alphabet, word).symbol_set()) for word, dec in minimal
-    ]
+    opened = facts.open_states
+    outputs = opened[facts.start].toward if opened else {}
+    decisions = [s for s in rule.alphabet if s in outputs]
+    decisions += sorted(o for o in outputs if o not in rule.alphabet)
     checked = 0
-    for m_word, m_dec, _ in pool:
-        blockers = [n_word for n_word, _, n_set in pool if m_dec not in n_set]
-        for n_word in blockers:
-            for cut in range(len(m_word)):
-                combined = m_word[:cut] + n_word
-                fill_len = max(k - len(combined), 0)
-                for fill in itertools.product(range(n), repeat=fill_len):
-                    window = (combined + fill)[:k]
+    for d in decisions:
+        others = [i for i, name in enumerate(rule.alphabet) if name != d]
+        # each pair still searched maps to the pair and symbol it came from
+        parent: dict[tuple, tuple | None] = {
+            (q, facts.start): None for q, state in opened.items() if d in state.toward
+        }
+        frontier = list(parent)
+        while frontier:
+            nxt = []
+            for pair in frontier:
+                for i in others:
+                    child = (facts.step(pair[0], i), facts.step(pair[1], i))
                     checked += 1
-                    if table[window] == m_dec:
+                    if child in parent or not facts.can_reach(child[0], d):
+                        continue
+                    if facts.decision(child[1]) is not None:
+                        witness = _dominance_witness(rule, parent, pair, i, d)
                         return AxiomReport(
-                            "informational-dominance",
-                            False,
-                            {
-                                "minimal_sufficient": _word_text(rule.alphabet, m_word),
-                                "decision": m_dec,
-                                "sufficient": _word_text(rule.alphabet, n_word),
-                                "truncation": cut,
-                                "composite": _closure_text(rule.alphabet, combined + fill),
-                                "composite_decision": m_dec,
-                            },
-                            checked,
-                            k,
+                            "informational-dominance", False, witness, checked, facts.bound
                         )
-    return AxiomReport("informational-dominance", True, None, checked, k)
+                    parent[child] = (pair, i)
+                    nxt.append(child)
+            frontier = nxt
+    return AxiomReport("informational-dominance", True, None, checked, facts.bound)
+
+
+def _dominance_witness(
+    rule: RuleHandle, parent: dict[tuple, tuple | None], pair: tuple, symbol: int, d: str
+) -> dict:
+    """Witness of the product step reading ``symbol`` from ``pair``."""
+    facts = rule.facts
+    composite_state = facts.step(pair[0], symbol)
+    blocking = [symbol]
+    while parent[pair] is not None:
+        pair, i = parent[pair]  # type: ignore[misc]
+        blocking.append(i)
+    cut_word = facts.open_states[pair[0]].word
+    n_word = tuple(reversed(blocking))
+    return {
+        "minimal_sufficient": _word_text(rule.alphabet, cut_word + facts.path_to(pair[0], d)),
+        "decision": d,
+        "sufficient": _word_text(rule.alphabet, n_word),
+        "truncation": len(cut_word),
+        "composite": _closure_text(
+            rule.alphabet, cut_word + n_word + facts.path_to(composite_state, d)
+        ),
+        "composite_decision": d,
+    }
 
 
 def _distinguishing_extensions(
@@ -828,7 +936,8 @@ def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
 
     Compares the rule with ``spec`` on every single-symbol closure of every
     window as long as the longer of their two bounds; raises ResourceLimit
-    first when those windows are over the cap.
+    first when those windows are over the cap.  The spec is compiled once
+    and read off each window's prefix at its own bound.
     """
     if isinstance(spec, CsrSpec):
         depth, error_cls = csr_uniform_bound(spec), NotCsr
@@ -838,13 +947,16 @@ def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
         raise SeqdecError(f"no agreement check for {type(spec).__name__}")
     length = max(rule.facts.bound, depth)
     _require_windows(rule.alphabet, length)
+    compiled = RuleHandle.from_rule(spec).facts
+    bound = compiled.bound
     checked = 0
     n = len(rule.alphabet)
     for word in itertools.product(range(n), repeat=length):
+        theirs = compiled.decided(word[:bound])
         for cyc in range(n):
             seq = _closure(rule.alphabet, word, cyc)
             checked += 1
-            ours, theirs = rule.decide(seq), evaluate_rule(spec, seq)
+            ours = rule.decide(seq)
             if ours != theirs:
                 raise error_cls(
                     f"recovered rule disagrees on {seq.text()!r} ({ours!r} vs {theirs!r})",

@@ -471,8 +471,22 @@ def to_json_dict(aut: DecisionAutomaton) -> dict:
     }
 
 
+def _check_document_types(data: dict) -> None:
+    """Reject shapes that the constructor would silently coerce into others."""
+    for key in ("alphabet", "states"):
+        if not isinstance(data[key], list) or not all(isinstance(s, str) for s in data[key]):
+            raise InvalidAutomatonError(f"{key} must be a list of strings")
+    terminal = data["terminal"]
+    if not isinstance(terminal, dict) or not all(isinstance(o, str) for o in terminal.values()):
+        raise InvalidAutomatonError("terminal must be an object mapping states to outputs")
+    rows = data["transitions"]
+    if not isinstance(rows, dict) or not all(isinstance(row, dict) for row in rows.values()):
+        raise InvalidAutomatonError("transitions must map each state to an object")
+
+
 def from_json_dict(data: dict) -> DecisionAutomaton:
     try:
+        _check_document_types(data)
         return DecisionAutomaton(
             alphabet=Alphabet(tuple(data["alphabet"])),
             states=tuple(data["states"]),

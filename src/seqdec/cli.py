@@ -9,7 +9,8 @@ to stderr.  Exit codes are a stable scripting contract:
 * 1: an axiom failed, or identification found a disagreeing input
 * 2: input could not be parsed or validated
 * 3: a resource or assumption gave out (diverging run, exhausted budget,
-  violated horizon, non-stopping automaton, window table over its cap)
+  violated horizon, non-stopping automaton, window table or automaton
+  over its cap)
 
 Sequence literals use ``prefix|cycle`` notation, e.g. ``"a b|c"``.
 """

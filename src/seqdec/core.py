@@ -33,11 +33,14 @@ class AlphabetMismatchError(SeqdecError):
 
 
 class ResourceLimit(SeqdecError):
-    """A table of ``symbols ** length`` windows would exceed ``cap``; raised before building it."""
+    """A window table or an automaton would exceed ``cap``; raised before building it.
 
-    def __init__(self, symbols: int, length: int, cap: int):
-        super().__init__(f"{symbols}^{length} windows of length {length} exceed the cap of {cap}")
-        self.symbols, self.length, self.cap = symbols, length, cap
+    ``what`` names the size asked for, in windows or in states.
+    """
+
+    def __init__(self, what: str, cap: int):
+        super().__init__(f"{what} exceed the cap of {cap}")
+        self.what, self.cap = what, cap
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ Three parameterized families of choice rules over sequences:
 
 Weights and thresholds are exact rationals: the stopping position depends on
 equality at the crossing boundary, which floating point would corrupt.
+Each compiler counts its states first and raises :class:`ResourceLimit`
+past ``STATE_CAP`` of them instead of building the automaton.
 
 Rule JSON formats (rationals as ``"p/q"`` or integer strings)::
 
@@ -34,6 +36,7 @@ from typing import Callable, Mapping, Union
 
 from .core import (
     Alphabet,
+    ResourceLimit,
     Segment,
     SeqSpec,
     ValidationError,
@@ -44,6 +47,19 @@ from .automaton import DecisionAutomaton, absorbing_terminal_row
 
 class InvalidRuleError(ValidationError):
     """A rule description violates one of its invariants."""
+
+
+# Most states a compiler may build: 64 times the largest automaton that the
+# test suite or the benchmark workloads compile (4,099 states).  A CSR
+# automaton this size takes about 250 MB and 8 s to compile and verify.
+STATE_CAP = 1 << 18
+
+
+def _require_states(count: int) -> None:
+    """Refuse to compile ``count`` states past the cap, before building any."""
+    if count > STATE_CAP:
+        shown = count if count < 1 << 64 else "more than 2^64"
+        raise ResourceLimit(f"{shown} states", STATE_CAP)
 
 
 @dataclass(frozen=True)
@@ -234,6 +250,7 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
     """
     counts = csr_critical_counts(spec)
     aut = spec.alphabet
+    _require_states(math.prod(counts.values()) + len(aut))
     zero = tuple(0 for _ in aut)
     todo = [zero]
     seen = {zero}
@@ -277,6 +294,9 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     fallback choice, so no further history is needed.
     """
     aut = spec.alphabet
+    # (0, -), then (position, best) for every symbol not above the threshold
+    below = sum(not spec.above_threshold(sym) for sym in aut)
+    _require_states(1 + (spec.span - 1) * below + len(aut))
 
     def name_of(pos: int, best: str | None) -> str:
         return f"p{pos}:{best or '-'}"
@@ -348,6 +368,9 @@ def segment_tree_automaton(
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
+    n = len(alphabet)
+    # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
+    _require_states(depth if n == 1 else (n ** min(depth, 65) - 1) // (n - 1))
 
     def name_of(word: tuple[int, ...]) -> str:
         return "<" + " ".join(alphabet.name(i) for i in word) + ">"

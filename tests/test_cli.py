@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,36 @@ class TestWindowCap:
         assert "2^40" in err and "Traceback" not in err
 
 
+OVERSIZED_RULES = {
+    # critical counts (3000, 3000, 3000): 2.7e10 count-vector states
+    "csr": {
+        "kind": "csr", "alphabet": ["a", "b", "c"],
+        "weights": {"a": "1/3000", "b": "1/3000", "c": "1/3000"}, "threshold": "1",
+    },
+    "osr": {
+        "kind": "osr", "alphabet": ["a", "b"], "order": ["a", "b"],
+        "threshold_alt": "a", "span": 10 ** 9,
+    },
+    "config": {
+        "kind": "config", "alphabet": ["a", "b"], "window": 40,
+        "comparator": {"builtin": "numeric-value"},
+    },
+}
+
+
+@pytest.mark.parametrize("command", [["eval", "|a"], ["compile"]])
+@pytest.mark.parametrize("kind", sorted(OVERSIZED_RULES))
+def test_compile_past_the_state_cap_exits_3(capsys, tmp_path, kind, command):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(OVERSIZED_RULES[kind]))
+    begin = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert time.perf_counter() - begin < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("seqdec: ") and "states exceed the cap" in err
+    assert "Traceback" not in err
+
+
 MALFORMED_DOCUMENTS = {
     "csr-weights-list": {
         "kind": "csr", "alphabet": ["a", "b"], "weights": ["1"], "threshold": "1",
@@ -189,6 +220,22 @@ MALFORMED_DOCUMENTS = {
     "transition-row-list": {
         "alphabet": ["x", "y"], "states": ["q", "t"], "initial": "q",
         "transitions": {"q": ["t", "t"], "t": {"x": "t", "y": "t"}},
+        "terminal": {"t": "x"},
+    },
+    # the constructor would coerce each of these into another, well-formed automaton
+    "terminal-pair-list": {
+        "alphabet": ["x", "y"], "states": ["q", "t"], "initial": "q",
+        "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}},
+        "terminal": ["tx"],
+    },
+    "alphabet-string": {
+        "alphabet": "xy", "states": ["q", "t"], "initial": "q",
+        "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}},
+        "terminal": {"t": "x"},
+    },
+    "states-string": {
+        "alphabet": ["x", "y"], "states": "qt", "initial": "q",
+        "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}},
         "terminal": {"t": "x"},
     },
 }

@@ -1,4 +1,5 @@
-"""Lazy, state-walking facts against the eager enumeration they replaced.
+"""Lazy, state-walking facts against the eager enumeration they replaced,
+and compiled rule facts against the rule evaluators.
 
 ``oracle_facts`` is that enumeration: it classifies every word by walking
 it from the initial state (automata) or by looking it up in the black-box
@@ -28,6 +29,7 @@ from seqdec.heuristics import (
     OsrSpec,
     compile_rule,
     csr_uniform_bound,
+    evaluate_rule,
 )
 from seqdec.analysis import (
     RuleHandle,
@@ -172,3 +174,15 @@ def test_facts_match_the_enumeration(spec, black_box, data):
     assert list(rule.facts.table.items()) == list(oracle.table.items())
     for window, dec in oracle.table.items():
         assert decision_on(rule, window) == dec
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=rule_specs())
+def test_compiled_spec_matches_evaluate_rule(spec):
+    # agreement_count reads the recovered spec's decisions off its compiled facts
+    facts = RuleHandle.from_rule(spec).facts
+    alphabet = spec.alphabet
+    for word in itertools.product(range(len(alphabet)), repeat=facts.bound):
+        for cyc in range(len(alphabet)):
+            seq = SeqSpec(alphabet, Segment(alphabet, word), Segment(alphabet, (cyc,)))
+            assert facts.decided(word) == evaluate_rule(spec, seq)
