@@ -10,16 +10,18 @@ how a lying horizon declaration is caught.
 
 Stopping questions walk at most K states along the input, K being the
 uniform bound.  One reverse-topological pass over the reachable open states
-gives K (one more than the longest run through them) and each state's
-reachable decisions; the minimal sufficient segments come from a
-breadth-first search that carries each open word's state.  Informational
-dominance searches pairs of states.  Only the checkers that enumerate
-windows build the table of all |alphabet|^K window decisions, and past
-``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
+gives K (one more than the longest run through them), each state's
+reachable decisions and the number of minimal sufficient segments, which
+are listed, under ``WINDOW_CAP``, by a breadth-first search that carries
+each open word's state.  Monotonicity, informational dominance and the
+agreement check of identification search pairs of states.  Only
+neutrality, acyclicity, a failing replacement check and tabulation build
+the table of all |alphabet|^K window decisions, and past ``WINDOW_CAP``
+windows they raise :class:`ResourceLimit`.
 
 Checkers report a first counterexample in a fixed order, so reports are
 deterministic: windows in lexicographic order for the enumerating checkers,
-the search order for informational dominance.  Every Fail witness is fully
+the search order for the product searches.  Every Fail witness is fully
 replayable from its recorded sequence texts via :func:`replay_witness`.
 """
 
@@ -29,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Alphabet,
@@ -56,7 +58,6 @@ from .heuristics import (
     CsrSpec,
     OsrSpec,
     RuleSpec,
-    csr_uniform_bound,
     segment_tree_automaton,
 )
 
@@ -185,14 +186,16 @@ class OpenState(NamedTuple):
     """What is known of one reachable open state.
 
     ``word`` is a shortest word reaching it, lexicographic among the
-    shortest; ``depth`` is the longest run from it through open states; and
+    shortest; ``depth`` is the longest run from it through open states;
     ``toward`` maps each decision some continuation can still force to the
-    least symbol that leads toward it.
+    least symbol that leads toward it; and ``segments`` counts the words
+    from it whose last symbol is the first to decide.
     """
 
     word: Word
     depth: int
     toward: dict[str, int]
+    segments: int
 
 
 @dataclass(eq=False)
@@ -201,8 +204,7 @@ class Facts:
 
     The rule is read as a machine: ``start``, ``step(state, index)`` and
     ``decision(state)``, which is None while the outcome is still open.  No
-    run stays open for more than ``limit`` symbols.  ``agreement_checked``
-    is the number of closures the last identification verified.
+    run stays open for more than ``limit`` symbols.
     """
 
     alphabet: Alphabet
@@ -210,7 +212,6 @@ class Facts:
     step: Callable[[Hashable, int], Hashable]
     decision: Callable[[Hashable], str | None]
     limit: int
-    agreement_checked: int | None = None
 
     @classmethod
     def of(cls, rule: RuleHandle) -> Facts:
@@ -258,8 +259,13 @@ class Facts:
     def minimal(self) -> list[tuple[Word, str]]:
         """Minimal sufficient segments, breadth first, lexicographic within a length.
 
+        They are counted first, and past ``WINDOW_CAP`` none is listed.
         Each open word carries its state, so every word costs one step.
         """
+        opened = self.open_states
+        count = opened[self.start].segments if opened else 1
+        if count > WINDOW_CAP:
+            raise ResourceLimit(f"{count} minimal sufficient segments", WINDOW_CAP)
         n = len(self.alphabet)
         minimal: list[tuple[Word, str]] = []
         frontier: list[tuple[Word, Hashable]] = [((), self.start)]
@@ -286,7 +292,8 @@ class Facts:
         """Every reachable open state, breadth first, with what lies below it.
 
         Open states form a DAG, so after one breadth-first pass a single
-        reverse-topological pass gives each its depth and its decisions.
+        reverse-topological pass gives each its depth, its decisions and
+        its count of minimal sufficient continuations.
         """
         n = len(self.alphabet)
         if self.decision(self.start) is not None:
@@ -307,18 +314,20 @@ class Facts:
                 if r in words:
                     pending[q] += 1
                     preds[r].append(q)
-        below: dict[Hashable, tuple[int, dict[str, int]]] = {}
+        below: dict[Hashable, tuple[int, dict[str, int], int]] = {}
         ready = [q for q in order if pending[q] == 0]
         for q in ready:
-            depth, toward = 0, {}
+            depth, toward, segments = 0, {}, 0
             for i, r in enumerate(succ[q]):
                 if r in words:
                     depth = max(depth, 1 + below[r][0])
                     for d in below[r][1]:
                         toward.setdefault(d, i)
+                    segments += below[r][2]
                 else:
                     toward.setdefault(self.decision(r), i)
-            below[q] = (depth, toward)
+                    segments += 1
+            below[q] = (depth, toward, segments)
             for p in preds[q]:
                 pending[p] -= 1
                 if pending[p] == 0:
@@ -331,6 +340,11 @@ class Facts:
         got = self.decision(state)
         return decision in self.open_states[state].toward if got is None else got == decision
 
+    def reach(self, state: Hashable) -> AbstractSet[str]:
+        """Decisions that some continuation from a reachable ``state`` forces."""
+        got = self.decision(state)
+        return {got} if got is not None else self.open_states[state].toward.keys()
+
     def path_to(self, state: Hashable, decision: str) -> Word:
         """Word from a reachable ``state`` that forces ``decision``, by ``toward`` symbols."""
         word: list[int] = []
@@ -339,6 +353,14 @@ class Facts:
             word.append(i)
             state = self.step(state, i)
         return tuple(word)
+
+    def advance(self, state: Hashable, word: Iterable[int]) -> Hashable:
+        """State after ``word`` from ``state``, held still once it is decided."""
+        for i in word:
+            if self.decision(state) is not None:
+                break
+            state = self.step(state, i)
+        return state
 
     @cached_property
     def table(self) -> dict[Word, str]:
@@ -354,12 +376,8 @@ class Facts:
 
 
 def uniform_bound_search(rule: RuleHandle) -> int:
-    """Least K such that every length-K window already forces the decision.
-
-    Breadth-first search over the segment tree from the empty word, pruning
-    at sufficient segments: the bound is one past the deepest segment that
-    is still open.
-    """
+    """Least K such that every length-K window already forces the decision:
+    one past the longest run through open states."""
     return rule.facts.bound
 
 
@@ -474,52 +492,104 @@ def _word_text(alphabet: Alphabet, word: Word) -> str:
     return Segment(alphabet, word).text()
 
 
-def _closure_text(alphabet: Alphabet, word: Word) -> str:
-    cyc = word[-1] if word else 0
+def _closure_text(alphabet: Alphabet, word: Word, cyc: int | None = None) -> str:
+    """``word`` closed by repeating ``cyc``, by default its last symbol."""
+    if cyc is None:
+        cyc = word[-1] if word else 0
     return f"{_word_text(alphabet, word)}|{alphabet.name(cyc)}"
+
+
+def _search(
+    sources: Iterable[tuple[Hashable, tuple]],
+    successors: Callable[[tuple], Iterable[tuple[int, tuple]]],
+    verdict: Callable[[tuple], bool | None],
+) -> tuple[tuple[Hashable, Word, tuple] | None, int]:
+    """Breadth-first search from labelled ``sources`` for a failing node.
+
+    ``sources`` are (label, node) pairs and ``successors`` gives (symbol,
+    child) pairs.  ``verdict`` is True where the search fails, False where
+    it drops a node and None where it goes on.  Returns the failing node's
+    source label, the symbols read since and the node, or None; and the
+    number of transitions taken.
+    """
+    parent: dict[tuple, tuple] = {}
+    checked = 0
+    # None stands for a root whose children are the sources
+    layer: list[tuple | None] = [None]
+    while layer:
+        frontier = []
+        for node in layer:
+            for step, child in sources if node is None else successors(node):
+                checked += node is not None
+                if child in parent:
+                    continue
+                parent[child] = (node, step)
+                got = verdict(child)
+                if got:
+                    word = []
+                    while node is not None:
+                        word.append(step)
+                        node, step = parent[node]
+                    return (step, tuple(reversed(word)), child), checked
+                if got is None:
+                    frontier.append(child)
+        layer = frontier
+    return None, checked
 
 
 def check_monotonicity(rule: RuleHandle) -> AxiomReport:
     """Moving the chosen symbol earlier must not change the choice.
 
-    Quantifies over all windows one past the bound (a deletion consumes one
-    position), each closed by a repeating cycle; closures cannot influence a
-    bound-limited rule beyond the window, which the table construction
-    already validated, so each transformation is checked once.
+    What follows a prefix depends only on its state, so each reachable open
+    state q is taken once, with its shortest word.  After q a shift reads
+    b a on the original and a b on the copy, legal if the original decides
+    a, and a deletion reads e on the original only, legal if it does not
+    decide e.  One search over (original, copy, move) from all of them then
+    reads common symbols.  It drops a node once no legal decision of the
+    original can differ from one of the copy's, by ``open_states.toward``,
+    and fails where both are decided and differ.  ``checked`` counts
+    transitions on common symbols; the witness has the shortest common
+    suffix, and both its texts are closed by the original's last symbol.
     """
     facts = rule.facts
-    k, table = facts.bound, facts.table
     n = len(rule.alphabet)
-    checked = 0
-    for word in itertools.product(range(n), repeat=k + 1):
-        chosen = table[word[:k]]
-        chosen_idx = rule.alphabet.index(chosen) if chosen in rule.alphabet else None
-        for pos in range(1, k + 1):
-            moves = []
-            if chosen_idx is not None and word[pos] == chosen_idx:
-                swapped = list(word)
-                swapped[pos - 1], swapped[pos] = swapped[pos], swapped[pos - 1]
-                moves.append(("shift", tuple(swapped)))
-            if chosen_idx is None or word[pos - 1] != chosen_idx:
-                moves.append(("deletion", word[: pos - 1] + word[pos:]))
-            for transform, moved in moves:
-                checked += 1
-                if table[moved[:k]] != chosen:
-                    return AxiomReport(
-                        "monotonicity",
-                        False,
-                        {
-                            "sequence": _closure_text(rule.alphabet, word),
-                            "decision": chosen,
-                            "transform": transform,
-                            "position": pos,
-                            "transformed": _closure_text(rule.alphabet, moved),
-                            "transformed_decision": table[moved[:k]],
-                        },
-                        checked,
-                        k,
-                    )
-    return AxiomReport("monotonicity", True, None, checked, k)
+
+    def verdict(node: tuple) -> bool | None:
+        orig, copy, kind, name = node
+        legal = facts.reach(orig) & {name} if kind == "shift" else facts.reach(orig) - {name}
+        if orig == copy or not legal or len(legal) == 1 and legal == facts.reach(copy):
+            return False
+        return None if facts.decision(orig) is None or facts.decision(copy) is None else True
+
+    moves = [((e,), (), "deletion", e) for e in range(n)]
+    moves += [((b, a), (a, b), "shift", a) for a in range(n) for b in range(n) if b != a]
+    found, checked = _search(
+        [
+            ((q, ours, theirs),
+             (facts.advance(q, ours), facts.advance(q, theirs), kind, rule.alphabet.name(sym)))
+            for q in facts.open_states
+            for ours, theirs, kind, sym in moves
+        ],
+        lambda node: [
+            (i, (facts.advance(node[0], (i,)), facts.advance(node[1], (i,)), *node[2:]))
+            for i in range(n)
+        ],
+        verdict,
+    )
+    if found is None:
+        return AxiomReport("monotonicity", True, None, checked, facts.bound)
+    (q, ours, theirs), common, (orig, copy, kind, _) = found
+    word = facts.open_states[q].word
+    original = word + ours + common
+    witness = {
+        "sequence": _closure_text(rule.alphabet, original),
+        "decision": facts.decision(orig),
+        "transform": kind,
+        "position": len(word) + 1,
+        "transformed": _closure_text(rule.alphabet, word + theirs + common, original[-1]),
+        "transformed_decision": facts.decision(copy),
+    }
+    return AxiomReport("monotonicity", False, witness, checked, facts.bound)
 
 
 def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
@@ -885,12 +955,19 @@ def _topological_order(succ: dict[str, list[str]]) -> list[str]:
     return order
 
 
-def identify_csr(rule: RuleHandle) -> CsrSpec:
+class Identification(NamedTuple):
+    """A recovered rule and the product transitions that verified it."""
+
+    spec: RuleSpec
+    checked: int
+
+
+def identify_csr(rule: RuleHandle) -> Identification:
     """Recover score-threshold parameters from black-box behavior.
 
     The critical count of each symbol is its stopping time on the constant
     sequence; unit threshold and reciprocal weights reproduce the rule.
-    Agreement is verified over the whole witness family before returning.
+    Agreement is verified by :func:`agreement_count` before returning.
     """
     spec = CsrSpec(
         rule.alphabet,
@@ -900,19 +977,18 @@ def identify_csr(rule: RuleHandle) -> CsrSpec:
         },
         Fraction(1),
     )
-    rule.facts.agreement_checked = agreement_count(rule, spec)
-    return spec
+    return Identification(spec, agreement_count(rule, spec))
 
 
-def identify_osr(rule: RuleHandle) -> OsrSpec:
+def identify_osr(rule: RuleHandle) -> Identification:
     """Recover ranked-threshold parameters from black-box behavior.
 
     The span is the uniform bound; decisive symbols rank above the rest in
     alphabet order (the data cannot order them further), the rest are
     ordered by how they win against each other across two-or-more-symbol
     minimal sufficient segments, and the threshold alternative is the
-    best-ranked non-decisive symbol.  Agreement is verified before
-    returning.
+    best-ranked non-decisive symbol.  Agreement is verified by
+    :func:`agreement_count` before returning.
     """
     facts = rule.facts
     span = max(facts.bound, 1)
@@ -927,41 +1003,44 @@ def identify_osr(rule: RuleHandle) -> OsrSpec:
     order = tuple(dset.decisive) + tuple(ranked)
     threshold_alt = ranked[0] if ranked else order[-1]
     spec = OsrSpec(rule.alphabet, order, threshold_alt, span)
-    facts.agreement_checked = agreement_count(rule, spec)
-    return spec
+    return Identification(spec, agreement_count(rule, spec))
 
 
 def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
-    """Size check of the identification round trip; raises on disagreement.
+    """Check that ``spec`` decides every sequence as the rule does.
 
-    Compares the rule with ``spec`` on every single-symbol closure of every
-    window as long as the longer of their two bounds; raises ResourceLimit
-    first when those windows are over the cap.  The spec is compiled once
-    and read off each window's prefix at its own bound.
+    A breadth-first search over pairs of states of the rule's facts and of
+    ``spec`` compiled, each held still once decided, ends a branch where
+    both are decided.  A pair decided two ways gives a shortest disagreeing
+    word, closed by its last symbol and raised with NotCsr or NotOsr.  A
+    black box is read through its tabulated windows, never evaluated again.
+    Returns the number of product transitions.
     """
-    if isinstance(spec, CsrSpec):
-        depth, error_cls = csr_uniform_bound(spec), NotCsr
-    elif isinstance(spec, OsrSpec):
-        depth, error_cls = spec.span, NotOsr
-    else:
+    error_cls = {CsrSpec: NotCsr, OsrSpec: NotOsr}.get(type(spec))
+    if error_cls is None:
         raise SeqdecError(f"no agreement check for {type(spec).__name__}")
-    length = max(rule.facts.bound, depth)
-    _require_windows(rule.alphabet, length)
-    compiled = RuleHandle.from_rule(spec).facts
-    bound = compiled.bound
-    checked = 0
-    n = len(rule.alphabet)
-    for word in itertools.product(range(n), repeat=length):
-        theirs = compiled.decided(word[:bound])
-        for cyc in range(n):
-            seq = _closure(rule.alphabet, word, cyc)
-            checked += 1
-            ours = rule.decide(seq)
-            if ours != theirs:
-                raise error_cls(
-                    f"recovered rule disagrees on {seq.text()!r} ({ours!r} vs {theirs!r})",
-                    sequence=seq,
-                )
+    ours, theirs = rule.facts, RuleHandle.from_rule(spec).facts
+
+    def verdict(pair: tuple) -> bool | None:
+        got, want = ours.decision(pair[0]), theirs.decision(pair[1])
+        return None if got is None or want is None else got != want
+
+    found, checked = _search(
+        [(None, (ours.start, theirs.start))],
+        lambda pair: [
+            (i, (ours.advance(pair[0], (i,)), theirs.advance(pair[1], (i,))))
+            for i in range(len(rule.alphabet))
+        ],
+        verdict,
+    )
+    if found is not None:
+        _, word, (mine, other) = found
+        seq = _closure(rule.alphabet, word, word[-1] if word else 0)
+        raise error_cls(
+            f"recovered rule disagrees on {seq.text()!r} "
+            f"({ours.decision(mine)!r} vs {theirs.decision(other)!r})",
+            sequence=seq,
+        )
     return checked
 
 

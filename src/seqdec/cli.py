@@ -235,14 +235,11 @@ def cmd_identify(args) -> int:
     loaded = _Loaded(_load_document(args.rule_file))
     rule = loaded.handle(args)
     try:
-        spec = identify_csr(rule) if args.target == "csr" else identify_osr(rule)
+        spec, checked = identify_csr(rule) if args.target == "csr" else identify_osr(rule)
     except (NotCsr, NotOsr) as exc:
         _emit({"error": str(exc), "disagreeing_sequence": exc.sequence.text()})
         return EXIT_FAIL
-    payload = {
-        "rule": heuristics.rule_to_dict(spec),
-        "checked": rule.facts.agreement_checked,
-    }
+    payload = {"rule": heuristics.rule_to_dict(spec), "checked": checked}
     if args.out:
         _emit(heuristics.rule_to_dict(spec), args.out)
         payload = {"checked": payload["checked"], "written": args.out}

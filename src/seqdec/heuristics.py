@@ -146,10 +146,13 @@ class Comparator:
             )
         if self.table is not None:
             object.__setattr__(self, "table", dict(self.table))
-            words = {"".join(bits) for bits in itertools.product("01", repeat=self.window)}
-            if set(self.table) != words:
+            # from the table's bit length on, 2^window exceeds its size, so
+            # the words are listed only when they number no more than entries
+            if self.window >= len(self.table).bit_length() or set(self.table) != {
+                "".join(bits) for bits in itertools.product("01", repeat=self.window)
+            }:
                 raise InvalidRuleError(
-                    f"table must rank all {2 ** self.window} bit-words of length {self.window}"
+                    f"table must rank all 2^{self.window} bit-words of length {self.window}"
                 )
             if len(set(self.table.values())) != len(self.table):
                 raise InvalidRuleError("table ranks must be injective")

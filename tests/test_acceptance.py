@@ -201,11 +201,11 @@ def test_criterion_7_identification_round_trips(corpus):
     for spec, aut in corpus:
         rule = RuleHandle.from_automaton(aut)
         if isinstance(spec, CsrSpec):
-            recovered = identify_csr(rule)
+            recovered = identify_csr(rule).spec
             assert agreement_count(rule, recovered) > 0
             csr_count += 1
         elif isinstance(spec, OsrSpec):
-            recovered = identify_osr(rule)
+            recovered = identify_osr(rule).spec
             assert agreement_count(rule, recovered) > 0
             osr_count += 1
     assert csr_count >= 20 and osr_count >= 16

@@ -347,21 +347,21 @@ class TestAcyclicityDetails:
 class TestIdentifyCsr:
     def test_figure_rule_black_box(self):
         _, box = fig_handles()
-        spec = identify_csr(box)
+        spec = identify_csr(box).spec
         assert spec.threshold == 1
         assert spec.weights == {"x": Fraction(1, 2), "y": Fraction(1, 2)}
 
     def test_scale_invariance_round_trip(self):
         source = CsrSpec(ABC, {"a": ONE, "b": Fraction(2), "c": ONE}, Fraction(3))
         rule = RuleHandle.from_rule(source)
-        spec = identify_csr(rule)
+        spec = identify_csr(rule).spec
         assert spec.threshold == 1
         assert spec.weights == {"a": Fraction(1, 3), "b": Fraction(1, 2), "c": Fraction(1, 3)}
         assert agreement_count(rule, spec) > 0
 
     def test_degenerate_first_position_rule(self):
         rule = RuleHandle.from_callable(ABC, lambda s: s.symbol_at(1), horizon=1)
-        spec = identify_csr(rule)
+        spec = identify_csr(rule).spec
         assert spec.threshold == 1 and set(spec.weights.values()) == {ONE}
 
     def test_ranked_rule_is_not_a_threshold_rule(self):
@@ -374,7 +374,7 @@ class TestIdentifyCsr:
 class TestIdentifyOsr:
     def test_round_trip_observational_equivalence(self):
         rule = RuleHandle.from_rule(OSR_AB)
-        spec = identify_osr(rule)
+        spec = identify_osr(rule).spec
         for word in itertools.product(range(3), repeat=spec.span):
             for cyc in range(3):
                 seq = closure(ABC, word, cyc)
@@ -383,7 +383,7 @@ class TestIdentifyOsr:
     def test_maximizer_special_case(self):
         source = OsrSpec(ABC, ("a", "b", "c"), "a", 3)
         rule = RuleHandle.from_rule(source)
-        spec = identify_osr(rule)
+        spec = identify_osr(rule).spec
         assert decisive_set(rule).decisive == ("a",)
         assert spec.threshold_alt == "b"
         for word in itertools.product(range(3), repeat=3):
@@ -392,7 +392,7 @@ class TestIdentifyOsr:
 
     def test_span_one_rule(self):
         rule = RuleHandle.from_callable(ABC, lambda s: s.symbol_at(1), horizon=1)
-        spec = identify_osr(rule)
+        spec = identify_osr(rule).spec
         assert spec.span == 1
         for name in ABC:
             assert osr_evaluate(spec, constant(ABC, name)) == name

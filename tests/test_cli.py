@@ -166,16 +166,23 @@ class TestWindowCap:
         assert len(payload["minimal_sufficient"]) == 41
 
     def test_axioms_exit_3_without_traceback(self, capsys, chain40_file):
-        assert main(["axioms", chain40_file, "--suite", "csr"]) == 3
+        # the csr suite searches state pairs; the config suite reads the table
+        code, payload = run_json(capsys, ["axioms", chain40_file, "--suite", "csr"])
+        assert code == 0 and [r["horizon"] for r in payload] == [40, 40]
+        assert main(["axioms", chain40_file, "--suite", "config"]) == 3
         err = capsys.readouterr().err
         assert "2^40" in err and str(1 << 20) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("target", ["csr", "osr"])
-    def test_identify_exit_3_without_traceback(self, capsys, chain40_file, target):
-        assert main(["identify", chain40_file, "--as", target]) == 3
-        err = capsys.readouterr().err
-        assert "2^40" in err and "Traceback" not in err
+    def test_identify_walks_states(self, capsys, chain40_file, target):
+        begin = time.perf_counter()
+        code, payload = run_json(capsys, ["identify", chain40_file, "--as", target])
+        assert time.perf_counter() - begin < 1.0
+        assert code == 0 and payload["checked"] > 0
+        if target == "csr":
+            assert payload["rule"]["weights"] == {"a": "1/40", "b": "1"}
+        assert "Traceback" not in capsys.readouterr().err
 
 
 OVERSIZED_RULES = {
@@ -238,6 +245,11 @@ MALFORMED_DOCUMENTS = {
         "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}},
         "terminal": {"t": "x"},
     },
+    # one entry where 2^40 are due, rejected before any bit-word is listed
+    "comparator-table-short": {
+        "kind": "config", "alphabet": ["a", "b"], "window": 40,
+        "comparator": {"table": {"0": 1}},
+    },
 }
 
 
@@ -245,9 +257,27 @@ MALFORMED_DOCUMENTS = {
 def test_malformed_document_exit_2_without_traceback(capsys, tmp_path, name):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
+    begin = time.perf_counter()
     assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - begin < 1.0
     err = capsys.readouterr().err
     assert err.startswith("seqdec: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["axioms", "--suite", "osr"]])
+def test_minimal_segments_past_the_cap_exit_3(capsys, tmp_path, command):
+    # csr3/8: 515 states, bound 22, 2,602,452,993 minimal sufficient segments
+    path = tmp_path / "csr3_8.json"
+    path.write_text(json.dumps({
+        "kind": "csr", "alphabet": ["a", "b", "c"],
+        "weights": {"a": "1/8", "b": "1/8", "c": "1/8"}, "threshold": "1",
+    }))
+    begin = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert time.perf_counter() - begin < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("seqdec: ") and "minimal sufficient segments" in err
+    assert str(1 << 20) in err and "Traceback" not in err
 
 
 class TestMinimizeAndDot:
@@ -346,19 +376,32 @@ class TestIdentify:
         assert "disagreeing_sequence" in payload
 
     def test_one_agreement_pass(self, capsys, tmp_path, monkeypatch):
-        # critical counts (2, 2, 2): bound 4, so 3^4 windows times 3 closures
-        from seqdec import analysis
+        # one search over state pairs that never probes the rule again: the
+        # automaton is never run, the machine only while it is tabulated
+        from seqdec import analysis, cli
         from seqdec.heuristics import csr_compile
+        from seqdec.machines import automaton_to_tm
 
+        # critical counts (2, 2, 2): bound 4, so 3^4 windows times 3 closures
         spec = CsrSpec(ABC, {s: Fraction(1, 2) for s in ABC}, Fraction(1))
-        path = tmp_path / "csr222_aut.json"
-        path.write_text(automaton_to_json(csr_compile(spec)))
-        calls = []
-        evaluate = analysis.evaluate
-        monkeypatch.setattr(analysis, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
-        code, payload = run_json(capsys, ["identify", str(path), "--as", "csr"])
-        assert code == 0
-        assert payload["checked"] == 243 and len(calls) == 243
+        aut = csr_compile(spec)
+        aut_path = tmp_path / "csr222_aut.json"
+        aut_path.write_text(automaton_to_json(aut))
+        doc = tm_to_json_dict(automaton_to_tm(aut))
+        doc["input_alphabet"] = ["a", "b", "c"]
+        tm_path = tmp_path / "csr222_tm.json"
+        tm_path.write_text(json.dumps(doc))
+        evaluations, runs = [], []
+        evaluate, run = analysis.evaluate, cli.tm_run
+        monkeypatch.setattr(analysis, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
+        monkeypatch.setattr(cli, "tm_run", lambda *a: runs.append(1) or run(*a))
+        code, payload = run_json(capsys, ["identify", str(aut_path), "--as", "csr"])
+        assert code == 0 and payload["checked"] > 0 and len(evaluations) == 0
+        code, payload = run_json(
+            capsys,
+            ["identify", str(tm_path), "--as", "csr", "--horizon", "4", "--budget", "100"],
+        )
+        assert code == 0 and payload["checked"] > 0 and len(runs) == 3 ** 4 * 3
 
     def test_written_rule_loads(self, capsys, fig_file, tmp_path):
         out = tmp_path / "recovered.json"

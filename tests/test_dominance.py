@@ -8,6 +8,7 @@ window decisions.
 """
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -139,9 +140,13 @@ def test_csr3_5_past_the_window_cap():
     assert report.passed and report.horizon == 13
 
 
-def test_csr3_5_suite_exits_3_on_the_monotonicity_table(capsys, tmp_path):
+def test_csr3_5_csr_suite_passes(capsys, tmp_path):
+    # monotonicity searches state pairs too; the config suite still reads the table
     path = tmp_path / "csr3_5.json"
     path.write_text(rule_to_json(CSR3_5))
-    assert main(["axioms", str(path), "--suite", "csr"]) == 3
+    assert main(["axioms", str(path), "--suite", "csr"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["verdict"], r["horizon"]) for r in payload] == [("pass", 13), ("pass", 13)]
+    assert main(["axioms", str(path), "--suite", "config"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("seqdec: ") and "windows" in err and "Traceback" not in err

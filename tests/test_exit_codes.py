@@ -1,0 +1,100 @@
+"""The exit-code contract on random documents, over the product searches.
+
+``axioms --suite csr`` and ``identify --as csr|osr`` run on random small rule
+documents, well formed or not, and on random automaton documents, stopping
+or not.  Whatever the input, the command must exit 0, 1, 2 or 3 and never
+print a traceback.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from seqdec.cli import main
+
+COMMANDS = (["axioms", "--suite", "csr"], ["identify", "--as", "csr"], ["identify", "--as", "osr"])
+
+AMOUNTS = ["1", "1/2", "3/2", "2"]
+# values of the wrong type or out of range, drawn only for ill-formed documents
+JUNK = ["0", "-1", "x", 1, None]
+
+
+@st.composite
+def rule_documents(draw):
+    """Well-formed rule documents, and about as many with a junk field."""
+    well_formed = draw(st.booleans())
+    alphabets = [["a"], ["a", "b"], ["a", "b", "c"]] + ([] if well_formed else [["a", "a"], []])
+    alphabet = draw(st.sampled_from(alphabets))
+    names = alphabet if well_formed else alphabet + ["z"]
+    amounts = st.sampled_from(AMOUNTS if well_formed else AMOUNTS + JUNK)
+    kind = draw(st.sampled_from(("csr", "osr", "config") if well_formed else ("csr", "other")))
+    doc = {"kind": kind, "alphabet": alphabet}
+    if kind == "csr":
+        keys = alphabet if well_formed else draw(st.lists(st.sampled_from(names), unique=True))
+        doc["weights"] = {name: draw(amounts) for name in keys}
+        doc["threshold"] = draw(amounts)
+    elif kind == "osr":
+        doc["order"] = draw(st.permutations(alphabet))
+        doc["threshold_alt"] = draw(st.sampled_from(names))
+        doc["span"] = draw(st.sampled_from([0, 1, 2, 3, "x"]))
+    elif kind == "config":
+        doc["window"] = draw(st.sampled_from([0, 1, 2, 3, 40]))
+        if draw(st.booleans()):
+            builtin = ["numeric-value", "first-position-priority", "bogus"]
+            doc["comparator"] = {"builtin": draw(st.sampled_from(builtin))}
+        else:
+            words = st.text("01", max_size=3)
+            doc["comparator"] = {"table": draw(st.dictionaries(words, amounts, max_size=8))}
+    return doc
+
+
+@st.composite
+def automaton_documents(draw):
+    """Random transition tables over up to four open states, some with loops."""
+    alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
+    count = draw(st.integers(1, 4))
+    opened = [f"q{i}" for i in range(count)]
+    outputs = draw(st.lists(st.sampled_from(alphabet + ["none"]), min_size=1, max_size=3))
+    terminal = {f"t{i}": out for i, out in enumerate(outputs)}
+    states = opened + list(terminal)
+    transitions = {
+        q: {s: draw(st.sampled_from(states)) for s in alphabet} for q in opened
+    }
+    transitions.update({t: {s: t for s in alphabet} for t in terminal})
+    if draw(st.integers(0, 9)) == 0:
+        del transitions[opened[-1]][alphabet[-1]]
+    return {
+        "alphabet": alphabet,
+        "states": states,
+        "initial": "q0",
+        "transitions": transitions,
+        "terminal": terminal,
+    }
+
+
+def assert_contract(doc: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 1, 2, 3), (command, doc)
+            assert "Traceback" not in err.getvalue(), (command, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=rule_documents())
+def test_rule_documents_keep_the_exit_contract(doc):
+    assert_contract(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=automaton_documents())
+def test_automaton_documents_keep_the_exit_contract(doc):
+    assert_contract(doc)

@@ -162,6 +162,8 @@ def test_facts_match_the_enumeration(spec, black_box, data):
     assert uniform_bound_search(rule) == oracle.bound
     got = [(tuple(seg.word), dec) for seg, dec in enumerate_minimal_sufficient(rule)]
     assert got == oracle.minimal
+    opened = rule.facts.open_states
+    assert (opened[rule.facts.start].segments if opened else 1) == len(oracle.minimal)
     for _ in range(5):
         seq = SeqSpec(
             alphabet,
@@ -186,3 +188,11 @@ def test_compiled_spec_matches_evaluate_rule(spec):
         for cyc in range(len(alphabet)):
             seq = SeqSpec(alphabet, Segment(alphabet, word), Segment(alphabet, (cyc,)))
             assert facts.decided(word) == evaluate_rule(spec, seq)
+
+
+def test_csr3_5_lists_every_minimal_segment():
+    # counted first, 220,503 stays under the cap and is listed in full
+    rule = RuleHandle.from_rule(CsrSpec(ABC, {s: Fraction(1, 5) for s in ABC}, Fraction(1)))
+    segments = rule.facts.minimal
+    assert len(segments) == rule.facts.open_states[rule.facts.start].segments == 220503
+    assert segments[0] == ((0, 0, 0, 0, 0), "a")
