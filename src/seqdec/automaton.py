@@ -5,7 +5,8 @@ finite state set.  Terminal states are absorbing and carry an output label;
 a run's decision is the output of the first terminal state it enters.  The
 analyses here are exact graph computations: per-state decidedness and
 stopping verification with a tight uniform bound, both read off one peel
-of the states that must absorb, Moore-style minimization, and DOT export.
+of the states that must absorb; minimization, which hash-conses the peel
+bottom up and refines only the looping states; and DOT export.
 
 Automata are immutable after construction and every analysis is a pure
 function, so they are safe to share across concurrent workers.
@@ -337,17 +338,17 @@ def _segment_to_state(aut: DecisionAutomaton, target: str) -> Segment:
 def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
     """Smallest automaton computing the same decision function.
 
-    Partition refinement starts from the decidedness classes: states decided
-    on the same output are merged into one absorbing terminal, undecided
-    states are refined by successor behavior.  Decisions are preserved on
-    every input; absorption positions may shrink, because a decided state
-    can commit before the original machine formally absorbs.
+    Terminals get one class per output.  Escaping states are settled in the
+    peel's order, successors first: a decided state joins its decision's
+    class, an undecided one is hash-consed on its successors' classes.
+    Looping states, which no peel state can match, are refined among
+    themselves Moore style.  Decisions are preserved on every input;
+    absorption positions may shrink, because a decided state can commit
+    before the original machine formally absorbs.
     """
-    dec = decidedness(aut)
-    if dec[aut.initial].is_decided:
+    peel = _escaping_states(aut)
+    if (out := peel.get(aut.initial, (0, None))[1]) is not None:
         # constant rule: one read then absorb, the smallest legal machine
-        out = dec[aut.initial].decision
-        assert out is not None
         return DecisionAutomaton(
             alphabet=aut.alphabet,
             states=("q0", "q1"),
@@ -358,51 +359,47 @@ def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
             },
             terminal={"q1": out},
         )
-    reach = reachable_states(aut)
-    # only the partition matters: blocks are renamed breadth first below
-    classes: dict[object, int] = {}
-    block = {q: classes.setdefault(dec[q].decision, len(classes)) for q in reach}
-    while True:
-        refined: dict[object, int] = {}
-        new_block = {
-            q: refined.setdefault(
-                (block[q], tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet)),
-                len(refined),
-            )
-            for q in reach
-        }
-        if len(refined) == len(classes):
-            break
-        block, classes = new_block, refined
 
-    names: dict[int, str] = {}
-    order: list[int] = []
-    queue = deque([block[aut.initial]])
-    names[block[aut.initial]] = "q0"
+    def successors(q: str) -> tuple[int, ...]:
+        return tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet)
+
+    # only the partition matters: blocks are renamed breadth first below;
+    # a settled class is keyed by its output if decided, else by its successors
+    classes: dict[object, int] = {}
+    block = {q: classes.setdefault(out, len(classes)) for q, out in aut.terminal.items()}
+    for q, (_, out) in peel.items():
+        block[q] = classes.setdefault(successors(q) if out is None else out, len(classes))
+    reach = reachable_states(aut)
+    looping = [q for q in reach if q not in block]
+    block.update(dict.fromkeys(looping, len(classes)))
+    count = 1
+    while looping:
+        keys = {q: (block[q], successors(q)) for q in looping}
+        refined = {k: len(classes) + i for i, k in enumerate(dict.fromkeys(keys.values()))}
+        block.update({q: refined[k] for q, k in keys.items()})
+        if len(refined) == count:
+            break
+        count = len(refined)
+
     rep = {block[q]: q for q in reversed(reach)}
-    while queue:
-        b = queue.popleft()
-        order.append(b)
+    names = {block[aut.initial]: "q0"}
+    order = [block[aut.initial]]
+    for b in order:  # breadth first: the list grows as it is read
         for sym in aut.alphabet:
             nb = block[aut.transitions[rep[b]][sym]]
             if nb not in names:
                 names[nb] = f"q{len(names)}"
-                queue.append(nb)
-    transitions = {}
-    terminal = {}
-    for b in order:
-        q = rep[b]
-        transitions[names[b]] = {
-            sym: names[block[aut.transitions[q][sym]]] for sym in aut.alphabet
-        }
-        if dec[q].is_decided:
-            terminal[names[b]] = dec[q].decision
+                order.append(nb)
+    decided = {b: key for key, b in classes.items() if isinstance(key, str)}
     return DecisionAutomaton(
         alphabet=aut.alphabet,
-        states=tuple(names[b] for b in order),
+        states=tuple(names.values()),
         initial="q0",
-        transitions=transitions,
-        terminal=terminal,
+        transitions={
+            names[b]: {sym: names[block[aut.transitions[rep[b]][sym]]] for sym in aut.alphabet}
+            for b in order
+        },
+        terminal={names[b]: decided[b] for b in order if b in decided},
     )
 
 

@@ -143,47 +143,31 @@ def _compiled_automaton(loaded: _Loaded, args):
 def cmd_compile(args) -> int:
     loaded = _Loaded(_load_document(args.rule_file))
     aut = _compiled_automaton(loaded, args)
-    if args.minimize:
-        aut = minimize(aut)
-    bound = verify_stopping(aut).bound
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(aut))
-    if args.format == "text":
-        print(f"{len(aut.states)} states, bound {bound}")
-        if args.out:
-            _emit(automaton_mod.to_json_dict(aut), args.out)
-    else:
-        payload = {
-            "state_count": len(aut.states),
-            "uniform_bound": bound,
-            "automaton": automaton_mod.to_json_dict(aut),
-        }
-        if args.out:
-            _emit(automaton_mod.to_json_dict(aut), args.out)
-            del payload["automaton"]
-        _emit(payload)
-    return EXIT_OK
+    return _report_automaton(minimize(aut) if args.minimize else aut, args)
 
 
 def cmd_minimize(args) -> int:
     loaded = _Loaded(_load_document(args.automaton_file))
     if loaded.automaton is None:
         raise ValidationError("minimize expects an automaton document")
-    small = minimize(loaded.automaton)
-    bound = verify_stopping(small).bound
+    return _report_automaton(minimize(loaded.automaton), args)
+
+
+def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
+    """Summary (text) or payload (JSON) of an automaton, its DOT and JSON files."""
+    bound = verify_stopping(aut).bound
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(small))
-    payload = {
-        "state_count": len(small.states),
-        "uniform_bound": bound,
-        "automaton": automaton_mod.to_json_dict(small),
-    }
+            fh.write(to_dot(aut))
     if args.out:
-        _emit(automaton_mod.to_json_dict(small), args.out)
-        del payload["automaton"]
-    _emit(payload)
+        _emit(automaton_mod.to_json_dict(aut), args.out)
+    if args.format == "text":
+        print(f"{len(aut.states)} states, bound {bound}")
+    else:
+        payload = {"state_count": len(aut.states), "uniform_bound": bound}
+        if not args.out:
+            payload["automaton"] = automaton_mod.to_json_dict(aut)
+        _emit(payload)
     return EXIT_OK
 
 

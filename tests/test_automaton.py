@@ -1,5 +1,7 @@
 """Tests for decision automata: runs, decidedness, stopping, minimization."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,8 +26,11 @@ from seqdec.automaton import (
     to_json,
     verify_stopping,
 )
-from seqdec.analysis import RuleHandle, sufficiency_of
+from seqdec.analysis import RuleHandle, sufficiency_of, tabulate_automaton
+from seqdec.heuristics import compile_rule
 from tests.conftest import XY, build_twosym_threshold2
+from tests.mutants import MUTANTS
+from tests.test_acceptance import build_corpus
 
 
 def spinner():
@@ -100,6 +105,100 @@ def oracle_decidedness(aut):
         else:
             result[q] = Decidedness(None)
     return result
+
+
+def oracle_minimize(aut):
+    """Minimization by Moore refinement, one round over every reachable state
+    per depth level.
+
+    Starts from the decidedness classes and splits blocks by their
+    successors' blocks until a round splits nothing; the blocks are then
+    renamed breadth first, each represented by its first state in breadth-first
+    order, exactly as ``minimize`` does.
+    """
+    dec = decidedness(aut)
+    if dec[aut.initial].is_decided:
+        return DecisionAutomaton(
+            alphabet=aut.alphabet,
+            states=("q0", "q1"),
+            initial="q0",
+            transitions={
+                "q0": {sym: "q1" for sym in aut.alphabet},
+                "q1": absorbing_terminal_row(aut.alphabet, "q1"),
+            },
+            terminal={"q1": dec[aut.initial].decision},
+        )
+    reach = reachable_states(aut)
+    classes = {}
+    block = {q: classes.setdefault(dec[q].decision, len(classes)) for q in reach}
+    while True:
+        refined = {}
+        new_block = {
+            q: refined.setdefault(
+                (block[q], tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet)),
+                len(refined),
+            )
+            for q in reach
+        }
+        if len(refined) == len(classes):
+            break
+        block, classes = new_block, refined
+
+    names, order = {}, []
+    queue = deque([block[aut.initial]])
+    names[block[aut.initial]] = "q0"
+    rep = {block[q]: q for q in reversed(reach)}
+    while queue:
+        b = queue.popleft()
+        order.append(b)
+        for sym in aut.alphabet:
+            nb = block[aut.transitions[rep[b]][sym]]
+            if nb not in names:
+                names[nb] = f"q{len(names)}"
+                queue.append(nb)
+    transitions, terminal = {}, {}
+    for b in order:
+        q = rep[b]
+        transitions[names[b]] = {
+            sym: names[block[aut.transitions[q][sym]]] for sym in aut.alphabet
+        }
+        if dec[q].is_decided:
+            terminal[names[b]] = dec[q].decision
+    return DecisionAutomaton(
+        alphabet=aut.alphabet,
+        states=tuple(names[b] for b in order),
+        initial="q0",
+        transitions=transitions,
+        terminal=terminal,
+    )
+
+
+def tail_into_loop(length, period):
+    """Non-stopping: a tail of ``length`` states read on ``a`` into a loop.
+
+    Every tail and loop state moves on ``b`` into a small acyclic part with
+    three undecided states, the tail state ``s{i}`` to ``d{i % 3}`` and the
+    loop state ``l{j}`` to ``d{j % 3}``.  With a period of 3 the loop goes on
+    with the tail's pattern, so each tail state matches a loop state; with
+    another period the pattern breaks, and only the distance to the loop
+    tells tail states apart.
+    """
+    ab = Alphabet(("a", "b"))
+    tail = [f"s{i}" for i in range(length)]
+    loop = [f"l{j}" for j in range(period)]
+    transitions = {
+        "d0": {"a": "tx", "b": "ty"},
+        "d1": {"a": "ty", "b": "tx"},
+        "d2": {"a": "d0", "b": "d1"},
+        "tx": absorbing_terminal_row(ab, "tx"),
+        "ty": absorbing_terminal_row(ab, "ty"),
+    }
+    for i, q in enumerate(tail):
+        transitions[q] = {"a": tail[i + 1] if i + 1 < length else loop[0], "b": f"d{i % 3}"}
+    for j, q in enumerate(loop):
+        transitions[q] = {"a": loop[(j + 1) % period], "b": f"d{j % 3}"}
+    states = tuple(tail + loop) + ("d0", "d1", "d2", "tx", "ty")
+    return DecisionAutomaton(ab, states, "s0", transitions, {"tx": "a", "ty": "b"})
 
 
 @st.composite
@@ -435,6 +534,30 @@ class TestMinimize:
         small = minimize(aut)
         assert len(small.states) == 2
         assert evaluate(small, constant(XY, "x"))[0] == "y"
+
+
+class TestMinimizeAgainstRefinement:
+    """``minimize`` against the per-depth refinement it replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(aut=random_automata())
+    def test_random_automata(self, aut):
+        assert to_json(minimize(aut)) == to_json(oracle_minimize(aut))
+
+    def test_corpus_and_mutants(self):
+        automata = [compile_rule(spec) for spec in build_corpus()]
+        automata += [tabulate_automaton(make()) for make in MUTANTS.values()]
+        assert len(automata) == 61
+        for aut in automata:
+            assert to_json(minimize(aut)) == to_json(oracle_minimize(aut))
+
+    @pytest.mark.parametrize("period, states", [(3, 8), (2, 307)])
+    def test_long_tail_into_a_loop(self, period, states):
+        aut = tail_into_loop(300, period)
+        assert not verify_stopping(aut).stops
+        small = minimize(aut)
+        assert to_json(small) == to_json(oracle_minimize(aut))
+        assert len(small.states) == states
 
 
 class TestIsomorphic:

@@ -139,6 +139,17 @@ class TestCompile:
         assert code == 0
         assert payload["uniform_bound"] == 1500 and payload["state_count"] == 1502
 
+    def test_long_chain_minimizes_in_linear_time(self, capsys, tmp_path):
+        # one refinement round per chain link took seconds here
+        spec = CsrSpec(XY, {"x": Fraction(1, 1500), "y": Fraction(1)}, Fraction(1))
+        path = tmp_path / "chain1500.json"
+        path.write_text(rule_to_json(spec))
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["compile", str(path), "--minimize"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert payload["uniform_bound"] == 1500 and payload["state_count"] == 1502
+
 
 class TestWindowCap:
     """Bound 40 over two symbols: 2^40 windows, far past the table cap."""
@@ -298,6 +309,15 @@ class TestMinimizeAndDot:
     def test_dot_from_rule(self, capsys, fig_file):
         code = main(["dot", fig_file])
         assert code == 0 and "digraph" in capsys.readouterr().out
+
+    def test_minimize_text_summary(self, capsys, tmp_path):
+        path = tmp_path / "aut.json"
+        path.write_text(automaton_to_json(build_twosym_threshold2()))
+        out = tmp_path / "small.json"
+        code = main(["minimize", str(path), "--format", "text", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "6 states, bound 3\n"
+        assert len(json.loads(out.read_text())["states"]) == 6
 
     def test_minimize_rejects_rule_file(self, capsys, fig_file):
         assert main(["minimize", fig_file]) == 2

@@ -2,8 +2,9 @@
 
 ``axioms --suite csr`` and ``identify --as csr|osr`` run on random small rule
 documents, well formed or not, and on random automaton documents, stopping
-or not.  Whatever the input, the command must exit 0, 1, 2 or 3 and never
-print a traceback.
+or not; ``minimize`` (JSON and text), ``compile --minimize`` and ``dot`` run
+on the automaton documents too.  Whatever the input, the command must exit
+0, 1, 2 or 3 and never print a traceback.
 """
 
 import contextlib
@@ -17,6 +18,9 @@ from hypothesis import given, settings, strategies as st
 from seqdec.cli import main
 
 COMMANDS = (["axioms", "--suite", "csr"], ["identify", "--as", "csr"], ["identify", "--as", "osr"])
+AUTOMATON_COMMANDS = COMMANDS + (
+    ["minimize"], ["minimize", "--format", "text"], ["compile", "--minimize"], ["dot"],
+)
 
 AMOUNTS = ["1", "1/2", "3/2", "2"]
 # values of the wrong type or out of range, drawn only for ill-formed documents
@@ -76,11 +80,11 @@ def automaton_documents(draw):
     }
 
 
-def assert_contract(doc: dict) -> None:
+def assert_contract(doc: dict, commands=COMMANDS) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
-        for command in COMMANDS:
+        for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command[0], str(path), *command[1:]])
@@ -97,4 +101,4 @@ def test_rule_documents_keep_the_exit_contract(doc):
 @settings(max_examples=150, deadline=None)
 @given(doc=automaton_documents())
 def test_automaton_documents_keep_the_exit_contract(doc):
-    assert_contract(doc)
+    assert_contract(doc, AUTOMATON_COMMANDS)
