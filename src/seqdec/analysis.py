@@ -1,16 +1,17 @@
 """Rule-agnostic stopping analysis, axiom checking, and identification.
 
 Everything here works against a :class:`RuleHandle`, either an automaton or
-a pure black-box evaluator with a declared horizon.  Both are read as one
-kind of machine: a start state, a step per symbol, and a decision per state
-that is None while the outcome is open.  An automaton's states are its own;
-a black box's are its windows up to the horizon, decided by a table that is
-validated against every single-symbol closure while it is built, which is
-how a lying horizon declaration is caught.
+a pure black-box evaluator with a declared horizon H.  Both are analysed as
+one decision automaton: a black box is tabulated into the segment tree of
+its length-H windows, each window's decision validated against every
+single-symbol closure while the tree is built, which is how a lying
+horizon declaration is caught.  One peel of the automaton gives every
+state's decision, a terminal's output or the one the peel forces, and
+shows that the rule stops.
 
 Stopping questions walk at most K states along the input, K being the
-uniform bound.  One reverse-topological pass over the reachable open states
-gives K (one more than the longest run through them), each state's
+uniform bound.  One pass over the reachable open states in the peel's
+order gives K (one more than the longest run through them), each state's
 reachable decisions and the number of minimal sufficient segments, which
 are listed, under ``WINDOW_CAP``, by a breadth-first search that carries
 each open word's state.  Monotonicity, informational dominance and the
@@ -40,6 +41,7 @@ from .core import (
     Segment,
     SeqSpec,
     SeqdecError,
+    ValidationError,
     constant,
     relabel,
 )
@@ -49,9 +51,9 @@ from .automaton import (
     SUFFICIENT,
     DecisionAutomaton,
     Sufficiency,
-    decidedness,
+    _escaping_states,
     evaluate,
-    verify_stopping,
+    reachable_states,
 )
 from . import heuristics
 from .heuristics import (
@@ -116,9 +118,9 @@ class RuleHandle:
 
     def __post_init__(self) -> None:
         if (self.automaton is None) == (self.evaluator is None):
-            raise SeqdecError("exactly one of automaton or evaluator must be given")
+            raise ValidationError("exactly one of automaton or evaluator must be given")
         if self.evaluator is not None and (self.horizon is None or self.horizon < 1):
-            raise SeqdecError("black-box rules need a declared horizon >= 1")
+            raise ValidationError("black-box rules need a declared horizon >= 1")
 
     @classmethod
     def from_automaton(cls, aut: DecisionAutomaton) -> RuleHandle:
@@ -149,24 +151,24 @@ def _closure(alphabet: Alphabet, word: Word, cycle_idx: int) -> SeqSpec:
 
 
 def _require_windows(alphabet: Alphabet, length: int) -> None:
-    if len(alphabet) ** length > WINDOW_CAP:
+    # n^65 is past the cap for every n >= 2, so a larger exponent is never computed
+    if len(alphabet) ** min(length, 65) > WINDOW_CAP:
         raise ResourceLimit(f"{len(alphabet)}^{length} windows of length {length}", WINDOW_CAP)
 
 
-def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
-    """Layered decision maps for all window lengths 0..H.
+def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
+    """Segment-tree automaton of the decisions of all length-H windows.
 
-    The full-length layer holds the decision of every length-H window,
-    validated across every single-symbol closure; shorter layers hold the
-    common decision of all extensions, or None where extensions disagree
-    (the window is not yet sufficient).
+    Both caps are met before the evaluator is called.  The windows are
+    decided in lexicographic order, each validated across every
+    single-symbol closure.
     """
     h = rule.horizon
     assert h is not None and rule.evaluator is not None
     _require_windows(rule.alphabet, h)
     n = len(rule.alphabet)
-    layers: list[dict[Word, str | None]] = [dict() for _ in range(h + 1)]
-    for word in itertools.product(range(n), repeat=h):
+
+    def decide(word: Word) -> str:
         got = {rule.evaluator(_closure(rule.alphabet, word, c)) for c in range(n)}
         if len(got) > 1:
             text = Segment(rule.alphabet, word).text()
@@ -174,12 +176,9 @@ def _tabulate_blackbox(rule: RuleHandle) -> list[dict[Word, str | None]]:
                 f"decisions after window {text!r} differ across closures {sorted(got)}; "
                 f"the rule reads past the declared horizon {h}"
             )
-        layers[h][word] = got.pop()
-    for m in range(h - 1, -1, -1):
-        for word, dec in layers[m + 1].items():
-            short = word[:m]
-            layers[m][short] = dec if layers[m].get(short, dec) == dec else None
-    return layers
+        return got.pop()
+
+    return segment_tree_automaton(rule.alphabet, h, decide)
 
 
 class OpenState(NamedTuple):
@@ -200,46 +199,35 @@ class OpenState(NamedTuple):
 
 @dataclass(eq=False)
 class Facts:
-    """Stopping facts of one rule, each built on first use.
+    """Stopping facts of one rule's decision automaton, each built on first use.
 
-    The rule is read as a machine: ``start``, ``step(state, index)`` and
-    ``decision(state)``, which is None while the outcome is still open.  No
-    run stays open for more than ``limit`` symbols.
+    ``step(state, index)`` follows a transition and ``decision(state)`` is a
+    terminal's output or the decision the peel forces, None while the
+    outcome is still open.  ``peel`` maps each escaping state to its depth
+    and forced decision, successors first; every reachable non-terminal
+    state is in it.
     """
 
     alphabet: Alphabet
-    start: Hashable
-    step: Callable[[Hashable, int], Hashable]
-    decision: Callable[[Hashable], str | None]
-    limit: int
+    start: str
+    step: Callable[[str, int], str]
+    decision: Callable[[str], str | None]
+    peel: dict[str, tuple[int, str | None]]
 
     @classmethod
     def of(cls, rule: RuleHandle) -> Facts:
-        aut = rule.automaton
-        if aut is None:
-            layers = _tabulate_blackbox(rule)
-            h = rule.horizon
-            # past the horizon the window, and so the decision, stays put
-            return cls(
-                rule.alphabet,
-                (),
-                lambda w, i: w if len(w) == h else w + (i,),
-                lambda w: layers[len(w)][w],
-                h,
-            )
-        verdict = verify_stopping(aut)
-        if not verdict.stops:
+        aut = rule.automaton or _tabulate_blackbox(rule)
+        peel = _escaping_states(aut)
+        outcome = {q: out for q, (_, out) in peel.items()}
+        outcome.update(aut.terminal)
+        # only looping states are outside both, and the rule stops if none is reachable
+        if len(outcome) < len(aut.states) and not outcome.keys() >= set(reachable_states(aut)):
             raise NonStoppingRuleError(
                 "the automaton admits an endless run; no stopping analysis applies"
             )
-        dec = decidedness(aut)
         names, transitions = aut.alphabet.symbols, aut.transitions
         return cls(
-            rule.alphabet,
-            aut.initial,
-            lambda q, i: transitions[q][names[i]],
-            lambda q: dec[q].decision,
-            verdict.bound,
+            aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get, peel
         )
 
     def decisions(self, word: Iterable[int]) -> Iterator[str | None]:
@@ -268,9 +256,9 @@ class Facts:
             raise ResourceLimit(f"{count} minimal sufficient segments", WINDOW_CAP)
         n = len(self.alphabet)
         minimal: list[tuple[Word, str]] = []
-        frontier: list[tuple[Word, Hashable]] = [((), self.start)]
-        for _ in range(self.limit + 1):
-            nxt: list[tuple[Word, Hashable]] = []
+        frontier: list[tuple[Word, str]] = [((), self.start)]
+        while frontier:
+            nxt: list[tuple[Word, str]] = []
             for word, state in frontier:
                 got = self.decision(state)
                 if got is not None:
@@ -278,7 +266,6 @@ class Facts:
                 else:
                     nxt.extend((word + (i,), self.step(state, i)) for i in range(n))
             frontier = nxt
-        assert not frontier, "sufficiency search overran the stopping bound"
         return minimal
 
     @property
@@ -288,37 +275,31 @@ class Facts:
         return 1 + opened[self.start].depth if opened else 0
 
     @cached_property
-    def open_states(self) -> dict[Hashable, OpenState]:
+    def open_states(self) -> dict[str, OpenState]:
         """Every reachable open state, breadth first, with what lies below it.
 
-        Open states form a DAG, so after one breadth-first pass a single
-        reverse-topological pass gives each its depth, its decisions and
-        its count of minimal sufficient continuations.
+        After one breadth-first pass for shortest words, one pass in the
+        peel's order, successors first, gives each its depth, its decisions
+        and its count of minimal sufficient continuations.
         """
         n = len(self.alphabet)
         if self.decision(self.start) is not None:
             return {}
-        words: dict[Hashable, Word] = {self.start: ()}
-        succ: dict[Hashable, list[Hashable]] = {}
+        words: dict[str, Word] = {self.start: ()}
         order = [self.start]
         for q in order:
-            succ[q] = row = [self.step(q, i) for i in range(n)]
-            for i, r in enumerate(row):
+            for i in range(n):
+                r = self.step(q, i)
                 if r not in words and self.decision(r) is None:
                     words[r] = words[q] + (i,)
                     order.append(r)
-        pending = {q: 0 for q in order}
-        preds: dict[Hashable, list[Hashable]] = {q: [] for q in order}
-        for q in order:
-            for r in succ[q]:
-                if r in words:
-                    pending[q] += 1
-                    preds[r].append(q)
-        below: dict[Hashable, tuple[int, dict[str, int], int]] = {}
-        ready = [q for q in order if pending[q] == 0]
-        for q in ready:
+        below: dict[str, tuple[int, dict[str, int], int]] = {}
+        for q in self.peel:
+            if q not in words:
+                continue
             depth, toward, segments = 0, {}, 0
-            for i, r in enumerate(succ[q]):
+            for i in range(n):
+                r = self.step(q, i)
                 if r in words:
                     depth = max(depth, 1 + below[r][0])
                     for d in below[r][1]:
@@ -328,24 +309,19 @@ class Facts:
                     toward.setdefault(self.decision(r), i)
                     segments += 1
             below[q] = (depth, toward, segments)
-            for p in preds[q]:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    ready.append(p)
-        assert len(below) == len(order), "open states must form a DAG"
         return {q: OpenState(words[q], *below[q]) for q in order}
 
-    def can_reach(self, state: Hashable, decision: str) -> bool:
+    def can_reach(self, state: str, decision: str) -> bool:
         """True when some continuation from a reachable ``state`` forces ``decision``."""
         got = self.decision(state)
         return decision in self.open_states[state].toward if got is None else got == decision
 
-    def reach(self, state: Hashable) -> AbstractSet[str]:
+    def reach(self, state: str) -> AbstractSet[str]:
         """Decisions that some continuation from a reachable ``state`` forces."""
         got = self.decision(state)
         return {got} if got is not None else self.open_states[state].toward.keys()
 
-    def path_to(self, state: Hashable, decision: str) -> Word:
+    def path_to(self, state: str, decision: str) -> Word:
         """Word from a reachable ``state`` that forces ``decision``, by ``toward`` symbols."""
         word: list[int] = []
         while self.decision(state) is None:
@@ -354,7 +330,7 @@ class Facts:
             state = self.step(state, i)
         return tuple(word)
 
-    def advance(self, state: Hashable, word: Iterable[int]) -> Hashable:
+    def advance(self, state: str, word: Iterable[int]) -> str:
         """State after ``word`` from ``state``, held still once it is decided."""
         for i in word:
             if self.decision(state) is not None:
@@ -367,7 +343,7 @@ class Facts:
         """Decision of every length-``bound`` window, in lexicographic order."""
         n, k = len(self.alphabet), self.bound
         _require_windows(self.alphabet, k)
-        layer: list[tuple[Word, Hashable]] = [((), self.start)]
+        layer: list[tuple[Word, str]] = [((), self.start)]
         for _ in range(k):
             layer = [(w + (i,), self.step(q, i)) for w, q in layer for i in range(n)]
         table = {word: self.decision(state) for word, state in layer}

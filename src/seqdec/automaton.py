@@ -199,19 +199,22 @@ def evaluate(aut: DecisionAutomaton, seq: SeqSpec) -> tuple[str, int]:
             return aut.terminal[state], pos
 
 
-def reachable_states(aut: DecisionAutomaton) -> list[str]:
-    """States reachable from the initial state, in BFS order."""
-    order, seen = [], {aut.initial}
-    queue = deque([aut.initial])
-    while queue:
-        q = queue.popleft()
-        order.append(q)
+def _breadth_first(aut: DecisionAutomaton) -> dict[str, tuple[str, str] | None]:
+    """Reachable states in BFS order, each with the state and symbol it is first entered by."""
+    parent: dict[str, tuple[str, str] | None] = {aut.initial: None}
+    order = [aut.initial]
+    for q in order:  # the list grows as it is read
         for sym in aut.alphabet:
             nxt = aut.transitions[q][sym]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return order
+            if nxt not in parent:
+                parent[nxt] = (q, sym)
+                order.append(nxt)
+    return parent
+
+
+def reachable_states(aut: DecisionAutomaton) -> list[str]:
+    """States reachable from the initial state, in BFS order."""
+    return list(_breadth_first(aut))
 
 
 def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]]:
@@ -276,17 +279,22 @@ def verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
     non-terminal states, which exists exactly when that subgraph is acyclic.
     The bound is tight: some run stays non-terminal for the whole path and
     absorbs on its final symbol.  The witness loop is entered from the first
-    looping state in breadth-first order.
+    looping state in breadth-first order, by a shortest word.
     """
     peel = _escaping_states(aut)
-    looping = [q for q in reachable_states(aut) if q not in aut.terminal and q not in peel]
+    parent = _breadth_first(aut)
+    looping = [q for q in parent if q not in aut.terminal and q not in peel]
     if looping:
         cycle_states, cycle_symbols = _find_nonterminal_cycle(aut, looping[0], peel)
+        word, via = [], parent[cycle_states[0]]
+        while via is not None:
+            word.append(aut.alphabet.index(via[1]))
+            via = parent[via[0]]
         return StopVerdict(
             bound=None,
             cycle_states=cycle_states,
             cycle_symbols=cycle_symbols,
-            reach=_segment_to_state(aut, cycle_states[0]),
+            reach=Segment(aut.alphabet, tuple(reversed(word))),
         )
     return StopVerdict(bound=1 + peel[aut.initial][0])
 
@@ -310,29 +318,6 @@ def _find_nonterminal_cycle(
             return tuple(path_states[i:]), tuple(path_symbols[i:])
         seen[state] = len(path_states)
         path_states.append(state)
-
-
-def _segment_to_state(aut: DecisionAutomaton, target: str) -> Segment:
-    """Shortest input word driving the automaton from the start to a state."""
-    if target == aut.initial:
-        return Segment(aut.alphabet, ())
-    back: dict[str, tuple[str, str]] = {}
-    queue = deque([aut.initial])
-    while queue:
-        q = queue.popleft()
-        for sym in aut.alphabet:
-            tgt = aut.transitions[q][sym]
-            if tgt not in back and tgt != aut.initial:
-                back[tgt] = (q, sym)
-                if tgt == target:
-                    word = []
-                    cur = target
-                    while cur != aut.initial:
-                        cur, s = back[cur]
-                        word.append(aut.alphabet.index(s))
-                    return Segment(aut.alphabet, tuple(reversed(word)))
-                queue.append(tgt)
-    raise InvalidAutomatonError(f"state {target!r} is unreachable")
 
 
 def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:

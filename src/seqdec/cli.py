@@ -80,7 +80,7 @@ class _Loaded:
         elif kind == "tm":
             self.machine = machines_mod.from_json_dict(doc)
             if "input_alphabet" in doc:
-                self.machine_alphabet = Alphabet(tuple(doc["input_alphabet"]))
+                self.machine_alphabet = Alphabet(machines_mod.string_list(doc, "input_alphabet"))
         elif {"states", "initial", "transitions", "terminal"} <= set(doc):
             self.automaton = automaton_mod.from_json_dict(doc)
         else:
@@ -238,7 +238,7 @@ def cmd_tm_run(args) -> int:
     alphabet = loaded.alphabet(args)
     seq = alphabet.sequence(args.sequence)
     result = tm_run(loaded.machine, seq, args.budget)
-    _emit({"decision": result.decision, "steps": result.steps, "halted": result.halted})
+    _emit({"decision": result.decision, "steps": result.steps, "halted": result.halted}, args.out)
     return EXIT_OK
 
 
@@ -250,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, horizon=True):
+    def common(p, horizon=True, text=False):
         p.add_argument("--out", help="write the main payload to this file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if text:
+            p.add_argument("--format", choices=("json", "text"), default="json")
         if horizon:
             p.add_argument("--horizon", type=int, help="declared horizon for machine-backed rules")
             p.add_argument("--budget", type=int, help="step budget for machine-backed rules")
@@ -261,20 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="decision, stop position, and minimal sufficient prefix")
     p.add_argument("rule_file")
     p.add_argument("sequence", help="sequence literal, e.g. '|a b c'")
-    common(p)
+    common(p, text=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compile", help="compile a rule to a decision automaton")
     p.add_argument("rule_file")
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--dot", help="also write a DOT rendering to this file")
-    common(p)
+    common(p, text=True)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("minimize", help="minimize an automaton")
     p.add_argument("automaton_file")
     p.add_argument("--dot", help="also write a DOT rendering to this file")
-    common(p, horizon=False)
+    common(p, horizon=False, text=True)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("dot", help="DOT rendering of an automaton or compiled rule")

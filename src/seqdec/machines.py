@@ -249,17 +249,27 @@ def to_json_dict(tm: TwoTapeTm) -> dict:
     }
 
 
+def string_list(data: dict, key: str) -> tuple[str, ...]:
+    """The list of strings under ``key``, which must not be coerced from another shape."""
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InvalidMachineError(f"{key} must be a list of strings")
+    return tuple(value)
+
+
 def from_json_dict(data: dict) -> TwoTapeTm:
     try:
+        if not isinstance(data["transitions"], list):
+            raise InvalidMachineError("transitions must be a list of objects")
         rules = [
             (t["state"], t["read"], t["peek"], t["next"], t["write"], t["move_in"], t["move_out"])
             for t in data["transitions"]
         ]
         return TwoTapeTm.build(
-            tuple(data["states"]),
+            string_list(data, "states"),
             data["initial"],
-            tuple(data["terminal"]),
-            tuple(data["tape_alphabet"]),
+            string_list(data, "terminal"),
+            string_list(data, "tape_alphabet"),
             rules,
         )
     except (KeyError, TypeError) as exc:

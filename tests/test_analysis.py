@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqdec.core import Alphabet, Segment, SeqSpec, constant
+from seqdec.core import Alphabet, ResourceLimit, Segment, SeqSpec, constant
 from seqdec.automaton import MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, Sufficiency, evaluate
 from seqdec.heuristics import (
     Comparator,
@@ -200,6 +200,19 @@ class TestHorizon:
     def test_generous_horizon_is_fine(self):
         rule = RuleHandle.from_callable(XY, lambda s: s.symbol_at(1), horizon=3)
         assert uniform_bound_search(rule) == 1
+
+    @pytest.mark.parametrize(
+        "alphabet, horizon", [(XY, 19), (ABC, 12), (Alphabet(tuple("abcd")), 10)]
+    )
+    def test_segment_tree_past_the_state_cap_runs_nothing(self, alphabet, horizon):
+        # at most 2^20 windows, but more than 2^18 tree states
+        calls = []
+        rule = RuleHandle.from_callable(
+            alphabet, lambda s: calls.append(1) or s.symbol_at(1), horizon=horizon
+        )
+        with pytest.raises(ResourceLimit, match="states exceed the cap"):
+            uniform_bound_search(rule)
+        assert calls == []
 
     def test_non_stopping_automaton_refused(self):
         from seqdec.automaton import DecisionAutomaton

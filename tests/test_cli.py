@@ -10,7 +10,7 @@ from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, rule_to_json
 from seqdec.automaton import to_json as automaton_to_json
-from seqdec.machines import to_json as tm_to_json, to_json_dict as tm_to_json_dict
+from seqdec.machines import TwoTapeTm, to_json as tm_to_json, to_json_dict as tm_to_json_dict
 from tests.conftest import build_twosym_threshold2
 from tests.test_machines import echo_machine, spinner_machine
 
@@ -256,6 +256,22 @@ MALFORMED_DOCUMENTS = {
         "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}},
         "terminal": {"t": "x"},
     },
+    # read character by character, these would describe another machine
+    "machine-fields-strings": {
+        **tm_to_json_dict(TwoTapeTm.build(
+            ["q", "h"], "q", ["h"], ["◁", "_", "x", "y"], [("q", "*", "*", "h", "x", "S", "S")]
+        )),
+        "states": "qh", "terminal": "h", "tape_alphabet": "◁_xy",
+    },
+    "machine-input-alphabet-number": {
+        **tm_to_json_dict(echo_machine(XY)), "input_alphabet": 5,
+    },
+    "machine-input-alphabet-string": {
+        **tm_to_json_dict(echo_machine(XY)), "input_alphabet": "xy",
+    },
+    "machine-transitions-object": {
+        **tm_to_json_dict(echo_machine(XY)), "transitions": {},
+    },
     # one entry where 2^40 are due, rejected before any bit-word is listed
     "comparator-table-short": {
         "kind": "config", "alphabet": ["a", "b"], "window": 40,
@@ -270,6 +286,21 @@ def test_malformed_document_exit_2_without_traceback(capsys, tmp_path, name):
     path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
     begin = time.perf_counter()
     assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - begin < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("seqdec: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["tm-run", "|x", "--budget", "5"], ["eval", "|x", "--horizon", "1", "--budget", "5"]],
+)
+@pytest.mark.parametrize("name", sorted(n for n in MALFORMED_DOCUMENTS if n.startswith("machine")))
+def test_malformed_machine_exits_2_without_traceback(capsys, tmp_path, name, command):
+    path = tmp_path / "tm.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
+    begin = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 2
     assert time.perf_counter() - begin < 1.0
     err = capsys.readouterr().err
     assert err.startswith("seqdec: ") and "Traceback" not in err
@@ -318,6 +349,14 @@ class TestMinimizeAndDot:
         assert code == 0
         assert capsys.readouterr().out == "6 states, bound 3\n"
         assert len(json.loads(out.read_text())["states"]) == 6
+
+    @pytest.mark.parametrize("command", ["analyze", "axioms", "identify", "dot"])
+    def test_format_is_refused_where_it_does_nothing(self, capsys, fig_file, command):
+        extra = ["--as", "csr"] if command == "identify" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, fig_file, *extra, "--format", "text"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format text" in capsys.readouterr().err
 
     def test_minimize_rejects_rule_file(self, capsys, fig_file):
         assert main(["minimize", fig_file]) == 2
@@ -441,6 +480,25 @@ class TestTmRun:
         code, payload = run_json(capsys, ["tm-run", str(path), "y|x", "--budget", "10"])
         assert code == 0
         assert payload["decision"] == "y" and payload["halted"]
+
+    def test_out_writes_the_payload(self, capsys, tmp_path):
+        path = tmp_path / "echo.json"
+        path.write_text(tm_to_json(echo_machine(XY)))
+        out = tmp_path / "run.json"
+        argv = ["tm-run", str(path), "y|x", "--budget", "10", "--alphabet", "x y"]
+        assert main([*argv, "--out", str(out)]) == 0 and capsys.readouterr().out == ""
+        assert json.loads(out.read_text()) == {"decision": "y", "halted": True, "steps": 3}
+
+    @pytest.mark.parametrize("horizon, code", [("-1", 2), ("1000000000", 3), ("10000000000", 3)])
+    def test_hostile_horizon_exits_at_once(self, capsys, tmp_path, horizon, code):
+        path = tmp_path / "echo.json"
+        path.write_text(tm_to_json(echo_machine(XY)))
+        argv = ["analyze", str(path), "--horizon", horizon, "--budget", "50", "--alphabet", "x y"]
+        begin = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - begin < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("seqdec: ") and "Traceback" not in err
 
     def test_budget_exhaustion_exits_3(self, capsys, tmp_path):
         path = tmp_path / "spin.json"

@@ -3,8 +3,11 @@
 ``axioms --suite csr`` and ``identify --as csr|osr`` run on random small rule
 documents, well formed or not, and on random automaton documents, stopping
 or not; ``minimize`` (JSON and text), ``compile --minimize`` and ``dot`` run
-on the automaton documents too.  Whatever the input, the command must exit
-0, 1, 2 or 3 and never print a traceback.
+on the automaton documents too.  Machine documents, embedded stopping
+automata with a junk field or a string for a list now and then, go through
+``tm-run``, ``eval``, ``analyze``, ``axioms --suite csr`` and ``compile``
+with hostile horizons and budgets.  Whatever the input, the command must
+exit 0, 1, 2 or 3 and never print a traceback.
 """
 
 import contextlib
@@ -15,7 +18,10 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from seqdec.automaton import DecisionAutomaton
 from seqdec.cli import main
+from seqdec.core import Alphabet
+from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
 
 COMMANDS = (["axioms", "--suite", "csr"], ["identify", "--as", "csr"], ["identify", "--as", "osr"])
 AUTOMATON_COMMANDS = COMMANDS + (
@@ -25,6 +31,8 @@ AUTOMATON_COMMANDS = COMMANDS + (
 AMOUNTS = ["1", "1/2", "3/2", "2"]
 # values of the wrong type or out of range, drawn only for ill-formed documents
 JUNK = ["0", "-1", "x", 1, None]
+# horizons and budgets: real horizons stay at 3 or less, so tabulation is cheap
+LIMITS = ["-1", "0", "1", "2", "3", str(10 ** 10)]
 
 
 @st.composite
@@ -102,3 +110,38 @@ def test_rule_documents_keep_the_exit_contract(doc):
 @given(doc=automaton_documents())
 def test_automaton_documents_keep_the_exit_contract(doc):
     assert_contract(doc, AUTOMATON_COMMANDS)
+
+
+@st.composite
+def machine_documents(draw):
+    """Embedded stopping automata; about a third get a junk or stringified field."""
+    alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
+    count = draw(st.integers(1, 3))
+    terminal = {f"t{i}": out for i, out in enumerate(draw(st.permutations(alphabet))[:2])}
+    # each open state moves only to later ones, so every run stops
+    transitions = {}
+    for i in range(count):
+        targets = st.sampled_from([f"q{j}" for j in range(i + 1, count)] + list(terminal))
+        transitions[f"q{i}"] = {s: draw(targets) for s in alphabet}
+    transitions.update({t: {s: t for s in alphabet} for t in terminal})
+    aut = DecisionAutomaton(Alphabet(tuple(alphabet)), list(transitions), "q0", transitions, terminal)
+    doc = tm_to_json_dict(automaton_to_tm(aut))
+    doc["input_alphabet"] = alphabet
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(doc)))
+        text = "".join(doc[key]) if isinstance(doc[key], list) and key != "transitions" else "x"
+        doc[key] = draw(st.sampled_from(JUNK + [text]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=machine_documents(), horizon=st.sampled_from(LIMITS), budget=st.sampled_from(LIMITS))
+def test_machine_documents_keep_the_exit_contract(doc, horizon, budget):
+    limits = ["--horizon", horizon, "--budget", budget]
+    assert_contract(doc, (
+        ["tm-run", "|x", "--budget", budget],
+        ["eval", "|x", *limits],
+        ["analyze", *limits],
+        ["axioms", "--suite", "csr", *limits],
+        ["compile", *limits],
+    ))

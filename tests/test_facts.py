@@ -2,9 +2,9 @@
 and compiled rule facts against the rule evaluators.
 
 ``oracle_facts`` is that enumeration: it classifies every word by walking
-it from the initial state (automata) or by looking it up in the black-box
-tabulation, searches breadth first by re-walking each word, and fills the
-whole window table up front.
+it from the initial state (automata) or by looking it up in the black box's
+folded window layers, searches breadth first by re-walking each word, and
+fills the whole window table up front.
 """
 
 import itertools
@@ -31,9 +31,10 @@ from seqdec.heuristics import (
     csr_uniform_bound,
     evaluate_rule,
 )
+import seqdec.analysis
+import seqdec.automaton
 from seqdec.analysis import (
     RuleHandle,
-    _tabulate_blackbox,
     decision_on,
     enumerate_minimal_sufficient,
     stopping_time,
@@ -48,6 +49,25 @@ class OracleFacts(NamedTuple):
     minimal: list
     table: dict
     sufficient: Callable
+
+
+def blackbox_layers(rule: RuleHandle) -> list[dict]:
+    """Decision maps for all window lengths up to the horizon.
+
+    The full-length layer holds each window's decision; a shorter layer
+    holds the common decision of all its extensions, or None where they
+    disagree (the window is not yet sufficient).
+    """
+    h, alphabet = rule.horizon, rule.alphabet
+    layers = [dict() for _ in range(h + 1)]
+    for word in itertools.product(range(len(alphabet)), repeat=h):
+        seq = SeqSpec(alphabet, Segment(alphabet, word), Segment(alphabet, (0,)))
+        layers[h][word] = rule.decide(seq)
+    for m in range(h - 1, -1, -1):
+        for word, dec in layers[m + 1].items():
+            short = word[:m]
+            layers[m][short] = dec if layers[m].get(short, dec) == dec else None
+    return layers
 
 
 def oracle_facts(rule: RuleHandle) -> OracleFacts:
@@ -65,7 +85,7 @@ def oracle_facts(rule: RuleHandle) -> OracleFacts:
 
         depth_limit = verdict.bound
     else:
-        layers = _tabulate_blackbox(rule)
+        layers = blackbox_layers(rule)
 
         def sufficient(word):
             return layers[len(word)][word]
@@ -196,3 +216,22 @@ def test_csr3_5_lists_every_minimal_segment():
     segments = rule.facts.minimal
     assert len(segments) == rule.facts.open_states[rule.facts.start].segments == 220503
     assert segments[0] == ((0, 0, 0, 0, 0), "a")
+
+
+def test_one_peel_per_facts_build(monkeypatch):
+    # decisions, the stopping check and open_states all read the same peel
+    calls = []
+    peel = seqdec.automaton._escaping_states
+
+    def counted(aut):
+        calls.append(aut)
+        return peel(aut)
+
+    monkeypatch.setattr(seqdec.automaton, "_escaping_states", counted)
+    monkeypatch.setattr(seqdec.analysis, "_escaping_states", counted)
+    automaton = RuleHandle.from_rule(CsrSpec(ABC, {s: Fraction(1) for s in ABC}, Fraction(2)))
+    for rule in (automaton, RuleHandle.from_callable(ABC, automaton.decide, horizon=4)):
+        calls.clear()
+        facts = rule.facts
+        assert facts.bound == 4 and facts.open_states and facts.minimal and facts.table
+        assert len(calls) == 1
