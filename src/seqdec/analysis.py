@@ -13,12 +13,13 @@ Stopping questions walk at most K states along the input, K being the
 uniform bound.  One pass over the reachable open states in the peel's
 order gives K (one more than the longest run through them), each state's
 reachable decisions and the number of minimal sufficient segments, which
-are listed, under ``WINDOW_CAP``, by a breadth-first search that carries
-each open word's state.  Monotonicity, informational dominance and the
-agreement check of identification search pairs of states.  Only
-neutrality, acyclicity, a failing replacement check and tabulation build
-the table of all |alphabet|^K window decisions, and past ``WINDOW_CAP``
-windows they raise :class:`ResourceLimit`.
+only ``analyze`` lists, under ``WINDOW_CAP``.  The decisive set, two of
+the OSR axioms and ``identify_osr``'s ranking ask only which symbol sets
+occur with which decision: one search over (open state, symbols read).
+Monotonicity, informational dominance, replacement and the agreement check
+of identification search products of states.  Only neutrality, acyclicity
+and tabulation build the table of all |alphabet|^K window decisions, and
+past ``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
 
 Checkers report a first counterexample in a fixed order, so reports are
 deterministic: windows in lexicographic order for the enumerating checkers,
@@ -64,6 +65,8 @@ from .heuristics import (
 )
 
 Word = tuple[int, ...]
+# a minimal sufficient segment's symbol set and decision
+Outcome = tuple[frozenset[str], str]
 
 # Most windows any table here may hold: 16 times the largest table that the
 # test suite or the benchmark workloads build (65,536 windows).
@@ -244,6 +247,32 @@ class Facts:
         return last
 
     @cached_property
+    def outcomes(self) -> dict[Outcome, Word]:
+        """First minimal sufficient segment of each (symbol set, decision) pair.
+
+        One breadth-first search over (open state, set of the symbols read)
+        visits each node once, by its first word in length-then-
+        lexicographic order, so each pair's segment is its first in
+        ``minimal``'s order, and the pairs come in that order.
+        """
+        got = self.decision(self.start)
+        if got is not None:
+            return {(frozenset(), got): ()}
+        outcomes: dict[Outcome, Word] = {}
+        order: list[tuple[str, frozenset[str]]] = [(self.start, frozenset())]
+        words = {order[0]: ()}
+        for node in order:
+            for i, name in enumerate(self.alphabet):
+                child = (self.step(node[0], i), node[1] | {name})
+                got = self.decision(child[0])
+                if got is not None:
+                    outcomes.setdefault((child[1], got), words[node] + (i,))
+                elif child not in words:
+                    words[child] = words[node] + (i,)
+                    order.append(child)
+        return outcomes
+
+    @cached_property
     def minimal(self) -> list[tuple[Word, str]]:
         """Minimal sufficient segments, breadth first, lexicographic within a length.
 
@@ -310,11 +339,6 @@ class Facts:
                     segments += 1
             below[q] = (depth, toward, segments)
         return {q: OpenState(words[q], *below[q]) for q in order}
-
-    def can_reach(self, state: str, decision: str) -> bool:
-        """True when some continuation from a reachable ``state`` forces ``decision``."""
-        got = self.decision(state)
-        return decision in self.open_states[state].toward if got is None else got == decision
 
     def reach(self, state: str) -> AbstractSet[str]:
         """Decisions that some continuation from a reachable ``state`` forces."""
@@ -423,17 +447,22 @@ class DecisiveSet:
 
 
 def decisive_set(rule: RuleHandle) -> DecisiveSet:
-    facts = rule.facts
+    """Read off ``Facts.outcomes``: each witness is the first minimal sufficient
+    segment that holds its symbol and decides otherwise."""
     alphabet = rule.alphabet
     witnesses: dict[str, tuple[str, str]] = {}
-    for word, dec in facts.minimal:
-        seg = Segment(alphabet, word)
-        for name in seg.symbol_set():
-            if name != dec and name not in witnesses:
-                witnesses[name] = (seg.text(), dec)
+    for (sset, dec), word in rule.facts.outcomes.items():
+        for name in sset - witnesses.keys() - {dec}:
+            witnesses[name] = (_word_text(alphabet, word), dec)
     complement = tuple(s for s in alphabet if s in witnesses)
     decisive = tuple(s for s in alphabet if s not in witnesses)
-    return DecisiveSet(decisive, complement, witnesses)
+    return DecisiveSet(decisive, complement, {s: witnesses[s] for s in complement})
+
+
+def _non_decisive_outcomes(rule: RuleHandle) -> tuple[DecisiveSet, dict[Outcome, Word]]:
+    """The decisive set, and the ``outcomes`` whose symbols are all non-decisive."""
+    dset = decisive_set(rule)
+    return dset, {o: w for o, w in rule.facts.outcomes.items() if o[0].isdisjoint(dset.decisive)}
 
 
 @dataclass(frozen=True)
@@ -477,16 +506,16 @@ def _closure_text(alphabet: Alphabet, word: Word, cyc: int | None = None) -> str
 
 def _search(
     sources: Iterable[tuple[Hashable, tuple]],
-    successors: Callable[[tuple], Iterable[tuple[int, tuple]]],
+    successors: Callable[[tuple], Iterable[tuple[Hashable, tuple]]],
     verdict: Callable[[tuple], bool | None],
-) -> tuple[tuple[Hashable, Word, tuple] | None, int]:
+) -> tuple[tuple[Hashable, tuple, tuple] | None, int]:
     """Breadth-first search from labelled ``sources`` for a failing node.
 
-    ``sources`` are (label, node) pairs and ``successors`` gives (symbol,
-    child) pairs.  ``verdict`` is True where the search fails, False where
-    it drops a node and None where it goes on.  Returns the failing node's
-    source label, the symbols read since and the node, or None; and the
-    number of transitions taken.
+    ``sources`` are (label, node) pairs and ``successors`` gives (step,
+    child) pairs, a step being the symbol or symbols read.  ``verdict`` is
+    True where the search fails, False where it drops a node and None where
+    it goes on.  Returns the failing node's source label, the steps taken
+    since and the node, or None; and the number of transitions taken.
     """
     parent: dict[tuple, tuple] = {}
     checked = 0
@@ -593,181 +622,153 @@ def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
     checked = 0
     for d in decisions:
         others = [i for i, name in enumerate(rule.alphabet) if name != d]
-        # each pair still searched maps to the pair and symbol it came from
-        parent: dict[tuple, tuple | None] = {
-            (q, facts.start): None for q, state in opened.items() if d in state.toward
-        }
-        frontier = list(parent)
-        while frontier:
-            nxt = []
-            for pair in frontier:
-                for i in others:
-                    child = (facts.step(pair[0], i), facts.step(pair[1], i))
-                    checked += 1
-                    if child in parent or not facts.can_reach(child[0], d):
-                        continue
-                    if facts.decision(child[1]) is not None:
-                        witness = _dominance_witness(rule, parent, pair, i, d)
-                        return AxiomReport(
-                            "informational-dominance", False, witness, checked, facts.bound
-                        )
-                    parent[child] = (pair, i)
-                    nxt.append(child)
-            frontier = nxt
+
+        def verdict(pair: tuple) -> bool | None:
+            if d not in facts.reach(pair[0]):
+                return False
+            return True if facts.decision(pair[1]) is not None else None
+
+        found, count = _search(
+            [(q, (q, facts.start)) for q, state in opened.items() if d in state.toward],
+            lambda pair: [
+                (i, (facts.step(pair[0], i), facts.step(pair[1], i))) for i in others
+            ],
+            verdict,
+        )
+        checked += count
+        if found is not None:
+            q, blocking, (composite_state, _) = found
+            cut_word = opened[q].word
+            witness = {
+                "minimal_sufficient": _word_text(rule.alphabet, cut_word + facts.path_to(q, d)),
+                "decision": d,
+                "sufficient": _word_text(rule.alphabet, blocking),
+                "truncation": len(cut_word),
+                "composite": _closure_text(
+                    rule.alphabet, cut_word + blocking + facts.path_to(composite_state, d)
+                ),
+                "composite_decision": d,
+            }
+            return AxiomReport("informational-dominance", False, witness, checked, facts.bound)
     return AxiomReport("informational-dominance", True, None, checked, facts.bound)
 
 
-def _dominance_witness(
-    rule: RuleHandle, parent: dict[tuple, tuple | None], pair: tuple, symbol: int, d: str
-) -> dict:
-    """Witness of the product step reading ``symbol`` from ``pair``."""
-    facts = rule.facts
-    composite_state = facts.step(pair[0], symbol)
-    blocking = [symbol]
-    while parent[pair] is not None:
-        pair, i = parent[pair]  # type: ignore[misc]
-        blocking.append(i)
-    cut_word = facts.open_states[pair[0]].word
-    n_word = tuple(reversed(blocking))
-    return {
-        "minimal_sufficient": _word_text(rule.alphabet, cut_word + facts.path_to(pair[0], d)),
-        "decision": d,
-        "sufficient": _word_text(rule.alphabet, n_word),
-        "truncation": len(cut_word),
-        "composite": _closure_text(
-            rule.alphabet, cut_word + n_word + facts.path_to(composite_state, d)
-        ),
-        "composite_decision": d,
-    }
-
-
-def _distinguishing_extensions(
-    rule: RuleHandle, word: Word
-) -> tuple[tuple[Word, str], tuple[Word, str]]:
-    """Two full windows extending an open word that decide differently."""
-    facts = rule.facts
-    k, table = facts.bound, facts.table
-    n = len(rule.alphabet)
-    first: tuple[Word, str] | None = None
-    for fill in itertools.product(range(n), repeat=max(k - len(word), 0)):
-        full = (word + fill)[:k]
-        dec = table[full]
-        if first is None:
-            first = (word + fill, dec)
-        elif dec != first[1]:
-            return first, (word + fill, dec)
-    raise AssertionError("word was expected to be non-sufficient")
-
-
 def check_replacement(rule: RuleHandle) -> AxiomReport:
-    """Swapping one non-decisive symbol for another keeps sufficiency."""
+    """Swapping one non-decisive symbol for another keeps sufficiency.
+
+    One search over (original, copy, replaced yet) reads non-decisive
+    symbols, the copy another one than the original at one position.  It
+    drops a replaced node whose copy is decided and fails where the original
+    is decided, at a minimal sufficient segment, with the copy still open;
+    ``path_to`` extends the copy toward the first two decisions it can
+    reach.  ``checked`` counts product transitions.
+    """
     facts = rule.facts
-    k = facts.bound
-    dset = decisive_set(rule)
-    dprime = set(dset.complement)
-    checked = 0
-    for m_word, _ in facts.minimal:
-        seg = Segment(rule.alphabet, m_word)
-        if not seg.symbol_set() <= dprime:
-            continue
-        for pos in range(1, len(m_word) + 1):
-            for name in dset.complement:
-                replaced = (
-                    m_word[: pos - 1] + (rule.alphabet.index(name),) + m_word[pos:]
-                )
-                checked += 1
-                if facts.decided(replaced) is None:
-                    (ext_a, dec_a), (ext_b, dec_b) = _distinguishing_extensions(
-                        rule, replaced
-                    )
-                    return AxiomReport(
-                        "replacement",
-                        False,
-                        {
-                            "segment": _word_text(rule.alphabet, m_word),
-                            "position": pos,
-                            "replacement": name,
-                            "replaced": _word_text(rule.alphabet, replaced),
-                            "extension_a": _closure_text(rule.alphabet, ext_a),
-                            "decision_a": dec_a,
-                            "extension_b": _closure_text(rule.alphabet, ext_b),
-                            "decision_b": dec_b,
-                        },
-                        checked,
-                        k,
-                    )
-    return AxiomReport("replacement", True, None, checked, k)
+    alphabet = rule.alphabet
+    others = [alphabet.index(name) for name in decisive_set(rule).complement]
+
+    def verdict(node: tuple) -> bool | None:
+        orig, copy, replaced = node
+        if replaced and facts.decision(copy) is not None:
+            return False
+        return replaced if facts.decision(orig) is not None else None
+
+    found, checked = _search(
+        [(None, (facts.start, facts.start, False))],
+        lambda node: [
+            ((i, j), (facts.step(node[0], i), facts.step(node[1], j), node[2] or i != j))
+            for i in others
+            for j in ((i,) if node[2] else others)
+        ],
+        verdict,
+    )
+    if found is None:
+        return AxiomReport("replacement", True, None, checked, facts.bound)
+    _, steps, (_, copy, _) = found
+    segment, replaced = tuple(i for i, _ in steps), tuple(j for _, j in steps)
+    pos = next(p for p, (i, j) in enumerate(steps, 1) if i != j)
+    dec_a, dec_b = list(facts.open_states[copy].toward)[:2]
+    witness = {
+        "segment": _word_text(alphabet, segment),
+        "position": pos,
+        "replacement": alphabet.name(replaced[pos - 1]),
+        "replaced": _word_text(alphabet, replaced),
+        "extension_a": _closure_text(alphabet, replaced + facts.path_to(copy, dec_a)),
+        "decision_a": dec_a,
+        "extension_b": _closure_text(alphabet, replaced + facts.path_to(copy, dec_b)),
+        "decision_b": dec_b,
+    }
+    return AxiomReport("replacement", False, witness, checked, facts.bound)
 
 
 def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
-    """Shrinking the support of a non-decisive choice cannot flip it."""
-    facts = rule.facts
-    k = facts.bound
-    dset = decisive_set(rule)
-    dprime = set(dset.complement)
-    pool = [
-        (word, dec, Segment(rule.alphabet, word).symbol_set())
-        for word, dec in facts.minimal
-        if Segment(rule.alphabet, word).symbol_set() <= dprime
-    ]
+    """Shrinking the support of a non-decisive choice cannot flip it.
+
+    It reads the (set, decision) classes of ``Facts.outcomes``, each by its
+    first segment.  A class deciding x over S conflicts with each class over
+    a subset of S that holds x and decides otherwise.  So each class deciding
+    x indexes the class sets below it, by listing the subsets of S that hold
+    x or by scanning the class sets that hold x, whichever are fewer; the
+    first class in conflict, with its first conflicting class, is the
+    witness.  ``checked`` counts the subsets tried.
+    """
+    k = rule.facts.bound
+    dset, pool = _non_decisive_outcomes(rule)
+    holding = {x: {sset for sset, _ in pool if x in sset} for x in dset.complement}
+    above: dict[Outcome, int] = {}
     checked = 0
-    for m_word, m_dec, m_set in pool:
-        for p_word, p_dec, p_set in pool:
-            if m_set <= p_set and p_dec in m_set:
-                checked += 1
-                if p_dec != m_dec:
-                    return AxiomReport(
-                        "sequential-alpha",
-                        False,
-                        {
-                            "segment_m": _word_text(rule.alphabet, m_word),
-                            "decision_m": m_dec,
-                            "segment_m_prime": _word_text(rule.alphabet, p_word),
-                            "decision_m_prime": p_dec,
-                        },
-                        checked,
-                        k,
-                    )
+    for n, (p_set, x) in enumerate(pool):
+        if x not in p_set:
+            continue
+        subsets = holding[x]
+        if 1 << len(p_set) - 1 < len(subsets):
+            subsets = {frozenset({x})}
+            for y in p_set - {x}:
+                subsets |= {sub | {y} for sub in subsets}
+        for sub in subsets:
+            checked += 1
+            if sub <= p_set and sub in holding[x]:
+                above.setdefault((sub, x), n)
+    keys = list(pool)
+    for m_set, m_dec in pool:
+        found = [above[m_set, x] for x in m_set if x != m_dec and (m_set, x) in above]
+        if found:
+            p_set, p_dec = keys[min(found)]
+            witness = {
+                "segment_m": _word_text(rule.alphabet, pool[m_set, m_dec]),
+                "decision_m": m_dec,
+                "segment_m_prime": _word_text(rule.alphabet, pool[p_set, p_dec]),
+                "decision_m_prime": p_dec,
+            }
+            return AxiomReport("sequential-alpha", False, witness, checked, k)
     return AxiomReport("sequential-alpha", True, None, checked, k)
 
 
 def check_snbc(rule: RuleHandle) -> AxiomReport:
-    """No cycles across two-symbol minimal sufficient segments."""
-    facts = rule.facts
-    k = facts.bound
-    dset = decisive_set(rule)
-    dprime = set(dset.complement)
-    buckets: dict[frozenset[str], list[tuple[Word, str]]] = {}
-    for word, dec in facts.minimal:
-        sset = Segment(rule.alphabet, word).symbol_set()
-        if len(sset) == 2 and sset <= dprime:
-            buckets.setdefault(sset, []).append((word, dec))
+    """No cycles across two-symbol minimal sufficient segments.
+
+    For each ordered triple x, y, z of non-decisive symbols it looks up, in
+    ``Facts.outcomes``, classes of {x, y} deciding x, of {y, z} deciding y
+    and of {x, z} deciding z.  ``checked`` counts the triples whose first
+    two classes exist.
+    """
+    k = rule.facts.bound
+    dset, pool = _non_decisive_outcomes(rule)
     checked = 0
-    for x, y, z in itertools.permutations(sorted(dprime), 3):
-        for m_word, m_dec in buckets.get(frozenset((x, y)), []):
-            if m_dec != x:
-                continue
-            for p_word, p_dec in buckets.get(frozenset((y, z)), []):
-                if p_dec != y:
-                    continue
-                for q_word, q_dec in buckets.get(frozenset((x, z)), []):
-                    checked += 1
-                    if q_dec == z:
-                        return AxiomReport(
-                            "sequential-nbc",
-                            False,
-                            {
-                                "x": x,
-                                "y": y,
-                                "z": z,
-                                "segment_xy": _word_text(rule.alphabet, m_word),
-                                "segment_yz": _word_text(rule.alphabet, p_word),
-                                "segment_xz": _word_text(rule.alphabet, q_word),
-                                "decisions": [m_dec, p_dec, q_dec],
-                            },
-                            checked,
-                            k,
-                        )
+    for x, y, z in itertools.permutations(sorted(dset.complement), 3):
+        xy, yz, xz = (pool.get((frozenset(pair), pair[0])) for pair in ((x, y), (y, z), (z, x)))
+        if xy is None or yz is None:
+            continue
+        checked += 1
+        if xz is not None:
+            witness = {
+                "x": x, "y": y, "z": z,
+                "segment_xy": _word_text(rule.alphabet, xy),
+                "segment_yz": _word_text(rule.alphabet, yz),
+                "segment_xz": _word_text(rule.alphabet, xz),
+                "decisions": [x, y, z],
+            }
+            return AxiomReport("sequential-nbc", False, witness, checked, k)
     return AxiomReport("sequential-nbc", True, None, checked, k)
 
 
@@ -961,19 +962,18 @@ def identify_osr(rule: RuleHandle) -> Identification:
 
     The span is the uniform bound; decisive symbols rank above the rest in
     alphabet order (the data cannot order them further), the rest are
-    ordered by how they win against each other across two-or-more-symbol
-    minimal sufficient segments, and the threshold alternative is the
-    best-ranked non-decisive symbol.  Agreement is verified by
-    :func:`agreement_count` before returning.
+    ranked by how many others they beat, a symbol beating the others of
+    every minimal sufficient segment over non-decisive symbols that it
+    decides (read from the (set, decision) pairs of ``Facts.outcomes``),
+    and the threshold alternative is the best-ranked non-decisive symbol.
+    Agreement is verified by :func:`agreement_count` before returning.
     """
-    facts = rule.facts
-    span = max(facts.bound, 1)
-    dset = decisive_set(rule)
+    span = max(rule.facts.bound, 1)
+    dset, pool = _non_decisive_outcomes(rule)
     dprime = list(dset.complement)
     beaten: dict[str, set[str]] = {name: set() for name in dprime}
-    for word, dec in facts.minimal:
-        sset = Segment(rule.alphabet, word).symbol_set()
-        if sset <= set(dprime) and dec in beaten:
+    for sset, dec in pool:
+        if dec in beaten:
             beaten[dec] |= sset - {dec}
     ranked = sorted(dprime, key=lambda s: (-len(beaten[s]), rule.alphabet.index(s)))
     order = tuple(dset.decisive) + tuple(ranked)

@@ -215,7 +215,7 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
     rules: list[tuple[str, str, str, str, str, str, str]] = []
     for q in nonterm:
         rules.append((f"q:{q}", START, "*", f"q:{q}", "*", "R", "S"))
-        rules.append((f"q:{q}", BLANK, "*", f"q:{q}", "*", "S", "S"))
+        rules.append((f"q:{q}", "*", "*", f"q:{q}", "*", "S", "S"))
         for sym in aut.alphabet:
             tgt = aut.transitions[q][sym]
             if tgt in aut.terminal:

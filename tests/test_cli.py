@@ -8,7 +8,10 @@ import pytest
 
 from seqdec.cli import main
 from seqdec.core import Alphabet
-from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, rule_to_json
+from seqdec.analysis import AxiomReport, RuleHandle, replay_witness
+from seqdec.heuristics import (
+    Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, rule_from_dict, rule_to_json,
+)
 from seqdec.automaton import to_json as automaton_to_json
 from seqdec.machines import TwoTapeTm, to_json as tm_to_json, to_json_dict as tm_to_json_dict
 from tests.conftest import build_twosym_threshold2
@@ -306,20 +309,39 @@ def test_malformed_machine_exits_2_without_traceback(capsys, tmp_path, name, com
     assert err.startswith("seqdec: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["axioms", "--suite", "osr"]])
+CSR3_8 = {
+    "kind": "csr", "alphabet": ["a", "b", "c"],
+    "weights": {"a": "1/8", "b": "1/8", "c": "1/8"}, "threshold": "1",
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"]])
 def test_minimal_segments_past_the_cap_exit_3(capsys, tmp_path, command):
     # csr3/8: 515 states, bound 22, 2,602,452,993 minimal sufficient segments
     path = tmp_path / "csr3_8.json"
-    path.write_text(json.dumps({
-        "kind": "csr", "alphabet": ["a", "b", "c"],
-        "weights": {"a": "1/8", "b": "1/8", "c": "1/8"}, "threshold": "1",
-    }))
+    path.write_text(json.dumps(CSR3_8))
     begin = time.perf_counter()
     assert main([command[0], str(path), *command[1:]]) == 3
     assert time.perf_counter() - begin < 1.0
     err = capsys.readouterr().err
     assert err.startswith("seqdec: ") and "minimal sufficient segments" in err
     assert str(1 << 20) in err and "Traceback" not in err
+
+
+def test_osr_suite_past_the_segment_cap_exits_1(capsys, tmp_path):
+    # the OSR axioms read symbol sets and decisions, never the segment list
+    path = tmp_path / "csr3_8.json"
+    path.write_text(json.dumps(CSR3_8))
+    begin = time.perf_counter()
+    code, payload = run_json(capsys, ["axioms", str(path), "--suite", "osr"])
+    assert time.perf_counter() - begin < 1.0
+    assert code == 1 and [r["horizon"] for r in payload] == [22, 22, 22]
+    rule = RuleHandle.from_rule(rule_from_dict(CSR3_8))
+    failed = [r for r in payload if r["verdict"] == "fail"]
+    assert failed
+    for r in failed:
+        report = AxiomReport(r["axiom"], False, r["witness"], r["checked"], r["horizon"])
+        assert replay_witness(rule, report), r
 
 
 class TestMinimizeAndDot:

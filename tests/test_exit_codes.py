@@ -1,13 +1,14 @@
 """The exit-code contract on random documents, over the product searches.
 
-``axioms --suite csr`` and ``identify --as csr|osr`` run on random small rule
-documents, well formed or not, and on random automaton documents, stopping
-or not; ``minimize`` (JSON and text), ``compile --minimize`` and ``dot`` run
-on the automaton documents too.  Machine documents, embedded stopping
-automata with a junk field or a string for a list now and then, go through
-``tm-run``, ``eval``, ``analyze``, ``axioms --suite csr`` and ``compile``
-with hostile horizons and budgets.  Whatever the input, the command must
-exit 0, 1, 2 or 3 and never print a traceback.
+``axioms --suite csr|osr``, ``analyze`` and ``identify --as csr|osr`` run on
+random small rule documents, well formed or not, and on random automaton
+documents, stopping or not; ``minimize`` (JSON and text), ``compile
+--minimize`` and ``dot`` run on the automaton documents too.  Machine
+documents, embedded stopping automata, some with an output outside the
+input alphabet and now and then with a junk field or a string for a list,
+go through ``tm-run``, ``eval``, ``analyze``, ``axioms --suite csr`` and
+``compile`` with hostile horizons and budgets.  Whatever the input, the
+command must exit 0, 1, 2 or 3 and never print a traceback.
 """
 
 import contextlib
@@ -23,7 +24,10 @@ from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
 
-COMMANDS = (["axioms", "--suite", "csr"], ["identify", "--as", "csr"], ["identify", "--as", "osr"])
+COMMANDS = (
+    ["axioms", "--suite", "csr"], ["axioms", "--suite", "osr"], ["analyze"],
+    ["identify", "--as", "csr"], ["identify", "--as", "osr"],
+)
 AUTOMATON_COMMANDS = COMMANDS + (
     ["minimize"], ["minimize", "--format", "text"], ["compile", "--minimize"], ["dot"],
 )
@@ -117,7 +121,8 @@ def machine_documents(draw):
     """Embedded stopping automata; about a third get a junk or stringified field."""
     alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
     count = draw(st.integers(1, 3))
-    terminal = {f"t{i}": out for i, out in enumerate(draw(st.permutations(alphabet))[:2])}
+    outputs = draw(st.permutations(alphabet + ["none"]))[:2]
+    terminal = {f"t{i}": out for i, out in enumerate(outputs)}
     # each open state moves only to later ones, so every run stops
     transitions = {}
     for i in range(count):

@@ -125,6 +125,21 @@ class TestAutomatonEmbedding:
         got = tm_run(tm, ABC.sequence("|a b c"), budget=100)
         assert got.decision == "a" and got.steps == 7 + 2
 
+    def test_output_outside_the_input_alphabet(self):
+        # "none" joins the tape alphabet, so every open state needs a rule for it
+        aut = DecisionAutomaton(
+            XY,
+            ("q0", "t0"),
+            "q0",
+            {"q0": {"x": "t0", "y": "t0"}, "t0": absorbing_terminal_row(XY, "t0")},
+            {"t0": "none"},
+        )
+        tm = automaton_to_tm(aut)
+        assert "none" in tm.tape_alphabet
+        for name in XY:
+            got = tm_run(tm, constant(XY, name), budget=10)
+            assert (got.decision, got.steps) == ("none", 3)
+
     def test_non_stopping_automaton_rejected(self):
         loop = DecisionAutomaton(
             XY, ("q0",), "q0", {"q0": {"x": "q0", "y": "q0"}}, {}
