@@ -15,7 +15,8 @@ order gives K (one more than the longest run through them), each state's
 reachable decisions and the number of minimal sufficient segments, which
 only ``analyze`` lists, under ``WINDOW_CAP``.  The decisive set, two of
 the OSR axioms and ``identify_osr``'s ranking ask only which symbol sets
-occur with which decision: one search over (open state, symbols read).
+occur with which decision: one search over (open state, symbols read),
+under ``WINDOW_CAP`` nodes times symbols.
 Monotonicity, informational dominance, replacement and the agreement check
 of identification search products of states.  Only neutrality, acyclicity
 and tabulation build the table of all |alphabet|^K window decisions, and
@@ -253,7 +254,9 @@ class Facts:
         One breadth-first search over (open state, set of the symbols read)
         visits each node once, by its first word in length-then-
         lexicographic order, so each pair's segment is its first in
-        ``minimal``'s order, and the pairs come in that order.
+        ``minimal``'s order, and the pairs come in that order.  Each pair is
+        found at a child of a node, so past ``WINDOW_CAP`` nodes times symbols
+        it raises ``ResourceLimit``.
         """
         got = self.decision(self.start)
         if got is not None:
@@ -270,6 +273,11 @@ class Facts:
                 elif child not in words:
                     words[child] = words[node] + (i,)
                     order.append(child)
+            if len(order) * len(self.alphabet) > WINDOW_CAP:
+                raise ResourceLimit(
+                    f"{len(order)} (state, symbol set) nodes times {len(self.alphabet)} symbols",
+                    WINDOW_CAP,
+                )
         return outcomes
 
     @cached_property
@@ -704,43 +712,28 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
 def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
     """Shrinking the support of a non-decisive choice cannot flip it.
 
-    It reads the (set, decision) classes of ``Facts.outcomes``, each by its
-    first segment.  A class deciding x over S conflicts with each class over
-    a subset of S that holds x and decides otherwise.  So each class deciding
-    x indexes the class sets below it, by listing the subsets of S that hold
-    x or by scanning the class sets that hold x, whichever are fewer; the
-    first class in conflict, with its first conflicting class, is the
-    witness.  ``checked`` counts the subsets tried.
+    It compares the (set, decision) classes of ``Facts.outcomes`` pairwise,
+    each by its first segment, in their order; past ``WINDOW_CAP`` pairs it
+    raises ``ResourceLimit``.  ``checked`` counts the pairs whose second set
+    holds the first and whose second decision is in the first set.
     """
     k = rule.facts.bound
-    dset, pool = _non_decisive_outcomes(rule)
-    holding = {x: {sset for sset, _ in pool if x in sset} for x in dset.complement}
-    above: dict[Outcome, int] = {}
+    _, pool = _non_decisive_outcomes(rule)
+    if len(pool) ** 2 > WINDOW_CAP:
+        raise ResourceLimit(f"{len(pool)}^2 pairs of (symbol set, decision) classes", WINDOW_CAP)
     checked = 0
-    for n, (p_set, x) in enumerate(pool):
-        if x not in p_set:
-            continue
-        subsets = holding[x]
-        if 1 << len(p_set) - 1 < len(subsets):
-            subsets = {frozenset({x})}
-            for y in p_set - {x}:
-                subsets |= {sub | {y} for sub in subsets}
-        for sub in subsets:
-            checked += 1
-            if sub <= p_set and sub in holding[x]:
-                above.setdefault((sub, x), n)
-    keys = list(pool)
     for m_set, m_dec in pool:
-        found = [above[m_set, x] for x in m_set if x != m_dec and (m_set, x) in above]
-        if found:
-            p_set, p_dec = keys[min(found)]
-            witness = {
-                "segment_m": _word_text(rule.alphabet, pool[m_set, m_dec]),
-                "decision_m": m_dec,
-                "segment_m_prime": _word_text(rule.alphabet, pool[p_set, p_dec]),
-                "decision_m_prime": p_dec,
-            }
-            return AxiomReport("sequential-alpha", False, witness, checked, k)
+        for p_set, p_dec in pool:
+            if m_set <= p_set and p_dec in m_set:
+                checked += 1
+                if p_dec != m_dec:
+                    witness = {
+                        "segment_m": _word_text(rule.alphabet, pool[m_set, m_dec]),
+                        "decision_m": m_dec,
+                        "segment_m_prime": _word_text(rule.alphabet, pool[p_set, p_dec]),
+                        "decision_m_prime": p_dec,
+                    }
+                    return AxiomReport("sequential-alpha", False, witness, checked, k)
     return AxiomReport("sequential-alpha", True, None, checked, k)
 
 

@@ -344,6 +344,35 @@ def test_osr_suite_past_the_segment_cap_exits_1(capsys, tmp_path):
         assert replay_witness(rule, report), r
 
 
+
+def wide_osr_file(tmp_path, size: int) -> str:
+    # span 6, ranked in alphabet order, the first symbol the default: every
+    # symbol is non-decisive, so the symbol sets read grow like size^5
+    alphabet = Alphabet(tuple(f"s{i:02d}" for i in range(size)))
+    path = tmp_path / f"osr{size}_6.json"
+    path.write_text(rule_to_json(OsrSpec(alphabet, alphabet.symbols, "s00", 6)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "size, command, code, what",
+    [
+        (24, ["axioms", "--suite", "osr"], 3, "43694 (state, symbol set) nodes times 24 symbols"),
+        (24, ["identify", "--as", "osr"], 3, "43694 (state, symbol set) nodes times 24 symbols"),
+        (16, ["axioms", "--suite", "osr"], 3, "9948^2 pairs of (symbol set, decision) classes"),
+        (16, ["identify", "--as", "osr"], 0, ""),
+    ],
+)
+def test_wide_osr_past_the_class_caps_exits_3(capsys, tmp_path, size, command, code, what):
+    path = wide_osr_file(tmp_path, size)
+    begin = time.perf_counter()
+    assert main([command[0], path, *command[1:]]) == code
+    assert time.perf_counter() - begin < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err == f"seqdec: {what} exceed the cap of {1 << 20}\n"
+
 class TestMinimizeAndDot:
     def test_minimize_automaton_file(self, capsys, tmp_path):
         path = tmp_path / "aut.json"
