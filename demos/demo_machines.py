@@ -34,9 +34,7 @@ for text in ("|a b c", "b b|a", "|c"):
     print(f"  {text:<8} automaton: {decision}@{stop}   machine: {run.decision} in {run.steps} steps")
 
 print("\nresynthesis from budgeted machine runs:")
-box = RuleHandle.from_callable(
-    abc, lambda seq: tm_run(machine, seq, budget=100).decision, horizon=7
-)
+box = RuleHandle.from_machine(machine, abc, horizon=7, budget=100)
 rebuilt = minimize(tabulate_automaton(box))
 print(f"  observed automaton: {len(rebuilt.states)} states, bound {verify_stopping(rebuilt).bound}")
 for text in ("|a b c", "b b|a"):

@@ -1,10 +1,12 @@
 """Rule-agnostic stopping analysis, axiom checking, and identification.
 
 Everything here works against a :class:`RuleHandle`, either an automaton or
-a pure black-box evaluator with a declared horizon H.  Both are analysed as
-one decision automaton: a black box is tabulated into the segment tree of
-its length-H windows, each window's decision validated against every
-single-symbol closure while the tree is built, which is how a lying
+a black box with a declared horizon H: a pure evaluator or a budgeted
+machine, read as a tree of runs over the words read so far.  Both are
+analysed as one decision automaton: a black box is tabulated into the
+segment tree of its length-H windows by one depth-first walk of its run
+tree.  The walk shares each prefix's run among the windows below it and
+closes each full window with every single symbol, which is how a lying
 horizon declaration is caught.  One peel of the automaton gives every
 state's decision, a terminal's output or the one the peel forces, and
 shows that the rule stops.
@@ -30,11 +32,12 @@ replayable from its recorded sequence texts via :func:`replay_witness`.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Alphabet,
@@ -58,6 +61,7 @@ from .automaton import (
     reachable_states,
 )
 from . import heuristics
+from .machines import TmRuns, TwoTapeTm
 from .heuristics import (
     CsrSpec,
     OsrSpec,
@@ -106,24 +110,43 @@ class NotOsr(SeqdecError):
         self.sequence = sequence
 
 
+@dataclass(frozen=True)
+class EvaluatorRuns:
+    """A plain evaluator as the degenerate run tree, in which no read decides.
+
+    A run tree's ``read(node, word)`` gives the node of ``word`` from its
+    parent's (None at the root), with the decision if the run ends there,
+    else None; ``close(node, seq)`` gives a node and the decision on
+    ``seq``, which extends the node's word (any sequence at the root).
+    """
+
+    decide: Callable[[SeqSpec], str]
+
+    def read(self, node: None, word: Word) -> tuple[None, None]:
+        return None, None
+
+    def close(self, node: None, seq: SeqSpec) -> tuple[None, str]:
+        return None, self.decide(seq)
+
+
 @dataclass
 class RuleHandle:
-    """A decision rule under analysis: an automaton or a pure black box.
+    """A decision rule under analysis: an automaton or a black box's run tree.
 
-    Black-box evaluators must be pure (same input, same output); the
-    declared horizon asserts that decisions depend only on the first that
-    many positions.
+    Black boxes must be pure (same input, same output); the declared
+    horizon asserts that decisions depend only on the first that many
+    positions.
     """
 
     alphabet: Alphabet
     automaton: DecisionAutomaton | None = None
-    evaluator: Callable[[SeqSpec], str] | None = None
+    runs: EvaluatorRuns | TmRuns | None = None
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.automaton is None) == (self.evaluator is None):
-            raise ValidationError("exactly one of automaton or evaluator must be given")
-        if self.evaluator is not None and (self.horizon is None or self.horizon < 1):
+        if (self.automaton is None) == (self.runs is None):
+            raise ValidationError("exactly one of automaton or runs must be given")
+        if self.runs is not None and (self.horizon is None or self.horizon < 1):
             raise ValidationError("black-box rules need a declared horizon >= 1")
 
     @classmethod
@@ -134,7 +157,11 @@ class RuleHandle:
     def from_callable(
         cls, alphabet: Alphabet, evaluator: Callable[[SeqSpec], str], horizon: int
     ) -> RuleHandle:
-        return cls(alphabet=alphabet, evaluator=evaluator, horizon=horizon)
+        return cls(alphabet=alphabet, runs=EvaluatorRuns(evaluator), horizon=horizon)
+
+    @classmethod
+    def from_machine(cls, tm: TwoTapeTm, alphabet: Alphabet, horizon: int, budget: int) -> RuleHandle:
+        return cls(alphabet=alphabet, runs=TmRuns(tm, alphabet, budget), horizon=horizon)
 
     @classmethod
     def from_rule(cls, spec: RuleSpec) -> RuleHandle:
@@ -143,7 +170,7 @@ class RuleHandle:
     def decide(self, seq: SeqSpec) -> str:
         if self.automaton is not None:
             return evaluate(self.automaton, seq)[0]
-        return self.evaluator(seq)  # type: ignore[misc]
+        return self.runs.close(None, seq)[1]  # type: ignore[union-attr,return-value]
 
     @cached_property
     def facts(self) -> Facts:
@@ -163,24 +190,44 @@ def _require_windows(alphabet: Alphabet, length: int) -> None:
 def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
     """Segment-tree automaton of the decisions of all length-H windows.
 
-    Both caps are met before the evaluator is called.  The windows are
-    decided in lexicographic order, each validated across every
-    single-symbol closure.
+    One depth-first walk of the rule's run tree, in lexicographic order,
+    decides the windows in the order the segment tree asks for them, so
+    both caps are met before the first run.  A run that ends at a prefix
+    decides every window below it at once; a full window's run is closed by
+    each single symbol, and closures that disagree show a lying horizon.
     """
-    h = rule.horizon
-    assert h is not None and rule.evaluator is not None
+    h, runs = rule.horizon, rule.runs
+    assert h is not None and runs is not None
     _require_windows(rule.alphabet, h)
     n = len(rule.alphabet)
 
+    def walk() -> Iterator[tuple[Word, str]]:
+        stack: list[tuple[Word, Any]] = [((), None)]
+        while stack:
+            word, parent = stack.pop()
+            node, got = runs.read(parent, word)
+            if got is not None:
+                for rest in itertools.product(range(n), repeat=h - len(word)):
+                    yield word + rest, got
+            elif len(word) < h:
+                stack.extend((word + (i,), node) for i in reversed(range(n)))
+            else:
+                closed = {runs.close(node, _closure(rule.alphabet, word, c))[1] for c in range(n)}
+                if len(closed) > 1:
+                    text = Segment(rule.alphabet, word).text()
+                    raise HorizonViolation(
+                        f"decisions after window {text!r} differ across closures {sorted(closed)}; "
+                        f"the rule reads past the declared horizon {h}"
+                    )
+                yield word, closed.pop()
+
+    walked = walk()
+
     def decide(word: Word) -> str:
-        got = {rule.evaluator(_closure(rule.alphabet, word, c)) for c in range(n)}
-        if len(got) > 1:
-            text = Segment(rule.alphabet, word).text()
-            raise HorizonViolation(
-                f"decisions after window {text!r} differ across closures {sorted(got)}; "
-                f"the rule reads past the declared horizon {h}"
-            )
-        return got.pop()
+        # segment_tree_automaton asks for the windows in the walk's order
+        at, got = next(walked)
+        assert at == word, (at, word)
+        return got
 
     return segment_tree_automaton(rule.alphabet, h, decide)
 
@@ -279,6 +326,18 @@ class Facts:
                     WINDOW_CAP,
                 )
         return outcomes
+
+    @cached_property
+    def decisive(self) -> DecisiveSet:
+        """Read off ``outcomes``: each witness is the first minimal sufficient
+        segment that holds its symbol and decides otherwise."""
+        witnesses: dict[str, tuple[str, str]] = {}
+        for (sset, dec), word in self.outcomes.items():
+            for name in sset - witnesses.keys() - {dec}:
+                witnesses[name] = (_word_text(self.alphabet, word), dec)
+        complement = tuple(s for s in self.alphabet if s in witnesses)
+        decisive = tuple(s for s in self.alphabet if s not in witnesses)
+        return DecisiveSet(decisive, complement, {s: witnesses[s] for s in complement})
 
     @cached_property
     def minimal(self) -> list[tuple[Word, str]]:
@@ -455,21 +514,13 @@ class DecisiveSet:
 
 
 def decisive_set(rule: RuleHandle) -> DecisiveSet:
-    """Read off ``Facts.outcomes``: each witness is the first minimal sufficient
-    segment that holds its symbol and decides otherwise."""
-    alphabet = rule.alphabet
-    witnesses: dict[str, tuple[str, str]] = {}
-    for (sset, dec), word in rule.facts.outcomes.items():
-        for name in sset - witnesses.keys() - {dec}:
-            witnesses[name] = (_word_text(alphabet, word), dec)
-    complement = tuple(s for s in alphabet if s in witnesses)
-    decisive = tuple(s for s in alphabet if s not in witnesses)
-    return DecisiveSet(decisive, complement, {s: witnesses[s] for s in complement})
+    """The rule's ``Facts.decisive``, built once per facts."""
+    return rule.facts.decisive
 
 
 def _non_decisive_outcomes(rule: RuleHandle) -> tuple[DecisiveSet, dict[Outcome, Word]]:
     """The decisive set, and the ``outcomes`` whose symbols are all non-decisive."""
-    dset = decisive_set(rule)
+    dset = rule.facts.decisive
     return dset, {o: w for o, w in rule.facts.outcomes.items() if o[0].isdisjoint(dset.decisive)}
 
 
@@ -673,7 +724,7 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
     """
     facts = rule.facts
     alphabet = rule.alphabet
-    others = [alphabet.index(name) for name in decisive_set(rule).complement]
+    others = [alphabet.index(name) for name in facts.decisive.complement]
 
     def verdict(node: tuple) -> bool | None:
         orig, copy, replaced = node
@@ -812,12 +863,9 @@ def check_neutrality(rule: RuleHandle) -> AxiomReport:
     return AxiomReport("neutrality", True, None, checked, k)
 
 
-def _bits_text(bits: tuple[int, ...]) -> str:
-    return "".join(str(b) for b in bits)
-
-
-def _config_of(word: Word, idx: int) -> tuple[int, ...]:
-    return tuple(1 if w == idx else 0 for w in word)
+def _config_text(word: Word, idx: int) -> str:
+    """Occupancy pattern of symbol ``idx`` in ``word``, as bits."""
+    return "".join("1" if w == idx else "0" for w in word)
 
 
 def check_acyclicity(rule: RuleHandle) -> AxiomReport:
@@ -838,11 +886,11 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
         if not word:
             continue
         winner = rule.alphabet.index(table[word])
-        win_cfg = _bits_text(_config_of(word, winner))
+        win_cfg = _config_text(word, winner)
         for other in sorted(set(word)):
             if other == winner:
                 continue
-            lose_cfg = _bits_text(_config_of(word, other))
+            lose_cfg = _config_text(word, other)
             checked += 1
             edges.setdefault(
                 (win_cfg, lose_cfg),
@@ -862,57 +910,38 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
         out.sort()
     cycle = _shortest_cycle(succ)
     if cycle is not None:
-        witness_edges = [
-            edges[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
-        ]
-        return AxiomReport(
-            "acyclicity",
-            False,
-            {"cycle": list(cycle), "edges": witness_edges},
-            checked,
-            k,
-        )
+        witness_edges = [edges[e] for e in zip(cycle, cycle[1:] + cycle[:1])]
+        witness = {"cycle": list(cycle), "edges": witness_edges}
+        return AxiomReport("acyclicity", False, witness, checked, k)
     order = _topological_order(succ)
-    return AxiomReport(
-        "acyclicity", True, None, checked, k, details={"configuration_order": order}
-    )
+    return AxiomReport("acyclicity", True, None, checked, k, details={"configuration_order": order})
 
 
 def _shortest_cycle(succ: dict[str, list[str]]) -> tuple[str, ...] | None:
     """Shortest directed cycle, first by length then by start node order."""
     best: tuple[str, ...] | None = None
     for start in sorted(succ):
-        back = {start: None}
-        frontier = [start]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for node in frontier:
-                for child in succ[node]:
-                    if child == start:
-                        path = [node]
-                        while back[path[-1]] is not None:
-                            path.append(back[path[-1]])
-                        found = tuple(reversed(path))
-                        break
-                    if child not in back:
-                        back[child] = node
-                        nxt.append(child)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None and (best is None or len(found) < len(best)):
-            best = found
+        back: dict[str, str | None] = {start: None}
+        queue = [start]
+        for node in queue:  # breadth first: the queue grows as it is read
+            if start in succ[node]:
+                path = [node]
+                while back[path[-1]] is not None:
+                    path.append(back[path[-1]])  # type: ignore[arg-type]
+                if best is None or len(path) < len(best):
+                    best = tuple(reversed(path))
+                break
+            for child in succ[node]:
+                if child not in back:
+                    back[child] = node
+                    queue.append(child)
     return best
 
 
 def _topological_order(succ: dict[str, list[str]]) -> list[str]:
     """Kahn's algorithm, best-ranked first, deterministic by node name."""
-    indeg = {node: 0 for node in succ}
-    for node in succ:
-        for child in succ[node]:
-            indeg[child] += 1
-    ready = sorted(node for node, d in indeg.items() if d == 0)
+    indeg = collections.Counter(child for out in succ.values() for child in out)
+    ready = sorted(node for node in succ if not indeg[node])
     order = []
     while ready:
         node = ready.pop(0)
@@ -1044,9 +1073,7 @@ def replay_witness(rule: RuleHandle, report: AxiomReport) -> bool:
         n_seg = alphabet.segment(w["sufficient"])
         composite = alphabet.sequence(w["composite"])
         cut = w["truncation"]
-        prefix_ok = composite.window(cut + len(n_seg)) == tuple(
-            m_seg.word[:cut]
-        ) + tuple(n_seg.word)
+        prefix_ok = composite.window(cut + len(n_seg)) == m_seg.word[:cut] + n_seg.word
         return (
             prefix_ok
             and cut < len(m_seg)
@@ -1124,18 +1151,13 @@ def replay_witness(rule: RuleHandle, report: AxiomReport) -> bool:
         edges = w["edges"]
         if len(edges) != len(cycle) or len(cycle) < 2:
             return False
-        for i, edge in enumerate(edges):
-            if edge["winner_config"] != cycle[i]:
-                return False
-            if edge["loser_config"] != cycle[(i + 1) % len(cycle)]:
+        for edge, configs in zip(edges, zip(cycle, cycle[1:] + cycle[:1])):
+            if (edge["winner_config"], edge["loser_config"]) != configs:
                 return False
             seq = alphabet.sequence(edge["sequence"])
-            k = rule.facts.bound
-            win_bits = _bits_text(_config_of(seq.window(k), alphabet.index(edge["winner"])))
-            lose_bits = _bits_text(_config_of(seq.window(k), alphabet.index(edge["loser"])))
-            if win_bits != edge["winner_config"] or lose_bits != edge["loser_config"]:
-                return False
-            if rule.decide(seq) != edge["winner"]:
+            window = seq.window(rule.facts.bound)
+            bits = tuple(_config_text(window, alphabet.index(edge[key])) for key in ("winner", "loser"))
+            if bits != configs or rule.decide(seq) != edge["winner"]:
                 return False
         return True
     raise SeqdecError(f"unknown axiom {report.axiom!r}")

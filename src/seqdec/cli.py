@@ -18,10 +18,11 @@ Sequence literals use ``prefix|cycle`` notation, e.g. ``"a b|c"``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .core import SeqSpec, Alphabet, ResourceLimit, ValidationError, prefix_of
+from .core import Alphabet, ResourceLimit, ValidationError, prefix_of
 from . import automaton as automaton_mod
 from .automaton import DivergenceError, minimize, to_dot, verify_stopping
 from . import machines as machines_mod
@@ -105,13 +106,7 @@ class _Loaded:
             return RuleHandle.from_automaton(self.automaton)
         if not getattr(args, "horizon", None) or not getattr(args, "budget", None):
             raise ValidationError("machine-backed rules need --horizon and --budget")
-        machine = self.machine
-        budget = args.budget
-
-        def evaluator(seq: SeqSpec) -> str:
-            return tm_run(machine, seq, budget).decision
-
-        return RuleHandle.from_callable(self.alphabet(args), evaluator, args.horizon)
+        return RuleHandle.from_machine(self.machine, self.alphabet(args), args.horizon, args.budget)
 
 
 def cmd_eval(args) -> int:
@@ -242,6 +237,7 @@ def cmd_tm_run(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: building takes longer than most commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqdec",

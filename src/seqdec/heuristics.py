@@ -366,8 +366,9 @@ def segment_tree_automaton(
 
     Internal states are the words shorter than ``depth``; reading the final
     symbol of a full-depth word moves to the absorbing output state labeled
-    by ``decide(word)``.  The generic bridge from any bounded-window
-    evaluator, or any tabulated black box, to an automaton.
+    by ``decide(word)``, which is called once per word, in lexicographic
+    order, after the state count is checked.  The generic bridge from any
+    bounded-window evaluator, or any tabulated black box, to an automaton.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")

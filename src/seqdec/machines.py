@@ -7,7 +7,9 @@ step budgets are unambiguous.  The input tape is materialized lazily from
 the sequence, keeping memory proportional to the steps taken.
 
 Machines are immutable; each run carries its own tape state, so concurrent
-runs of one machine are safe.
+runs of one machine are safe.  One interpreter loop runs a machine until it
+halts or its input head first reaches a cell it was not given: ``tm_run``
+gives it the whole sequence, ``TmRuns`` a word at a time.
 
 JSON wire format::
 
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .core import SeqSpec, SeqdecError, ValidationError
+from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
 from .automaton import DecisionAutomaton, verify_stopping
 
 START = "◁"
@@ -160,6 +162,11 @@ class TmRun:
     halted: bool = True
 
 
+# a run between two steps: control state, input and output head cells,
+# output tape, steps taken
+TmConfig = tuple[str, int, int, dict[int, str], int]
+
+
 def tm_run(tm: TwoTapeTm, seq: SeqSpec, budget: int) -> TmRun:
     """Simulate on the start marker followed by the sequence.
 
@@ -167,31 +174,63 @@ def tm_run(tm: TwoTapeTm, seq: SeqSpec, budget: int) -> TmRun:
     without reaching a terminal state; non-halting can only be signaled this
     way since the input is infinite.
     """
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-    for name in seq.alphabet:
-        if name not in tm.tape_alphabet:
-            raise InvalidMachineError(f"sequence symbol {name!r} not in the tape alphabet")
+    config, decision = TmRuns(tm, seq.alphabet, budget).close(None, seq)
+    return TmRun(decision=decision, steps=config[-1])  # type: ignore[arg-type]
 
-    def input_at(pos: int) -> str:
-        return START if pos == 1 else seq.symbol_at(pos - 1)
 
-    out_tape: dict[int, str] = {1: START}
-    in_pos = out_pos = 1
-    state = tm.initial
-    steps = 0
-    while state not in tm.terminal:
-        if steps >= budget:
-            raise BudgetExhausted(steps)
-        key = (state, input_at(in_pos), out_tape.get(out_pos, BLANK))
-        state, written, move_in, move_out = tm.transitions[key]
-        out_tape[out_pos] = written
-        in_pos += MOVES[move_in]
-        out_pos += MOVES[move_out]
-        if in_pos < 1 or out_pos < 1:
-            raise TapeBoundsError("a head moved left of the start cell")
-        steps += 1
-    return TmRun(decision=out_tape.get(out_pos, BLANK), steps=steps)
+@dataclass(frozen=True)
+class TmRuns:
+    """A machine's runs on the inputs over ``alphabet``, as a tree of words.
+
+    ``read(config, word)`` resumes the run paused at ``config`` (None: not
+    yet started) on the start marker and ``word``, until the input head
+    first reaches the cell after them; it gives the paused run and None, or
+    the decision where the machine halts first.  ``close(config, seq)``
+    resumes it on the start marker and all of ``seq``.
+    """
+
+    tm: TwoTapeTm
+    alphabet: Alphabet
+    budget: int
+
+    def read(self, config: TmConfig | None, word: tuple[int, ...]) -> tuple[TmConfig, str | None]:
+        cells = (START, *map(self.alphabet.name, word))
+        return self.run(config, dict(enumerate(cells, 1)).get)
+
+    def close(self, config: TmConfig | None, seq: SeqSpec) -> tuple[TmConfig, str | None]:
+        return self.run(config, lambda pos: START if pos == 1 else seq.symbol_at(pos - 1))
+
+    def run(
+        self, config: TmConfig | None, input_at: Callable[[int], str | None]
+    ) -> tuple[TmConfig, str | None]:
+        """The interpreter loop: run a copy of ``config`` until the machine
+        halts, with its decision, or its input head first reaches a cell
+        ``input_at`` gives no symbol for, with None."""
+        tm, budget = self.tm, self.budget
+        if config is None:
+            if budget < 1:
+                raise ValidationError(f"budget must be >= 1, got {budget}")
+            for name in self.alphabet:
+                if name not in tm.tape_alphabet:
+                    raise InvalidMachineError(f"sequence symbol {name!r} not in the tape alphabet")
+            config = tm.initial, 1, 1, {1: START}, 0
+        state, in_pos, out_pos, out_tape, steps = config
+        out_tape = dict(out_tape)
+        while state not in tm.terminal:
+            if steps >= budget:
+                raise BudgetExhausted(steps)
+            read = input_at(in_pos)
+            if read is None:
+                return (state, in_pos, out_pos, out_tape, steps), None
+            key = (state, read, out_tape.get(out_pos, BLANK))
+            state, written, move_in, move_out = tm.transitions[key]
+            out_tape[out_pos] = written
+            in_pos += MOVES[move_in]
+            out_pos += MOVES[move_out]
+            if in_pos < 1 or out_pos < 1:
+                raise TapeBoundsError("a head moved left of the start cell")
+            steps += 1
+        return (state, in_pos, out_pos, out_tape, steps), out_tape.get(out_pos, BLANK)
 
 
 def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:

@@ -487,31 +487,52 @@ class TestIdentify:
 
     def test_one_agreement_pass(self, capsys, tmp_path, monkeypatch):
         # one search over state pairs that never probes the rule again: the
-        # automaton is never run, the machine only while it is tabulated
-        from seqdec import analysis, cli
+        # automaton is never run, the machine only while it is tabulated,
+        # by one walk of its run tree that shares every prefix's steps
+        import itertools
+
+        from seqdec import analysis, machines
         from seqdec.heuristics import csr_compile
-        from seqdec.machines import automaton_to_tm
+        from seqdec.machines import automaton_to_tm, tm_run
 
         # critical counts (2, 2, 2): bound 4, so 3^4 windows times 3 closures
         spec = CsrSpec(ABC, {s: Fraction(1, 2) for s in ABC}, Fraction(1))
         aut = csr_compile(spec)
         aut_path = tmp_path / "csr222_aut.json"
         aut_path.write_text(automaton_to_json(aut))
-        doc = tm_to_json_dict(automaton_to_tm(aut))
+        tm = automaton_to_tm(aut)
+        doc = tm_to_json_dict(tm)
         doc["input_alphabet"] = ["a", "b", "c"]
         tm_path = tmp_path / "csr222_tm.json"
         tm_path.write_text(json.dumps(doc))
-        evaluations, runs = [], []
-        evaluate, run = analysis.evaluate, cli.tm_run
+        evaluations, transitions = [], []
+        evaluate, run = analysis.evaluate, machines.TmRuns.run
+
+        def counted(self, config, input_at):
+            new, decision = run(self, config, input_at)
+            transitions.append(new[-1] - (config[-1] if config else 0))
+            return new, decision
+
         monkeypatch.setattr(analysis, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
-        monkeypatch.setattr(cli, "tm_run", lambda *a: runs.append(1) or run(*a))
+        monkeypatch.setattr(machines.TmRuns, "run", counted)
         code, payload = run_json(capsys, ["identify", str(aut_path), "--as", "csr"])
         assert code == 0 and payload["checked"] > 0 and len(evaluations) == 0
         code, payload = run_json(
             capsys,
             ["identify", str(tm_path), "--as", "csr", "--horizon", "4", "--budget", "100"],
         )
-        assert code == 0 and payload["checked"] > 0 and len(runs) == 3 ** 4 * 3
+        walked = sum(transitions)
+        assert code == 0 and payload["checked"] > 0 and walked == 82
+        transitions.clear()
+        analysis._tabulate_blackbox(RuleHandle.from_machine(tm, ABC, 4, 100))
+        assert sum(transitions) == walked
+        # the 243 runs from the start marker that the walk replaced
+        per_closure = sum(
+            tm_run(tm, analysis._closure(ABC, word, c), 100).steps
+            for word in itertools.product(range(3), repeat=4)
+            for c in range(3)
+        )
+        assert walked < per_closure == 1188
 
     def test_written_rule_loads(self, capsys, fig_file, tmp_path):
         out = tmp_path / "recovered.json"

@@ -1,14 +1,16 @@
 """The exit-code contract on random documents, over the product searches.
 
-``axioms --suite csr|osr``, ``analyze`` and ``identify --as csr|osr`` run on
-random small rule documents, well formed or not, and on random automaton
+``axioms --suite csr|osr|config``, ``analyze``, ``identify --as csr|osr``
+and ``eval`` on random sequence literals, well formed or not, run on random
+small rule documents, well formed or not, and on random automaton
 documents, stopping or not; ``minimize`` (JSON and text), ``compile
 --minimize`` and ``dot`` run on the automaton documents too.  Machine
 documents, embedded stopping automata, some with an output outside the
-input alphabet and now and then with a junk field or a string for a list,
-go through ``tm-run``, ``eval``, ``analyze``, ``axioms --suite csr`` and
-``compile`` with hostile horizons and budgets.  Whatever the input, the
-command must exit 0, 1, 2 or 3 and never print a traceback.
+input alphabet, and random total machines that may halt, run off the tape
+or spin, now and then with a junk field or a string for a list, go through
+``tm-run`` and ``eval`` on ``|x`` and on random literals, ``analyze``,
+``axioms --suite csr`` and ``compile`` with hostile horizons and budgets.  Whatever the
+input, the command must exit 0, 1, 2 or 3 and never print a traceback.
 """
 
 import contextlib
@@ -23,10 +25,11 @@ from seqdec.automaton import DecisionAutomaton
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
+from tests.test_run_tree import total_machines
 
 COMMANDS = (
-    ["axioms", "--suite", "csr"], ["axioms", "--suite", "osr"], ["analyze"],
-    ["identify", "--as", "csr"], ["identify", "--as", "osr"],
+    ["axioms", "--suite", "csr"], ["axioms", "--suite", "osr"], ["axioms", "--suite", "config"],
+    ["analyze"], ["identify", "--as", "csr"], ["identify", "--as", "osr"],
 )
 AUTOMATON_COMMANDS = COMMANDS + (
     ["minimize"], ["minimize", "--format", "text"], ["compile", "--minimize"], ["dot"],
@@ -37,6 +40,20 @@ AMOUNTS = ["1", "1/2", "3/2", "2"]
 JUNK = ["0", "-1", "x", 1, None]
 # horizons and budgets: real horizons stay at 3 or less, so tabulation is cheap
 LIMITS = ["-1", "0", "1", "2", "3", str(10 ** 10)]
+# a machine that may spin gets no budget it would take long to exhaust
+SPIN_BUDGETS = ["-1", "0", "1", "3", "60"]
+
+
+def literals(alphabet: list[str]):
+    """Sequence literals over the document's symbols and an unknown one, with
+    no, one or two "|" and cycles empty or not."""
+    names = st.sampled_from(alphabet + ["q"])
+    return st.builds(
+        lambda prefix, bar, cycle: " ".join(prefix) + bar + " ".join(cycle),
+        st.lists(names, max_size=3),
+        st.sampled_from(["|", "|", "|", "", "||"]),
+        st.lists(names, max_size=2),
+    )
 
 
 @st.composite
@@ -105,21 +122,42 @@ def assert_contract(doc: dict, commands=COMMANDS) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=rule_documents())
-def test_rule_documents_keep_the_exit_contract(doc):
-    assert_contract(doc)
+@given(doc=rule_documents(), data=st.data())
+def test_rule_documents_keep_the_exit_contract(doc, data):
+    assert_contract(doc, COMMANDS + (["eval", data.draw(literals(doc["alphabet"]))],))
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=automaton_documents())
-def test_automaton_documents_keep_the_exit_contract(doc):
-    assert_contract(doc, AUTOMATON_COMMANDS)
+@given(doc=automaton_documents(), data=st.data())
+def test_automaton_documents_keep_the_exit_contract(doc, data):
+    assert_contract(doc, AUTOMATON_COMMANDS + (["eval", data.draw(literals(doc["alphabet"]))],))
 
 
 @st.composite
 def machine_documents(draw):
-    """Embedded stopping automata; about a third get a junk or stringified field."""
-    alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
+    """A machine document, a budget for it and a literal over its symbols.
+
+    Embedded stopping automata get any budget; random total machines, which
+    may spin, get small ones.  About a third get a junk or stringified field.
+    """
+    if draw(st.booleans()):
+        alphabet, tm = draw(total_machines())
+        alphabet, budgets = list(alphabet), SPIN_BUDGETS
+    else:
+        alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
+        tm, budgets = automaton_to_tm(draw(embeddable_automata(alphabet))), LIMITS
+    doc = tm_to_json_dict(tm)
+    doc["input_alphabet"] = alphabet
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(doc)))
+        text = "".join(doc[key]) if isinstance(doc[key], list) and key != "transitions" else "x"
+        doc[key] = draw(st.sampled_from(JUNK + [text]))
+    return doc, draw(st.sampled_from(budgets)), draw(literals(alphabet))
+
+
+@st.composite
+def embeddable_automata(draw, alphabet):
+    """Stopping automata over up to three open states, some deciding outside the alphabet."""
     count = draw(st.integers(1, 3))
     outputs = draw(st.permutations(alphabet + ["none"]))[:2]
     terminal = {f"t{i}": out for i, out in enumerate(outputs)}
@@ -129,23 +167,20 @@ def machine_documents(draw):
         targets = st.sampled_from([f"q{j}" for j in range(i + 1, count)] + list(terminal))
         transitions[f"q{i}"] = {s: draw(targets) for s in alphabet}
     transitions.update({t: {s: t for s in alphabet} for t in terminal})
-    aut = DecisionAutomaton(Alphabet(tuple(alphabet)), list(transitions), "q0", transitions, terminal)
-    doc = tm_to_json_dict(automaton_to_tm(aut))
-    doc["input_alphabet"] = alphabet
-    if draw(st.integers(0, 2)) == 0:
-        key = draw(st.sampled_from(sorted(doc)))
-        text = "".join(doc[key]) if isinstance(doc[key], list) and key != "transitions" else "x"
-        doc[key] = draw(st.sampled_from(JUNK + [text]))
-    return doc
+    return DecisionAutomaton(Alphabet(tuple(alphabet)), list(transitions), "q0", transitions, terminal)
 
 
-@settings(max_examples=60, deadline=None)
-@given(doc=machine_documents(), horizon=st.sampled_from(LIMITS), budget=st.sampled_from(LIMITS))
-def test_machine_documents_keep_the_exit_contract(doc, horizon, budget):
+# about half the draws are embedded automata, so as many of them as 60 used to be
+@settings(max_examples=120, deadline=None)
+@given(case=machine_documents(), horizon=st.sampled_from(LIMITS))
+def test_machine_documents_keep_the_exit_contract(case, horizon):
+    doc, budget, literal = case
     limits = ["--horizon", horizon, "--budget", budget]
     assert_contract(doc, (
         ["tm-run", "|x", "--budget", budget],
         ["eval", "|x", *limits],
+        ["tm-run", literal, "--budget", budget],
+        ["eval", literal, *limits],
         ["analyze", *limits],
         ["axioms", "--suite", "csr", *limits],
         ["compile", *limits],

@@ -323,3 +323,12 @@ def test_wide_osr_past_the_segment_cap(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["rule"]["span"] == 6
     assert main(["analyze", str(path)]) == 3
     assert "minimal sufficient segments" in capsys.readouterr().err
+
+
+def test_the_osr_questions_build_the_decisive_set_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(analysis, "DecisiveSet", lambda *a: built.append(a) or DecisiveSet(*a))
+    rule = RuleHandle.from_rule(OsrSpec(ABC, ("c", "b", "a"), "b", 2))
+    assert [r.verdict for r in analysis.run_suite(rule, "osr")] == ["pass"] * 3
+    identify_osr(rule)
+    assert decisive_set(rule) == DecisiveSet(*built[0]) and len(built) == 1
