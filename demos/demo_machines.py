@@ -2,8 +2,8 @@
 
 Any stopping automaton embeds into a two-tape machine that replays it while
 sweeping the input tape, at a couple of steps of overhead.  The reverse
-bridge is per instance: run a budgeted black box, tabulate its decisions,
-and fold the table into a segment-tree automaton.
+bridge is per instance: walk a budgeted machine's runs, one state per
+configuration it reaches on first reading a cell, and minimize the result.
 """
 
 from fractions import Fraction

@@ -3,13 +3,13 @@
 Everything here works against a :class:`RuleHandle`, either an automaton or
 a black box with a declared horizon H: a pure evaluator or a budgeted
 machine, read as a tree of runs over the words read so far.  Both are
-analysed as one decision automaton: a black box is tabulated into the
-segment tree of its length-H windows by one depth-first walk of its run
-tree.  The walk shares each prefix's run among the windows below it and
-closes each full window with every single symbol, which is how a lying
-horizon declaration is caught.  One peel of the automaton gives every
-state's decision, a terminal's output or the one the peel forces, and
-shows that the rule stops.
+analysed as one decision automaton, built for a black box by one
+depth-first walk of its run tree: one state per distinct configuration of
+a machine that never moves its input head left, else one per word shorter
+than H.  The walk closes each depth-H node with every single symbol, which
+is how a lying horizon declaration is caught.  One peel of the automaton
+gives every state's decision, a terminal's output or the one the peel
+forces, and shows that the rule stops.
 
 Stopping questions walk at most K states along the input, K being the
 uniform bound.  One pass over the reachable open states in the peel's
@@ -20,9 +20,9 @@ the OSR axioms and ``identify_osr``'s ranking ask only which symbol sets
 occur with which decision: one search over (open state, symbols read),
 under ``WINDOW_CAP`` nodes times symbols.
 Monotonicity, informational dominance, replacement and the agreement check
-of identification search products of states.  Only neutrality, acyclicity
-and tabulation build the table of all |alphabet|^K window decisions, and
-past ``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
+of identification search products of states.  Only neutrality and
+acyclicity build the table of all |alphabet|^K window decisions, and past
+``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
 
 Checkers report a first counterexample in a fixed order, so reports are
 deterministic: windows in lexicographic order for the enumerating checkers,
@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Alphabet,
@@ -57,6 +57,7 @@ from .automaton import (
     DecisionAutomaton,
     Sufficiency,
     _escaping_states,
+    absorbing_terminal_row,
     evaluate,
     reachable_states,
 )
@@ -66,7 +67,7 @@ from .heuristics import (
     CsrSpec,
     OsrSpec,
     RuleSpec,
-    segment_tree_automaton,
+    _require_states,
 )
 
 Word = tuple[int, ...]
@@ -118,9 +119,11 @@ class EvaluatorRuns:
     parent's (None at the root), with the decision if the run ends there,
     else None; ``close(node, seq)`` gives a node and the decision on
     ``seq``, which extends the node's word (any sequence at the root).
+    In a ``keyed`` tree equal nodes have equal subtrees, whatever their words.
     """
 
     decide: Callable[[SeqSpec], str]
+    keyed = False
 
     def read(self, node: None, word: Word) -> tuple[None, None]:
         return None, None
@@ -188,48 +191,65 @@ def _require_windows(alphabet: Alphabet, length: int) -> None:
 
 
 def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
-    """Segment-tree automaton of the decisions of all length-H windows.
+    """The decision automaton of a black box, from one walk of its run tree.
 
-    One depth-first walk of the rule's run tree, in lexicographic order,
-    decides the windows in the order the segment tree asks for them, so
-    both caps are met before the first run.  A run that ends at a prefix
-    decides every window below it at once; a full window's run is closed by
-    each single symbol, and closures that disagree show a lying horizon.
+    The walk is depth first and lexicographic, so the first error raised is
+    the first that the windows' order meets.  A node whose run halts links
+    to its decision's terminal; one at depth H is closed by each single
+    symbol, and closures that disagree show a lying horizon.  In a keyed
+    tree a node equal to one walked before links to its state; new states
+    count against ``STATE_CAP`` and the output cells of their keys against
+    ``WINDOW_CAP``.  Otherwise both caps are met before the first run.
     """
-    h, runs = rule.horizon, rule.runs
+    h, runs, alphabet = rule.horizon, rule.runs, rule.alphabet
     assert h is not None and runs is not None
-    _require_windows(rule.alphabet, h)
-    n = len(rule.alphabet)
-
-    def walk() -> Iterator[tuple[Word, str]]:
-        stack: list[tuple[Word, Any]] = [((), None)]
-        while stack:
-            word, parent = stack.pop()
-            node, got = runs.read(parent, word)
-            if got is not None:
-                for rest in itertools.product(range(n), repeat=h - len(word)):
-                    yield word + rest, got
-            elif len(word) < h:
-                stack.extend((word + (i,), node) for i in reversed(range(n)))
+    n, names, keyed = len(alphabet), alphabet.symbols, runs.keyed
+    if not keyed:
+        _require_windows(alphabet, h)
+        # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
+        _require_states(h if n == 1 else (n ** min(h, 65) - 1) // (n - 1))
+    memo: dict[Hashable, str] = {}
+    cells = 0
+    path: list[int] = []  # the word of the top frame
+    root, got = runs.read(None, path)
+    rows = {"s0": {} if got is None else dict.fromkeys(names, f"dec:{got}")}
+    frames = [(rows["s0"], root)]
+    while frames:
+        row, node = frames[-1]
+        if len(row) == n:
+            frames.pop()
+            del path[-1:]  # the symbol of the frame, if it is not the root
+            continue
+        path.append(len(row))
+        child, got = runs.read(node, path)
+        target = f"dec:{got}" if got is not None else memo.get(child)
+        if target is None:
+            if len(path) < h:
+                target = f"s{len(rows)}"
+                frames.append((rows.setdefault(target, {}), child))
+                _require_states(len(rows))
             else:
-                closed = {runs.close(node, _closure(rule.alphabet, word, c))[1] for c in range(n)}
+                # a keyed run never moves its input head back over the word
+                word = () if keyed else tuple(path)
+                closed = {runs.close(child, _closure(alphabet, word, c))[1] for c in range(n)}
                 if len(closed) > 1:
-                    text = Segment(rule.alphabet, word).text()
                     raise HorizonViolation(
-                        f"decisions after window {text!r} differ across closures {sorted(closed)}; "
-                        f"the rule reads past the declared horizon {h}"
+                        f"decisions after window {_word_text(alphabet, tuple(path))!r} differ across "
+                        f"closures {sorted(closed)}; the rule reads past the declared horizon {h}"
                     )
-                yield word, closed.pop()
-
-    walked = walk()
-
-    def decide(word: Word) -> str:
-        # segment_tree_automaton asks for the windows in the walk's order
-        at, got = next(walked)
-        assert at == word, (at, word)
-        return got
-
-    return segment_tree_automaton(rule.alphabet, h, decide)
+                target = f"dec:{closed.pop()}"
+            if keyed:
+                memo[child] = target
+                cells += len(child[3])
+                if cells > WINDOW_CAP:
+                    raise ResourceLimit(f"{cells} output cells of machine configurations", WINDOW_CAP)
+        row[names[path[-1]]] = target
+        if len(path) == len(frames):
+            path.pop()
+    targets = {t for row in rows.values() for t in row.values()}
+    terminal = {t: t.removeprefix("dec:") for t in sorted(targets - rows.keys())}
+    rows.update((t, absorbing_terminal_row(alphabet, t)) for t in terminal)
+    return DecisionAutomaton(alphabet, tuple(rows), "s0", rows, terminal)
 
 
 class OpenState(NamedTuple):
@@ -259,6 +279,7 @@ class Facts:
     state is in it.
     """
 
+    automaton: DecisionAutomaton
     alphabet: Alphabet
     start: str
     step: Callable[[str, int], str]
@@ -278,7 +299,7 @@ class Facts:
             )
         names, transitions = aut.alphabet.symbols, aut.transitions
         return cls(
-            aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get, peel
+            aut, aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get, peel
         )
 
     def decisions(self, word: Iterable[int]) -> Iterator[str | None]:
@@ -487,14 +508,9 @@ def decision_on(rule: RuleHandle, word: Word) -> str:
 
 
 def tabulate_automaton(rule: RuleHandle) -> DecisionAutomaton:
-    """Segment-tree automaton tabulating the rule's decisions at its bound.
-
-    This is the constructive per-instance bridge from an observed black box
-    (a budgeted machine run, say) to an automaton.
-    """
-    facts = rule.facts
-    k, table = facts.bound, facts.table
-    return segment_tree_automaton(rule.alphabet, max(k, 1), lambda w: table[w[:k]])
+    """The automaton every analysis of the rule runs on: for a black box, the
+    constructive per-instance bridge from its runs to an automaton."""
+    return rule.facts.automaton
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ class _Loaded:
             return RuleHandle.from_rule(self.rule)
         if self.automaton is not None:
             return RuleHandle.from_automaton(self.automaton)
-        if not getattr(args, "horizon", None) or not getattr(args, "budget", None):
+        if getattr(args, "horizon", None) is None or getattr(args, "budget", None) is None:
             raise ValidationError("machine-backed rules need --horizon and --budget")
         return RuleHandle.from_machine(self.machine, self.alphabet(args), args.horizon, args.budget)
 

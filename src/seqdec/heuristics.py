@@ -368,7 +368,7 @@ def segment_tree_automaton(
     symbol of a full-depth word moves to the absorbing output state labeled
     by ``decide(word)``, which is called once per word, in lexicographic
     order, after the state count is checked.  The generic bridge from any
-    bounded-window evaluator, or any tabulated black box, to an automaton.
+    bounded-window evaluator to an automaton.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")

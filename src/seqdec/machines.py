@@ -9,7 +9,8 @@ the sequence, keeping memory proportional to the steps taken.
 Machines are immutable; each run carries its own tape state, so concurrent
 runs of one machine are safe.  One interpreter loop runs a machine until it
 halts or its input head first reaches a cell it was not given: ``tm_run``
-gives it the whole sequence, ``TmRuns`` a word at a time.
+gives it the whole sequence, ``TmRuns`` a word at a time.  A machine that
+never moves its input head left carries only its paused configuration on.
 
 JSON wire format::
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
 from .automaton import DecisionAutomaton, verify_stopping
@@ -163,8 +164,8 @@ class TmRun:
 
 
 # a run between two steps: control state, input and output head cells,
-# output tape, steps taken
-TmConfig = tuple[str, int, int, dict[int, str], int]
+# output tape from cell 1, steps taken
+TmConfig = tuple[str, int, int, tuple[str, ...], int]
 
 
 def tm_run(tm: TwoTapeTm, seq: SeqSpec, budget: int) -> TmRun:
@@ -183,19 +184,24 @@ class TmRuns:
     """A machine's runs on the inputs over ``alphabet``, as a tree of words.
 
     ``read(config, word)`` resumes the run paused at ``config`` (None: not
-    yet started) on the start marker and ``word``, until the input head
-    first reaches the cell after them; it gives the paused run and None, or
-    the decision where the machine halts first.  ``close(config, seq)``
-    resumes it on the start marker and all of ``seq``.
+    yet started) on the start marker and ``word``, read in place, until the
+    input head first reaches the cell after them; it gives the paused run
+    and None, or the decision where the machine halts first.
+    ``close(config, seq)`` resumes it on the start marker and all of
+    ``seq``.  It is ``keyed`` when no transition moves the input head left.
     """
 
     tm: TwoTapeTm
     alphabet: Alphabet
     budget: int
 
-    def read(self, config: TmConfig | None, word: tuple[int, ...]) -> tuple[TmConfig, str | None]:
-        cells = (START, *map(self.alphabet.name, word))
-        return self.run(config, dict(enumerate(cells, 1)).get)
+    @property
+    def keyed(self) -> bool:
+        return all(move != "L" for _, _, move, _ in self.tm.transitions.values())
+
+    def read(self, config: TmConfig | None, word: Sequence[int]) -> tuple[TmConfig, str | None]:
+        names, end = self.alphabet.symbols, len(word) + 1
+        return self.run(config, lambda p: START if p == 1 else names[word[p - 2]] if p <= end else None)
 
     def close(self, config: TmConfig | None, seq: SeqSpec) -> tuple[TmConfig, str | None]:
         return self.run(config, lambda pos: START if pos == 1 else seq.symbol_at(pos - 1))
@@ -213,15 +219,16 @@ class TmRuns:
             for name in self.alphabet:
                 if name not in tm.tape_alphabet:
                     raise InvalidMachineError(f"sequence symbol {name!r} not in the tape alphabet")
-            config = tm.initial, 1, 1, {1: START}, 0
-        state, in_pos, out_pos, out_tape, steps = config
-        out_tape = dict(out_tape)
+            config = tm.initial, 1, 1, (START,), 0
+        state, in_pos, out_pos, tape, steps = config
+        # the output head writes every step and moves one cell, so the values run from cell 1
+        out_tape = dict(enumerate(tape, 1))
         while state not in tm.terminal:
             if steps >= budget:
                 raise BudgetExhausted(steps)
             read = input_at(in_pos)
             if read is None:
-                return (state, in_pos, out_pos, out_tape, steps), None
+                return (state, in_pos, out_pos, tuple(out_tape.values()), steps), None
             key = (state, read, out_tape.get(out_pos, BLANK))
             state, written, move_in, move_out = tm.transitions[key]
             out_tape[out_pos] = written
@@ -230,7 +237,7 @@ class TmRuns:
             if in_pos < 1 or out_pos < 1:
                 raise TapeBoundsError("a head moved left of the start cell")
             steps += 1
-        return (state, in_pos, out_pos, out_tape, steps), out_tape.get(out_pos, BLANK)
+        return (state, in_pos, out_pos, tuple(out_tape.values()), steps), out_tape.get(out_pos, BLANK)
 
 
 def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:

@@ -15,7 +15,9 @@ from seqdec.heuristics import (
 from seqdec.automaton import to_json as automaton_to_json
 from seqdec.machines import TwoTapeTm, to_json as tm_to_json, to_json_dict as tm_to_json_dict
 from tests.conftest import build_twosym_threshold2
-from tests.test_machines import echo_machine, spinner_machine
+from tests.test_machines import (
+    copier_machine, echo_machine, peek_back_machine, scanner_machine, spinner_machine,
+)
 
 ABC = Alphabet(("a", "b", "c"))
 XY = Alphabet(("x", "y"))
@@ -488,7 +490,7 @@ class TestIdentify:
     def test_one_agreement_pass(self, capsys, tmp_path, monkeypatch):
         # one search over state pairs that never probes the rule again: the
         # automaton is never run, the machine only while it is tabulated,
-        # by one walk of its run tree that shares every prefix's steps
+        # by one walk that runs each distinct configuration once
         import itertools
 
         from seqdec import analysis, machines
@@ -522,17 +524,18 @@ class TestIdentify:
             ["identify", str(tm_path), "--as", "csr", "--horizon", "4", "--budget", "100"],
         )
         walked = sum(transitions)
-        assert code == 0 and payload["checked"] > 0 and walked == 82
+        assert code == 0 and payload["checked"] > 0 and walked == 37
         transitions.clear()
         analysis._tabulate_blackbox(RuleHandle.from_machine(tm, ABC, 4, 100))
         assert sum(transitions) == walked
-        # the 243 runs from the start marker that the walk replaced
+        # the 243 runs from the start marker that the walks replaced, and
+        # the 82 transitions of a walk that shares only common prefixes
         per_closure = sum(
             tm_run(tm, analysis._closure(ABC, word, c), 100).steps
             for word in itertools.product(range(3), repeat=4)
             for c in range(3)
         )
-        assert walked < per_closure == 1188
+        assert walked < 82 < per_closure == 1188
 
     def test_written_rule_loads(self, capsys, fig_file, tmp_path):
         out = tmp_path / "recovered.json"
@@ -561,16 +564,60 @@ class TestTmRun:
         assert main([*argv, "--out", str(out)]) == 0 and capsys.readouterr().out == ""
         assert json.loads(out.read_text()) == {"decision": "y", "halted": True, "steps": 3}
 
-    @pytest.mark.parametrize("horizon, code", [("-1", 2), ("1000000000", 3), ("10000000000", 3)])
-    def test_hostile_horizon_exits_at_once(self, capsys, tmp_path, horizon, code):
-        path = tmp_path / "echo.json"
-        path.write_text(tm_to_json(echo_machine(XY)))
-        argv = ["analyze", str(path), "--horizon", horizon, "--budget", "50", "--alphabet", "x y"]
+    @pytest.mark.parametrize(
+        "machine, horizon, budget, code",
+        [
+            pytest.param(echo_machine, "-1", "50", 2, id="-1-2"),
+            # a one-way machine is tabulated by its configurations, so the
+            # echo machine answers at any horizon
+            pytest.param(echo_machine, "1000000000", "50", 0, id="1000000000-0"),
+            pytest.param(echo_machine, "10000000000", "50", 0, id="10000000000-0"),
+            # a two-way machine's windows are counted before any run
+            pytest.param(peek_back_machine, "1000000000", "50", 3, id="two-way-1000000000-3"),
+            pytest.param(peek_back_machine, "10000000000", "50", 3, id="two-way-10000000000-3"),
+            # ever longer output tapes, until the cap on the cells they hold
+            pytest.param(copier_machine, "10000000000", "10000000000", 3, id="copier-10000000000-3"),
+        ],
+    )
+    def test_hostile_horizon_exits_at_once(
+        self, capsys, tmp_path, monkeypatch, machine, horizon, budget, code
+    ):
+        from seqdec import machines
+
+        path = tmp_path / "machine.json"
+        path.write_text(tm_to_json(machine(XY)))
+        argv = ["analyze", str(path), "--horizon", horizon, "--budget", budget, "--alphabet", "x y"]
+        runs, run = [], machines.TmRuns.run
+        monkeypatch.setattr(machines.TmRuns, "run", lambda *a: runs.append(1) or run(*a))
         begin = time.perf_counter()
         assert main(argv) == code
         assert time.perf_counter() - begin < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("seqdec: ") and "Traceback" not in err
+        assert "Traceback" not in err and (err.startswith("seqdec: ") if code else err == "")
+        if code == 3:
+            assert "exceed the cap" in err and (len(runs) > 0) == (machine is not peek_back_machine)
+
+    def test_never_halting_scanner_stops_at_the_state_cap(self, capsys, tmp_path):
+        # one configuration per cell read, so 2^18 resumes, one step each, reach
+        # the state cap; about 2 s on a 2-core x86-64 box, where the 1 s bound
+        # above cannot hold, and far from the hours a walk quadratic in depth takes
+        path = tmp_path / "scanner.json"
+        path.write_text(tm_to_json(scanner_machine(XY)))
+        limits = ["--horizon", "10000000000", "--budget", "10000000000", "--alphabet", "x y"]
+        begin = time.perf_counter()
+        assert main(["analyze", str(path), *limits]) == 3
+        assert time.perf_counter() - begin < 10.0
+        assert capsys.readouterr().err == "seqdec: 262145 states exceed the cap of 262144\n"
+
+    def test_machine_flags_given_as_zero(self, capsys, tmp_path):
+        path = tmp_path / "echo.json"
+        path.write_text(tm_to_json(echo_machine(XY)))
+        for flags, message in (
+            (["--horizon", "0", "--budget", "10"], "black-box rules need a declared horizon >= 1"),
+            (["--horizon", "1", "--budget", "0"], "budget must be >= 1, got 0"),
+        ):
+            assert main(["analyze", str(path), *flags, "--alphabet", "x y"]) == 2
+            assert capsys.readouterr().err == f"seqdec: {message}\n"
 
     def test_budget_exhaustion_exits_3(self, capsys, tmp_path):
         path = tmp_path / "spin.json"
@@ -600,7 +647,7 @@ class TestTmRun:
         assert code == 0
 
     def test_machine_compile_synthesizes_automaton(self, capsys, tmp_path):
-        # budgeted black-box run tabulated into a segment-tree automaton
+        # a budgeted machine tabulated into the automaton of its configurations
         path = tmp_path / "echo.json"
         doc = tm_to_json_dict(echo_machine(XY))
         doc["input_alphabet"] = ["x", "y"]

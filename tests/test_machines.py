@@ -41,6 +41,36 @@ def spinner_machine(alphabet):
     return TwoTapeTm.build(("p", "q"), "p", (), syms, rules)
 
 
+def peek_back_machine(alphabet):
+    """Read the first symbol, step onto the second and back, copy the first, halt."""
+    syms = tuple(alphabet.symbols) + (START, BLANK)
+    rules = [("q0", START, "*", "q0", "*", "R", "S"), ("back", "*", "*", "back", "*", "S", "S")]
+    states = ["q0", "back", "halt"]
+    for name in alphabet:
+        states += [f"r_{name}", f"w_{name}"]
+        rules.append(("q0", name, "*", f"r_{name}", "*", "R", "S"))
+        rules.append((f"r_{name}", "*", "*", f"r_{name}", "*", "S", "S"))
+        rules += [(f"r_{name}", ahead, "*", "back", "*", "L", "S") for ahead in alphabet]
+        rules.append(("back", name, "*", f"w_{name}", "*", "S", "S"))
+        rules.append((f"w_{name}", "*", "*", "halt", name, "S", "S"))
+    rules.append(("q0", "*", "*", "q0", "*", "S", "S"))
+    return TwoTapeTm.build(states, "q0", ("halt",), syms, rules)
+
+
+def scanner_machine(alphabet):
+    """Move the input head right forever, never halting."""
+    syms = tuple(alphabet.symbols) + (START, BLANK)
+    return TwoTapeTm.build(("q0",), "q0", (), syms, [("q0", "*", "*", "q0", "*", "R", "S")])
+
+
+def copier_machine(alphabet):
+    """Copy each input symbol to the output tape, moving both heads right, forever."""
+    syms = tuple(alphabet.symbols) + (START, BLANK)
+    rules = [("q0", "*", "*", "q0", "*", "R", "S")]
+    rules += [("q0", name, "*", "q0", name, "R", "R") for name in alphabet]
+    return TwoTapeTm.build(("q0",), "q0", (), syms, rules)
+
+
 class TestConstruction:
     def test_totality_enforced(self):
         with pytest.raises(InvalidMachineError):

@@ -4,19 +4,18 @@
 the evaluator on every single-symbol closure of every length-H window, in
 lexicographic window order, and raises ``HorizonViolation`` where a
 window's closures disagree.  For a machine each call is a fresh
-``tm_run`` from the start marker.  The walk must give the same automaton,
-or raise the same first exception with the same message, on random total
-machines, on embedded stopping automata, on a machine that reads one cell
+``tm_run`` from the start marker.  The walk must give an automaton with the
+same stopping facts and the same minimal automaton, or raise the same first
+exception with the same message, on random total machines (two-way and
+one-way), on embedded stopping automata, on a machine that reads one cell
 past its horizon and on a spinner; for a plain evaluator it must make the
 same calls in the same order.
 """
 
-import json
-
 from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Alphabet, SeqdecError, Segment
-from seqdec.automaton import to_json_dict, verify_stopping
+from seqdec.automaton import isomorphic, minimize, verify_stopping
 from seqdec.heuristics import compile_rule, segment_tree_automaton
 from seqdec.machines import BLANK, START, TwoTapeTm, automaton_to_tm, tm_run
 from seqdec.analysis import (
@@ -25,11 +24,14 @@ from seqdec.analysis import (
     _closure,
     _require_windows,
     _tabulate_blackbox,
+    tabulate_automaton,
 )
 from tests.conftest import ABC, XY
+from tests.mutants import MUTANTS
+from tests.test_acceptance import build_corpus
 from tests.test_dominance import tree_automata
 from tests.test_facts import rule_specs
-from tests.test_machines import echo_machine, spinner_machine
+from tests.test_machines import echo_machine, peek_back_machine, spinner_machine
 
 BUDGETS = (1, 3, 8, 20, 60)
 
@@ -51,12 +53,20 @@ def oracle_tabulate_blackbox(alphabet: Alphabet, evaluator, horizon: int):
     return segment_tree_automaton(alphabet, horizon, decide)
 
 
-def outcome(tabulate) -> tuple[str, str]:
-    """The automaton's JSON, or the exception's type and message."""
+def outcome(tabulate) -> tuple:
+    """The automaton's stopping facts and minimal automaton, or the
+    exception's type and message.
+
+    ``minimize`` names states breadth first, so two minimal automata are
+    equal exactly when they are isomorphic.
+    """
     try:
-        return "automaton", json.dumps(to_json_dict(tabulate()), sort_keys=True)
+        aut = tabulate()
     except SeqdecError as exc:
         return type(exc).__name__, str(exc)
+    facts = RuleHandle.from_automaton(aut).facts
+    payload = facts.bound, facts.minimal, list(facts.outcomes.items()), facts.decisive
+    return "automaton", payload, minimize(aut)
 
 
 def assert_walk_matches(tm: TwoTapeTm, alphabet: Alphabet, horizon: int, budget: int):
@@ -69,12 +79,14 @@ def assert_walk_matches(tm: TwoTapeTm, alphabet: Alphabet, horizon: int, budget:
 
 
 @st.composite
-def total_machines(draw):
+def total_machines(draw, moves_in="LSR"):
     """Random total machines over one to three input symbols.
 
     Both heads move L, S or R, except that the input head may not move left
     from the start marker, so runs may halt, run off the tape, spin, or read
-    past any horizon.  Some have no halting state at all.
+    past any horizon.  Some have no halting state at all.  With
+    ``moves_in="SR"`` the input head never moves left, so the walk keys
+    nodes by configuration.
     """
     alphabet = Alphabet(tuple("xyz"[: draw(st.integers(1, 3))]))
     opened = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
@@ -84,7 +96,7 @@ def total_machines(draw):
         (q, a, b): (
             draw(st.sampled_from(opened + halts)),
             draw(st.sampled_from(syms)),
-            draw(st.sampled_from("SR" if a == START else "LSR")),
+            draw(st.sampled_from("SR" if a == START else moves_in)),
             draw(st.sampled_from("LSR")),
         )
         for q in opened
@@ -105,6 +117,18 @@ def test_random_machines_match_the_per_closure_runs(machine, horizon, budget):
     assert_walk_matches(tm, alphabet, horizon, budget)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    machine=total_machines(moves_in="SR"),
+    horizon=st.integers(1, 4),
+    budget=st.sampled_from(BUDGETS),
+)
+def test_random_one_way_machines_match_the_per_closure_runs(machine, horizon, budget):
+    alphabet, tm = machine
+    assert RuleHandle.from_machine(tm, alphabet, horizon, budget).runs.keyed
+    assert_walk_matches(tm, alphabet, horizon, budget)
+
+
 @settings(max_examples=40, deadline=None)
 @given(aut=tree_automata(), extra=st.integers(0, 2))
 def test_embedded_tree_automata_match(aut, extra):
@@ -121,6 +145,19 @@ def test_embedded_rules_match(spec, short):
     # one step short of the budget an embedded run needs, so some runs exhaust it
     budget = bound + (1 if short else 2)
     assert_walk_matches(automaton_to_tm(aut), aut.alphabet, max(bound, 1), budget)
+
+
+def test_corpus_and_mutant_machines_round_trip():
+    # automaton to machine and back: the paper's two computability theorems
+    automata = [compile_rule(spec) for spec in build_corpus()]
+    automata += [tabulate_automaton(make()) for make in MUTANTS.values()]
+    for aut in automata:
+        bound = verify_stopping(aut).bound
+        box = RuleHandle.from_machine(automaton_to_tm(aut), aut.alphabet, bound, 2 * bound + 4)
+        back = tabulate_automaton(box)
+        assert isomorphic(minimize(back), minimize(aut))
+        # one state per configuration, so no more than the embedded automaton's
+        assert len(back.states) <= len(aut.states)
 
 
 def test_reading_one_cell_past_the_horizon():
@@ -146,11 +183,25 @@ def test_spinner_exhausts_the_budget():
 
 
 def test_the_start_checks_come_after_the_caps():
+    # a machine that moves its input head left is capped before it is run
+    two_way = peek_back_machine(XY)
+    assert not RuleHandle.from_machine(two_way, XY, 1, 10).runs.keyed
+    assert assert_walk_matches(two_way, XY, 1, 10)[0] == "automaton"
     # 2^19 windows pass the window cap, but their tree is over the state cap
     for budget, alphabet in ((0, XY), (10, ABC)):
-        assert assert_walk_matches(echo_machine(XY), alphabet, 19, budget)[0] == "ResourceLimit"
-    assert assert_walk_matches(echo_machine(XY), XY, 3, 0)[0] == "ValidationError"
-    assert assert_walk_matches(echo_machine(XY), ABC, 3, 10)[0] == "InvalidMachineError"
+        assert assert_walk_matches(two_way, alphabet, 19, budget)[0] == "ResourceLimit"
+    assert assert_walk_matches(two_way, XY, 3, 0)[0] == "ValidationError"
+    assert assert_walk_matches(two_way, ABC, 3, 10)[0] == "InvalidMachineError"
+
+
+def test_a_one_way_machine_is_capped_as_it_is_walked():
+    # no window count is checked up front, so the start checks come first
+    for budget, alphabet, error in ((0, XY, "ValidationError"), (10, ABC, "InvalidMachineError")):
+        box = RuleHandle.from_machine(echo_machine(XY), alphabet, 19, budget)
+        assert outcome(lambda: _tabulate_blackbox(box))[0] == error
+    # the echo machine decides on its first symbol at any horizon
+    got = outcome(lambda: _tabulate_blackbox(RuleHandle.from_machine(echo_machine(XY), XY, 10**10, 50)))
+    assert got[0] == "automaton" and got[1][:2] == (1, [((0,), "x"), ((1,), "y")])
 
 
 @settings(max_examples=40, deadline=None)
