@@ -569,7 +569,7 @@ class AxiomReport:
 
 
 def _word_text(alphabet: Alphabet, word: Word) -> str:
-    return Segment(alphabet, word).text()
+    return " ".join(map(alphabet.symbols.__getitem__, word))
 
 
 def _closure_text(alphabet: Alphabet, word: Word, cyc: int | None = None) -> str:
@@ -908,16 +908,14 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
                 continue
             lose_cfg = _config_text(word, other)
             checked += 1
-            edges.setdefault(
-                (win_cfg, lose_cfg),
-                {
+            if (win_cfg, lose_cfg) not in edges:
+                edges[win_cfg, lose_cfg] = {
                     "winner_config": win_cfg,
                     "loser_config": lose_cfg,
                     "sequence": _closure_text(rule.alphabet, word),
                     "winner": rule.alphabet.name(winner),
                     "loser": rule.alphabet.name(other),
-                },
-            )
+                }
     succ: dict[str, list[str]] = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)

@@ -36,8 +36,8 @@ from .analysis import (
     NotCsr,
     NotOsr,
     RuleHandle,
+    _word_text,
     decisive_set,
-    enumerate_minimal_sufficient,
     identify_csr,
     identify_osr,
     run_suite,
@@ -186,8 +186,8 @@ def cmd_analyze(args) -> int:
     payload = {
         "uniform_bound": uniform_bound_search(rule),
         "minimal_sufficient": [
-            {"segment": seg.text(), "decision": dec}
-            for seg, dec in enumerate_minimal_sufficient(rule)
+            {"segment": _word_text(rule.alphabet, word), "decision": dec}
+            for word, dec in rule.facts.minimal
         ],
     }
     dset = decisive_set(rule)

@@ -27,6 +27,7 @@ Rule JSON formats (rationals as ``"p/q"`` or integer strings)::
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -37,7 +38,6 @@ from typing import Callable, Mapping, Union
 from .core import (
     Alphabet,
     ResourceLimit,
-    Segment,
     SeqSpec,
     ValidationError,
     _require_same_alphabet,
@@ -364,7 +364,8 @@ def segment_tree_automaton(
 ) -> DecisionAutomaton:
     """Prefix-tree automaton absorbing at a fixed depth.
 
-    Internal states are the words shorter than ``depth``; reading the final
+    Internal states are the words shorter than ``depth``, breadth first,
+    each named by its parent's text plus one symbol; reading the final
     symbol of a full-depth word moves to the absorbing output state labeled
     by ``decide(word)``, which is called once per word, in lexicographic
     order, after the state count is checked.  The generic bridge from any
@@ -375,44 +376,47 @@ def segment_tree_automaton(
     n = len(alphabet)
     # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
     _require_states(depth if n == 1 else (n ** min(depth, 65) - 1) // (n - 1))
-
-    def name_of(word: tuple[int, ...]) -> str:
-        return "<" + " ".join(alphabet.name(i) for i in word) + ">"
-
     transitions: dict[str, dict[str, str]] = {}
     outputs = set()
-    words: list[tuple[int, ...]] = [()]
-    for word in words:
+    nodes: list[tuple[tuple[int, ...], str]] = [((), "")]
+    for word, text in nodes:
         row = {}
-        for i, sym in enumerate(alphabet):
-            child = word + (i,)
-            if len(child) == depth:
-                out = decide(child)
+        for i, sym in enumerate(alphabet.symbols):
+            if len(word) + 1 == depth:
+                out = decide(word + (i,))
                 outputs.add(out)
                 row[sym] = f"dec:{out}"
             else:
-                row[sym] = name_of(child)
-                words.append(child)
-        transitions[name_of(word)] = row
+                child = f"{text} {sym}" if word else sym
+                row[sym] = f"<{child}>"
+                nodes.append((word + (i,), child))
+        transitions[f"<{text}>"] = row
+    states = tuple(transitions)
     terminal = {f"dec:{out}": out for out in sorted(outputs)}
     for t in terminal:
         transitions[t] = absorbing_terminal_row(alphabet, t)
-    states = tuple(name_of(w) for w in words) + tuple(sorted(terminal))
-    return DecisionAutomaton(alphabet, states, name_of(()), transitions, terminal)
+    return DecisionAutomaton(alphabet, states + tuple(terminal), "<>", transitions, terminal)
 
 
 def config_compile(spec: ConfigRuleSpec) -> DecisionAutomaton:
-    """Tabulate the window evaluator into a prefix-tree automaton."""
+    """Tabulate the window evaluator into a prefix-tree automaton.
+
+    Each leaf decides as ``config_evaluate`` does, from one occupancy mask
+    per occurring symbol; the comparator ranks each mask once, lazily.
+    """
+    w = spec.window
+
+    @functools.cache
+    def rank(mask: int) -> int:
+        return spec.comparator.rank(tuple(mask >> (w - 1 - p) & 1 for p in range(w)))
 
     def decide(word: tuple[int, ...]) -> str:
-        seq = SeqSpec(
-            spec.alphabet,
-            Segment(spec.alphabet, word),
-            Segment(spec.alphabet, word[-1:]),
-        )
-        return config_evaluate(spec, seq)
+        masks = dict.fromkeys(word, 0)
+        for p, idx in enumerate(word):
+            masks[idx] |= 1 << (w - 1 - p)
+        return spec.alphabet.name(max(masks, key=lambda idx: rank(masks[idx])))
 
-    return segment_tree_automaton(spec.alphabet, spec.window, decide)
+    return segment_tree_automaton(spec.alphabet, w, decide)
 
 
 def compile_rule(spec: RuleSpec) -> DecisionAutomaton:

@@ -8,13 +8,19 @@ import pytest
 
 from seqdec.cli import main
 from seqdec.core import Alphabet
-from seqdec.analysis import AxiomReport, RuleHandle, replay_witness
+from seqdec.analysis import (
+    AxiomReport, RuleHandle, enumerate_minimal_sufficient, replay_witness, tabulate_automaton,
+)
 from seqdec.heuristics import (
-    Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, rule_from_dict, rule_to_json,
+    Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, compile_rule, rule_from_dict, rule_to_json,
 )
 from seqdec.automaton import to_json as automaton_to_json
-from seqdec.machines import TwoTapeTm, to_json as tm_to_json, to_json_dict as tm_to_json_dict
+from seqdec.machines import (
+    TwoTapeTm, automaton_to_tm, to_json as tm_to_json, to_json_dict as tm_to_json_dict,
+)
 from tests.conftest import build_twosym_threshold2
+from tests.mutants import MUTANTS
+from tests.test_acceptance import build_corpus
 from tests.test_machines import (
     copier_machine, echo_machine, peek_back_machine, scanner_machine, spinner_machine,
 )
@@ -434,6 +440,24 @@ class TestAnalyze:
         assert code == 0
         assert payload["decisive"] == ["a"]
         assert payload["non_decisive"] == ["b", "c"]
+
+    def test_segments_render_as_segment_text(self, capsys, tmp_path):
+        # (document, the handle it loads as, extra flags): the corpus, the
+        # mutants' tabulated automata and one machine document
+        cases = [(rule_to_json(spec), RuleHandle.from_rule(spec), []) for spec in build_corpus()]
+        for make in MUTANTS.values():
+            rule = make()
+            cases.append((automaton_to_json(tabulate_automaton(rule)), rule, []))
+        tm = automaton_to_tm(compile_rule(CsrSpec(ABC, {s: Fraction(1) for s in ABC}, Fraction(2))))
+        flags = ["--horizon", "4", "--budget", "100", "--alphabet", "a b c"]
+        cases.append((tm_to_json(tm), RuleHandle.from_machine(tm, ABC, 4, 100), flags))
+        path = tmp_path / "doc.json"
+        for text, rule, flags in cases:
+            path.write_text(text)
+            code, payload = run_json(capsys, ["analyze", str(path), *flags])
+            assert code == 0
+            got = [(m["segment"], m["decision"]) for m in payload["minimal_sufficient"]]
+            assert got == [(seg.text(), d) for seg, d in enumerate_minimal_sufficient(rule)]
 
 
 class TestAxioms:

@@ -2,7 +2,8 @@
 
 ``axioms --suite csr|osr|config``, ``analyze``, ``identify --as csr|osr``
 and ``eval`` on random sequence literals, well formed or not, run on random
-small rule documents, well formed or not, and on random automaton
+small rule documents, well formed or not (half the config rules with a
+complete random table comparator), and on random automaton
 documents, stopping or not; ``minimize`` (JSON and text), ``compile
 --minimize`` and ``dot`` run on the automaton documents too.  Machine
 documents, embedded stopping automata, some with an output outside the
@@ -15,6 +16,7 @@ input, the command must exit 0, 1, 2 or 3 and never print a traceback.
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -74,6 +76,12 @@ def rule_documents(draw):
         doc["order"] = draw(st.permutations(alphabet))
         doc["threshold_alt"] = draw(st.sampled_from(names))
         doc["span"] = draw(st.sampled_from([0, 1, 2, 3, "x"]))
+    elif kind == "config" and draw(st.booleans()):
+        # a complete table: every bit-word of the window, ranked by a permutation
+        window = draw(st.integers(1, 3))
+        words = ["".join(bits) for bits in itertools.product("01", repeat=window)]
+        doc["window"] = window
+        doc["comparator"] = {"table": dict(zip(words, draw(st.permutations(range(len(words))))))}
     elif kind == "config":
         doc["window"] = draw(st.sampled_from([0, 1, 2, 3, 40]))
         if draw(st.booleans()):

@@ -1,13 +1,15 @@
 """Tests for the satisficing rule families and their compilers."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Alphabet, Segment, SeqSpec, concat, constant, enumerate_segments
 from seqdec.automaton import evaluate, isomorphic, minimize, run, verify_stopping
 from seqdec.heuristics import (
+    BUILTIN_COMPARATORS,
     BitstreamCollection,
     Comparator,
     ConfigRuleSpec,
@@ -47,6 +49,24 @@ def closures(alphabet, length):
     for seg in enumerate_segments(alphabet, length):
         for name in alphabet:
             yield concat(seg, constant(alphabet, name))
+
+
+def bit_words(window: int) -> list[str]:
+    return ["".join(bits) for bits in itertools.product("01", repeat=window)]
+
+
+@st.composite
+def config_specs(draw):
+    """Config rules over 1-3 symbols, windows 1-5, a complete table or a builtin."""
+    alphabet = Alphabet(tuple("abc"[: draw(st.integers(1, 3))]))
+    window = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("table",) + BUILTIN_COMPARATORS))
+    if kind == "table":
+        words = bit_words(window)
+        comparator = Comparator(window, table=dict(zip(words, draw(st.permutations(range(len(words)))))))
+    else:
+        comparator = Comparator(window, builtin=kind)
+    return ConfigRuleSpec(alphabet, window, comparator)
 
 
 class TestCsrSpec:
@@ -284,10 +304,11 @@ class TestConfigEvaluate:
 
 
 class TestConfigCompile:
-    def test_agreement_on_all_windows(self):
-        spec = ConfigRuleSpec(ABC, 2, Comparator(2, builtin="numeric-value"))
+    @settings(max_examples=100, deadline=None)
+    @given(spec=config_specs())
+    def test_agreement_on_all_windows(self, spec):
         aut = config_compile(spec)
-        for seq in closures(ABC, spec.window):
+        for seq in closures(spec.alphabet, spec.window):
             assert evaluate(aut, seq)[0] == config_evaluate(spec, seq)
 
     def test_bound_equals_window(self):
