@@ -19,14 +19,16 @@ only ``analyze`` lists, under ``WINDOW_CAP``.  The decisive set, two of
 the OSR axioms and ``identify_osr``'s ranking ask only which symbol sets
 occur with which decision: one search over (open state, symbols read),
 under ``WINDOW_CAP`` nodes times symbols.
-Monotonicity, informational dominance, replacement and the agreement check
-of identification search products of states.  Only neutrality and
-acyclicity build the table of all |alphabet|^K window decisions, and past
-``WINDOW_CAP`` windows they raise :class:`ResourceLimit`.
+Monotonicity, informational dominance, replacement, neutrality and the
+agreement check of identification search products of states; the last two
+share one search over a pair of automata, the second reading a relabeled
+input.  The choice-rule check reads ``outcomes`` too.  Only acyclicity
+lists all |alphabet|^K windows, as its graph over occupancy patterns is as
+large, and past ``WINDOW_CAP`` windows it raises :class:`ResourceLimit`.
 
 Checkers report a first counterexample in a fixed order, so reports are
-deterministic: windows in lexicographic order for the enumerating checkers,
-the search order for the product searches.  Every Fail witness is fully
+deterministic: windows in lexicographic order for acyclicity, the search
+order for the product searches.  Every Fail witness is fully
 replayable from its recorded sequence texts via :func:`replay_witness`.
 """
 
@@ -450,18 +452,6 @@ class Facts:
             state = self.step(state, i)
         return state
 
-    @cached_property
-    def table(self) -> dict[Word, str]:
-        """Decision of every length-``bound`` window, in lexicographic order."""
-        n, k = len(self.alphabet), self.bound
-        _require_windows(self.alphabet, k)
-        layer: list[tuple[Word, str]] = [((), self.start)]
-        for _ in range(k):
-            layer = [(w + (i,), self.step(q, i)) for w, q in layer for i in range(n)]
-        table = {word: self.decision(state) for word, state in layer}
-        assert None not in table.values(), "full-depth windows must be decided"
-        return table
-
 
 def uniform_bound_search(rule: RuleHandle) -> int:
     """Least K such that every length-K window already forces the decision:
@@ -497,14 +487,6 @@ def sufficiency_of(rule: RuleHandle, seg: Segment) -> Sufficiency:
     if len(decs) > 1 and decs[-2] is not None:
         return Sufficiency(SUFFICIENT, got)
     return Sufficiency(MINIMAL_SUFFICIENT, got)
-
-
-def decision_on(rule: RuleHandle, word: Word) -> str:
-    """Decision forced by a window at least as long as the uniform bound."""
-    facts = rule.facts
-    if len(word) < facts.bound:
-        raise SeqdecError(f"window of length {len(word)} shorter than the bound {facts.bound}")
-    return facts.decided(word[: facts.bound])  # type: ignore[return-value]
 
 
 def tabulate_automaton(rule: RuleHandle) -> DecisionAutomaton:
@@ -833,50 +815,47 @@ def check_snbc(rule: RuleHandle) -> AxiomReport:
 
 
 def _require_choice_rule(rule: RuleHandle, *, in_window: bool) -> None:
-    facts = rule.facts
-    for word, dec in facts.table.items():
+    """Every decision must be an alternative and, with ``in_window``, occur in
+    its nonempty window.  A window extends a minimal segment with its
+    decision, and a segment without it extends to a window without it, so
+    ``Facts.outcomes`` is read, and its first offending segment named."""
+    for (sset, dec), word in rule.facts.outcomes.items():
+        text = _word_text(rule.alphabet, word)
         if dec not in rule.alphabet:
-            raise NotAChoiceRule(
-                f"decision {dec!r} after {_word_text(rule.alphabet, word)!r} "
-                "is not an alternative"
-            )
-        if in_window and word and rule.alphabet.index(dec) not in word:
-            raise NotAChoiceRule(
-                f"decision {dec!r} does not occur in its window "
-                f"{_word_text(rule.alphabet, word)!r}"
-            )
+            raise NotAChoiceRule(f"decision {dec!r} after {text!r} is not an alternative")
+        if in_window and word and dec not in sset:
+            raise NotAChoiceRule(f"decision {dec!r} does not occur in its segment {text!r}")
 
 
 def check_neutrality(rule: RuleHandle) -> AxiomReport:
-    """Relabeling the alternatives must relabel the choice the same way."""
+    """Relabeling the alternatives must relabel the choice the same way.
+
+    Swaps of adjacent alternatives generate every relabeling, and a rule
+    that commutes with two commutes with their product.  So each adjacent
+    swap in turn gets one :func:`_disagreement` search of the rule against
+    itself; the witness is the first failing swap's shortest word, closed by
+    its last symbol.  ``checked`` counts product transitions.
+    """
     _require_choice_rule(rule, in_window=False)
-    facts = rule.facts
-    k, table = facts.bound, facts.table
-    n = len(rule.alphabet)
+    facts, alphabet = rule.facts, rule.alphabet
     checked = 0
-    for word in itertools.product(range(n), repeat=k):
-        decision = table[word]
-        for perm in itertools.permutations(range(n)):
-            mapped = tuple(perm[i] for i in word)
-            expected = rule.alphabet.name(perm[rule.alphabet.index(decision)])
-            checked += 1
-            if table[mapped] != expected:
-                sigma = Relabeling(rule.alphabet, perm)
-                return AxiomReport(
-                    "neutrality",
-                    False,
-                    {
-                        "sequence": _closure_text(rule.alphabet, word),
-                        "decision": decision,
-                        "sigma": sigma.as_dict(),
-                        "relabeled": _closure_text(rule.alphabet, mapped),
-                        "relabeled_decision": table[mapped],
-                        "expected": expected,
-                    },
-                    checked,
-                    k,
-                )
-    return AxiomReport("neutrality", True, None, checked, k)
+    for j in range(len(alphabet) - 1):
+        sigma = Relabeling(alphabet, (*range(j), j + 1, j, *range(j + 2, len(alphabet))))
+        found, count = _disagreement(facts, facts, sigma.mapping, sigma.apply_name)
+        checked += count
+        if found is not None:
+            word, decision, relabeled = found
+            seq = _closure(alphabet, word, word[-1] if word else 0)
+            witness = {
+                "sequence": seq.text(),
+                "decision": decision,
+                "sigma": sigma.as_dict(),
+                "relabeled": relabel(seq, sigma).text(),
+                "relabeled_decision": relabeled,
+                "expected": sigma.apply_name(decision),
+            }
+            return AxiomReport("neutrality", False, witness, checked, facts.bound)
+    return AxiomReport("neutrality", True, None, checked, facts.bound)
 
 
 def _config_text(word: Word, idx: int) -> str:
@@ -894,14 +873,18 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
     """
     _require_choice_rule(rule, in_window=True)
     facts = rule.facts
-    k, table = facts.bound, facts.table
-    n = len(rule.alphabet)
+    k, n = facts.bound, len(rule.alphabet)
+    _require_windows(rule.alphabet, k)
+    # every window of length k in lexicographic order, with its state
+    windows: list[tuple[Word, str]] = [((), facts.start)]
+    for _ in range(k):
+        windows = [(w + (i,), facts.step(q, i)) for w, q in windows for i in range(n)]
     edges: dict[tuple[str, str], dict] = {}
     checked = 0
-    for word in itertools.product(range(n), repeat=k):
+    for word, state in windows:
         if not word:
             continue
-        winner = rule.alphabet.index(table[word])
+        winner = rule.alphabet.index(facts.decision(state))  # type: ignore[arg-type]
         win_cfg = _config_text(word, winner)
         for other in sorted(set(word)):
             if other == winner:
@@ -1018,39 +1001,55 @@ def identify_osr(rule: RuleHandle) -> Identification:
     return Identification(spec, agreement_count(rule, spec))
 
 
-def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
-    """Check that ``spec`` decides every sequence as the rule does.
+def _disagreement(
+    ours: Facts, theirs: Facts, perm: Word, rename: Callable[[str], str]
+) -> tuple[tuple[Word, str, str] | None, int]:
+    """A shortest word w on which ``theirs``, reading each symbol i of w as
+    ``perm[i]``, does not decide ``rename`` of what ``ours`` decides on w.
 
-    A breadth-first search over pairs of states of the rule's facts and of
-    ``spec`` compiled, each held still once decided, ends a branch where
-    both are decided.  A pair decided two ways gives a shortest disagreeing
-    word, closed by its last symbol and raised with NotCsr or NotOsr.  A
-    black box is read through its tabulated windows, never evaluated again.
-    Returns the number of product transitions.
+    A breadth-first search over pairs of states, each held still once
+    decided, ends a branch where both are decided.  Returns w with both
+    decisions, or None; and the number of product transitions.
     """
-    error_cls = {CsrSpec: NotCsr, OsrSpec: NotOsr}.get(type(spec))
-    if error_cls is None:
-        raise SeqdecError(f"no agreement check for {type(spec).__name__}")
-    ours, theirs = rule.facts, RuleHandle.from_rule(spec).facts
 
     def verdict(pair: tuple) -> bool | None:
         got, want = ours.decision(pair[0]), theirs.decision(pair[1])
-        return None if got is None or want is None else got != want
+        return None if got is None or want is None else rename(got) != want
 
     found, checked = _search(
         [(None, (ours.start, theirs.start))],
         lambda pair: [
-            (i, (ours.advance(pair[0], (i,)), theirs.advance(pair[1], (i,))))
-            for i in range(len(rule.alphabet))
+            (i, (ours.advance(pair[0], (i,)), theirs.advance(pair[1], (perm[i],))))
+            for i in range(len(perm))
         ],
         verdict,
     )
+    if found is None:
+        return None, checked
+    _, word, (mine, other) = found
+    return (word, ours.decision(mine), theirs.decision(other)), checked
+
+
+def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
+    """Check that ``spec`` decides every sequence as the rule does.
+
+    :func:`_disagreement` of the rule's facts and of ``spec`` compiled gives
+    a shortest disagreeing word, closed by its last symbol and raised with
+    NotCsr or NotOsr.  A black box is read through its tabulated automaton,
+    never evaluated again.  Returns the number of product transitions.
+    """
+    error_cls = {CsrSpec: NotCsr, OsrSpec: NotOsr}.get(type(spec))
+    if error_cls is None:
+        raise SeqdecError(f"no agreement check for {type(spec).__name__}")
+    # no relabeling: the identity on symbols, and ``str`` on decisions
+    found, checked = _disagreement(
+        rule.facts, RuleHandle.from_rule(spec).facts, tuple(range(len(rule.alphabet))), str
+    )
     if found is not None:
-        _, word, (mine, other) = found
+        word, mine, other = found
         seq = _closure(rule.alphabet, word, word[-1] if word else 0)
         raise error_cls(
-            f"recovered rule disagrees on {seq.text()!r} "
-            f"({ours.decision(mine)!r} vs {theirs.decision(other)!r})",
+            f"recovered rule disagrees on {seq.text()!r} ({mine!r} vs {other!r})",
             sequence=seq,
         )
     return checked

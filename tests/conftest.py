@@ -1,4 +1,5 @@
-"""Shared fixtures: the two-alternative score-threshold automaton and friends."""
+"""Shared fixtures: the two-alternative score-threshold automaton and friends,
+and the window table the test oracles read."""
 
 import pytest
 
@@ -7,6 +8,21 @@ from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
+
+
+def window_table(facts) -> dict[tuple[int, ...], str]:
+    """Decision of every length-``bound`` window, in lexicographic order.
+
+    Built a layer of windows at a time, each window with its state, so every
+    window costs one step.
+    """
+    n = len(facts.alphabet)
+    layer = [((), facts.start)]
+    for _ in range(facts.bound):
+        layer = [(w + (i,), facts.step(q, i)) for w, q in layer for i in range(n)]
+    table = {word: facts.decision(state) for word, state in layer}
+    assert None not in table.values(), "full-depth windows must be decided"
+    return table
 
 
 def build_twosym_threshold2():

@@ -27,14 +27,14 @@ from seqdec.analysis import (
     replay_witness,
 )
 from seqdec.cli import main
-from tests.conftest import ABC, XY
+from tests.conftest import ABC, XY, window_table
 from tests.mutants import MUTANTS
 from tests.test_facts import rule_specs
 
 
 def oracle_informational_dominance(rule: RuleHandle) -> AxiomReport:
     facts = rule.facts
-    k, table, minimal = facts.bound, facts.table, facts.minimal
+    k, table, minimal = facts.bound, window_table(facts), facts.minimal
     n = len(rule.alphabet)
     pool = [
         (word, dec, Segment(rule.alphabet, word).symbol_set()) for word, dec in minimal
@@ -141,7 +141,8 @@ def test_csr3_5_past_the_window_cap():
 
 
 def test_csr3_5_csr_suite_passes(capsys, tmp_path):
-    # monotonicity searches state pairs too; the config suite still reads the table
+    # monotonicity searches state pairs too; in the config suite neutrality
+    # answers, but acyclicity lists all 3^13 windows
     path = tmp_path / "csr3_5.json"
     path.write_text(rule_to_json(CSR3_5))
     assert main(["axioms", str(path), "--suite", "csr"]) == 0
@@ -149,4 +150,4 @@ def test_csr3_5_csr_suite_passes(capsys, tmp_path):
     assert [(r["verdict"], r["horizon"]) for r in payload] == [("pass", 13), ("pass", 13)]
     assert main(["axioms", str(path), "--suite", "config"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("seqdec: ") and "windows" in err and "Traceback" not in err
+    assert err.startswith("seqdec: ") and "3^13 windows" in err and "Traceback" not in err

@@ -10,8 +10,10 @@ documents, embedded stopping automata, some with an output outside the
 input alphabet, and random total machines that may halt, run off the tape
 or spin, now and then with a junk field or a string for a list, go through
 ``tm-run`` and ``eval`` on ``|x`` and on random literals, ``analyze``,
-``axioms --suite csr`` and ``compile`` with hostile horizons and budgets.  Whatever the
-input, the command must exit 0, 1, 2 or 3 and never print a traceback.
+``axioms --suite csr``, ``axioms --suite config`` (whose choice check
+rejects an output outside the alphabet) and ``compile`` with hostile
+horizons and budgets.  Whatever the input, the command must exit 0, 1, 2
+or 3 and never print a traceback.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from seqdec.automaton import DecisionAutomaton
+from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
@@ -191,5 +193,22 @@ def test_machine_documents_keep_the_exit_contract(case, horizon):
         ["eval", literal, *limits],
         ["analyze", *limits],
         ["axioms", "--suite", "csr", *limits],
+        ["axioms", "--suite", "config", *limits],
         ["compile", *limits],
     ))
+
+
+def test_machine_deciding_outside_the_alphabet_exits_2(capsys, tmp_path):
+    # the choice check reads the tabulated machine's minimal segments
+    xy = Alphabet(("x", "y"))
+    terminal = {"t0": "x", "t1": "none"}
+    transitions = {"q0": {"x": "t0", "y": "t1"}}
+    transitions.update((t, absorbing_terminal_row(xy, t)) for t in terminal)
+    aut = DecisionAutomaton(xy, list(transitions), "q0", transitions, terminal)
+    doc = tm_to_json_dict(automaton_to_tm(aut))
+    doc["input_alphabet"] = list(xy.symbols)
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    limits = ["--horizon", "1", "--budget", "100"]
+    assert main(["axioms", str(path), "--suite", "config", *limits]) == 2
+    assert "decision 'none' after 'y' is not an alternative" in capsys.readouterr().err

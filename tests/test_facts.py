@@ -35,13 +35,12 @@ import seqdec.analysis
 import seqdec.automaton
 from seqdec.analysis import (
     RuleHandle,
-    decision_on,
     enumerate_minimal_sufficient,
     stopping_time,
     sufficiency_of,
     uniform_bound_search,
 )
-from tests.conftest import ABC, XY
+from tests.conftest import ABC, XY, window_table
 
 
 class OracleFacts(NamedTuple):
@@ -193,9 +192,9 @@ def test_facts_match_the_enumeration(spec, black_box, data):
         assert stopping_time(rule, seq) == oracle_stopping_time(oracle, seq)
         word = tuple(data.draw(indices(alphabet, 0, horizon)))
         assert sufficiency_of(rule, Segment(alphabet, word)) == oracle_sufficiency(oracle, word)
-    assert list(rule.facts.table.items()) == list(oracle.table.items())
+    assert list(window_table(rule.facts).items()) == list(oracle.table.items())
     for window, dec in oracle.table.items():
-        assert decision_on(rule, window) == dec
+        assert rule.facts.decided(window) == dec
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,5 +232,5 @@ def test_one_peel_per_facts_build(monkeypatch):
     for rule in (automaton, RuleHandle.from_callable(ABC, automaton.decide, horizon=4)):
         calls.clear()
         facts = rule.facts
-        assert facts.bound == 4 and facts.open_states and facts.minimal and facts.table
+        assert facts.bound == 4 and facts.open_states and facts.minimal
         assert len(calls) == 1

@@ -45,7 +45,7 @@ from seqdec.analysis import (
     replay_witness,
 )
 from seqdec.cli import main
-from tests.conftest import ABC
+from tests.conftest import ABC, window_table
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_dominance import both_handles, tree_automata
@@ -70,7 +70,7 @@ def distinguishing_extensions(
 ) -> tuple[tuple[Word, str], tuple[Word, str]]:
     """Two full windows extending an open word that decide differently."""
     facts = rule.facts
-    k, table = facts.bound, facts.table
+    k, table = facts.bound, window_table(facts)
     first: tuple[Word, str] | None = None
     for fill in itertools.product(range(len(rule.alphabet)), repeat=max(k - len(word), 0)):
         dec = table[(word + fill)[:k]]

@@ -43,7 +43,7 @@ from seqdec.analysis import (
     replay_witness,
 )
 from seqdec.cli import main
-from tests.conftest import ABC, XY
+from tests.conftest import ABC, XY, window_table
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_dominance import both_handles, tree_automata
@@ -52,7 +52,7 @@ from tests.test_facts import rule_specs
 
 def oracle_monotonicity(rule: RuleHandle) -> AxiomReport:
     facts = rule.facts
-    k, table = facts.bound, facts.table
+    k, table = facts.bound, window_table(facts)
     n = len(rule.alphabet)
     checked = 0
     for word in itertools.product(range(n), repeat=k + 1):
