@@ -2,8 +2,10 @@
 
 Any stopping automaton embeds into a two-tape machine that replays it while
 sweeping the input tape, at a couple of steps of overhead.  The reverse
-bridge is per instance: walk a budgeted machine's runs, one state per
-configuration it reaches on first reading a cell, and minimize the result.
+bridge is per instance: walk a budgeted machine's runs until each halts,
+one state per configuration it reaches on first reading a cell, and
+minimize the result.  No horizon is declared: the budget bounds how far a
+run reads, and the walk finds the uniform bound.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from seqdec import (
     minimize,
     tabulate_automaton,
     tm_run,
+    uniform_bound_search,
     verify_stopping,
 )
 
@@ -34,8 +37,9 @@ for text in ("|a b c", "b b|a", "|c"):
     print(f"  {text:<8} automaton: {decision}@{stop}   machine: {run.decision} in {run.steps} steps")
 
 print("\nresynthesis from budgeted machine runs:")
-box = RuleHandle.from_machine(machine, abc, horizon=7, budget=100)
+box = RuleHandle.from_machine(machine, abc, budget=100)
 rebuilt = minimize(tabulate_automaton(box))
+print(f"  bound found by the walk, with no horizon declared: {uniform_bound_search(box)}")
 print(f"  observed automaton: {len(rebuilt.states)} states, bound {verify_stopping(rebuilt).bound}")
 for text in ("|a b c", "b b|a"):
     seq = abc.sequence(text)

@@ -1,15 +1,15 @@
 """Rule-agnostic stopping analysis, axiom checking, and identification.
 
 Everything here works against a :class:`RuleHandle`, either an automaton or
-a black box with a declared horizon H: a pure evaluator or a budgeted
+a black box: a pure evaluator with a declared horizon H, or a budgeted
 machine, read as a tree of runs over the words read so far.  Both are
 analysed as one decision automaton, built for a black box by one
-depth-first walk of its run tree: one state per distinct configuration of
-a machine that never moves its input head left, else one per word shorter
-than H.  The walk closes each depth-H node with every single symbol, which
-is how a lying horizon declaration is caught.  One peel of the automaton
-gives every state's decision, a terminal's output or the one the peel
-forces, and shows that the rule stops.
+depth-first walk of its run tree until every run decides: one state per
+distinct configuration of a machine that never moves its input head left,
+else one per word.  A declared horizon is checked against the uniform
+bound the walk finds.  One peel of the automaton gives every state's
+decision, a terminal's output or the one the peel forces, and shows that
+the rule stops.
 
 Stopping questions walk at most K states along the input, K being the
 uniform bound.  One pass over the reachable open states in the peel's
@@ -84,9 +84,13 @@ WINDOW_CAP = 1 << 20
 class HorizonViolation(SeqdecError):
     """Black-box decisions depend on positions beyond the declared horizon.
 
-    This indicts the caller's horizon assertion, not the rule, which is why
-    it is an error rather than a Fail verdict.
+    This indicts the caller's horizon assertion, not the rule: an error, not
+    a Fail verdict, naming the first open ``window`` of length ``horizon``.
     """
+
+    def __init__(self, window: str, horizon: int, why: str):
+        super().__init__(f"{why}; the rule reads past the declared horizon {horizon}")
+        self.window, self.horizon = window, horizon
 
 
 class NonStoppingRuleError(SeqdecError):
@@ -115,22 +119,37 @@ class NotOsr(SeqdecError):
 
 @dataclass(frozen=True)
 class EvaluatorRuns:
-    """A plain evaluator as the degenerate run tree, in which no read decides.
+    """A plain evaluator with a declared horizon H as the degenerate run tree.
 
     A run tree's ``read(node, word)`` gives the node of ``word`` from its
     parent's (None at the root), with the decision if the run ends there,
-    else None; ``close(node, seq)`` gives a node and the decision on
-    ``seq``, which extends the node's word (any sequence at the root).
-    In a ``keyed`` tree equal nodes have equal subtrees, whatever their words.
+    else None; ``close(seq)`` gives a root node's run on ``seq``.  In a
+    ``keyed`` tree equal nodes have equal subtrees, whatever their words.
+    An evaluator cannot pause, so its caps are met at the root, and it
+    decides at depth H if the word's single-symbol closures agree.
     """
 
     decide: Callable[[SeqSpec], str]
+    alphabet: Alphabet
+    horizon: int
     keyed = False
 
-    def read(self, node: None, word: Word) -> tuple[None, None]:
-        return None, None
+    def read(self, node: None, word: list[int]) -> tuple[None, str | None]:
+        alphabet, h, n = self.alphabet, self.horizon, len(self.alphabet)
+        if not word:
+            _require_windows(alphabet, h)
+            # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
+            _require_states(h if n == 1 else (n ** min(h, 65) - 1) // (n - 1))
+        if len(word) < h:
+            return None, None
+        closed = {self.decide(_closure(alphabet, tuple(word), c)) for c in range(n)}
+        if len(closed) > 1:
+            text = _word_text(alphabet, tuple(word))
+            why = f"decisions after window {text!r} differ across closures {sorted(closed)}"
+            raise HorizonViolation(text, h, why)
+        return None, closed.pop()
 
-    def close(self, node: None, seq: SeqSpec) -> tuple[None, str]:
+    def close(self, seq: SeqSpec) -> tuple[None, str]:
         return None, self.decide(seq)
 
 
@@ -138,9 +157,9 @@ class EvaluatorRuns:
 class RuleHandle:
     """A decision rule under analysis: an automaton or a black box's run tree.
 
-    Black boxes must be pure (same input, same output); the declared
-    horizon asserts that decisions depend only on the first that many
-    positions.
+    Black boxes must be pure (same input, same output).  A declared horizon
+    asserts that decisions depend only on the first that many positions; an
+    evaluator needs one, and a machine, whose budget bounds its runs, not.
     """
 
     alphabet: Alphabet
@@ -151,8 +170,8 @@ class RuleHandle:
     def __post_init__(self) -> None:
         if (self.automaton is None) == (self.runs is None):
             raise ValidationError("exactly one of automaton or runs must be given")
-        if self.runs is not None and (self.horizon is None or self.horizon < 1):
-            raise ValidationError("black-box rules need a declared horizon >= 1")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
 
     @classmethod
     def from_automaton(cls, aut: DecisionAutomaton) -> RuleHandle:
@@ -162,10 +181,12 @@ class RuleHandle:
     def from_callable(
         cls, alphabet: Alphabet, evaluator: Callable[[SeqSpec], str], horizon: int
     ) -> RuleHandle:
-        return cls(alphabet=alphabet, runs=EvaluatorRuns(evaluator), horizon=horizon)
+        return cls(alphabet, runs=EvaluatorRuns(evaluator, alphabet, horizon), horizon=horizon)
 
     @classmethod
-    def from_machine(cls, tm: TwoTapeTm, alphabet: Alphabet, horizon: int, budget: int) -> RuleHandle:
+    def from_machine(
+        cls, tm: TwoTapeTm, alphabet: Alphabet, budget: int, horizon: int | None = None
+    ) -> RuleHandle:
         return cls(alphabet=alphabet, runs=TmRuns(tm, alphabet, budget), horizon=horizon)
 
     @classmethod
@@ -175,7 +196,7 @@ class RuleHandle:
     def decide(self, seq: SeqSpec) -> str:
         if self.automaton is not None:
             return evaluate(self.automaton, seq)[0]
-        return self.runs.close(None, seq)[1]  # type: ignore[union-attr,return-value]
+        return self.runs.close(seq)[1]  # type: ignore[union-attr,return-value]
 
     @cached_property
     def facts(self) -> Facts:
@@ -196,20 +217,14 @@ def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
     """The decision automaton of a black box, from one walk of its run tree.
 
     The walk is depth first and lexicographic, so the first error raised is
-    the first that the windows' order meets.  A node whose run halts links
-    to its decision's terminal; one at depth H is closed by each single
-    symbol, and closures that disagree show a lying horizon.  In a keyed
-    tree a node equal to one walked before links to its state; new states
-    count against ``STATE_CAP`` and the output cells of their keys against
-    ``WINDOW_CAP``.  Otherwise both caps are met before the first run.
+    the first that the windows' order meets; it ends when every read has
+    decided.  In a keyed tree a node equal to one walked before links to its
+    state.  New states count against ``STATE_CAP``, and the output cells of
+    the machine configurations they hold against ``WINDOW_CAP``.
     """
-    h, runs, alphabet = rule.horizon, rule.runs, rule.alphabet
-    assert h is not None and runs is not None
+    runs, alphabet = rule.runs, rule.alphabet
+    assert runs is not None
     n, names, keyed = len(alphabet), alphabet.symbols, runs.keyed
-    if not keyed:
-        _require_windows(alphabet, h)
-        # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
-        _require_states(h if n == 1 else (n ** min(h, 65) - 1) // (n - 1))
     memo: dict[Hashable, str] = {}
     cells = 0
     path: list[int] = []  # the word of the top frame
@@ -226,25 +241,15 @@ def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
         child, got = runs.read(node, path)
         target = f"dec:{got}" if got is not None else memo.get(child)
         if target is None:
-            if len(path) < h:
-                target = f"s{len(rows)}"
-                frames.append((rows.setdefault(target, {}), child))
-                _require_states(len(rows))
-            else:
-                # a keyed run never moves its input head back over the word
-                word = () if keyed else tuple(path)
-                closed = {runs.close(child, _closure(alphabet, word, c))[1] for c in range(n)}
-                if len(closed) > 1:
-                    raise HorizonViolation(
-                        f"decisions after window {_word_text(alphabet, tuple(path))!r} differ across "
-                        f"closures {sorted(closed)}; the rule reads past the declared horizon {h}"
-                    )
-                target = f"dec:{closed.pop()}"
-            if keyed:
-                memo[child] = target
+            target = f"s{len(rows)}"
+            frames.append((rows.setdefault(target, {}), child))
+            _require_states(len(rows))
+            if child is not None:
                 cells += len(child[3])
                 if cells > WINDOW_CAP:
                     raise ResourceLimit(f"{cells} output cells of machine configurations", WINDOW_CAP)
+            if keyed:
+                memo[child] = target
         row[names[path[-1]]] = target
         if len(path) == len(frames):
             path.pop()
@@ -300,9 +305,15 @@ class Facts:
                 "the automaton admits an endless run; no stopping analysis applies"
             )
         names, transitions = aut.alphabet.symbols, aut.transitions
-        return cls(
+        facts = cls(
             aut, aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get, peel
         )
+        if (h := rule.horizon) is not None and facts.bound > h:
+            # a tabulated state's words have one length, so this is the first open window
+            word = next(s.word for s in facts.open_states.values() if len(s.word) == h)
+            text = _word_text(aut.alphabet, word)
+            raise HorizonViolation(text, h, f"the decision after window {text!r} is still open")
+        return facts
 
     def decisions(self, word: Iterable[int]) -> Iterator[str | None]:
         """Decision after each prefix of ``word``, the empty prefix first."""

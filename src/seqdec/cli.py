@@ -88,10 +88,7 @@ class _Loaded:
             raise ValidationError("unrecognized document: need a rule, automaton, or machine")
 
     def alphabet(self, args) -> Alphabet:
-        if self.rule is not None:
-            return self.rule.alphabet
-        if self.automaton is not None:
-            return self.automaton.alphabet
+        """A machine's input alphabet: ``--alphabet``, its ``input_alphabet`` or its tape's."""
         if getattr(args, "alphabet", None):
             return Alphabet(tuple(args.alphabet.replace(",", " ").split()))
         if self.machine_alphabet is not None:
@@ -104,14 +101,13 @@ class _Loaded:
             return RuleHandle.from_rule(self.rule)
         if self.automaton is not None:
             return RuleHandle.from_automaton(self.automaton)
-        if getattr(args, "horizon", None) is None or getattr(args, "budget", None) is None:
-            raise ValidationError("machine-backed rules need --horizon and --budget")
-        return RuleHandle.from_machine(self.machine, self.alphabet(args), args.horizon, args.budget)
+        if getattr(args, "budget", None) is None:
+            raise ValidationError("machine-backed rules need --budget")
+        return RuleHandle.from_machine(self.machine, self.alphabet(args), args.budget, args.horizon)
 
 
 def cmd_eval(args) -> int:
-    loaded = _Loaded(_load_document(args.rule_file))
-    rule = loaded.handle(args)
+    rule = _Loaded(_load_document(args.rule_file)).handle(args)
     seq = rule.alphabet.sequence(args.sequence)
     decision = rule.decide(seq)
     stop = stopping_time(rule, seq)
@@ -136,8 +132,7 @@ def _compiled_automaton(loaded: _Loaded, args):
 
 
 def cmd_compile(args) -> int:
-    loaded = _Loaded(_load_document(args.rule_file))
-    aut = _compiled_automaton(loaded, args)
+    aut = _compiled_automaton(_Loaded(_load_document(args.rule_file)), args)
     return _report_automaton(minimize(aut) if args.minimize else aut, args)
 
 
@@ -168,10 +163,7 @@ def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
 
 def cmd_dot(args) -> int:
     loaded = _Loaded(_load_document(args.file))
-    aut = loaded.automaton
-    if aut is None:
-        aut = _compiled_automaton(loaded, args)
-    text = to_dot(aut)
+    text = to_dot(loaded.automaton or _compiled_automaton(loaded, args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -181,8 +173,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    loaded = _Loaded(_load_document(args.rule_file))
-    rule = loaded.handle(args)
+    rule = _Loaded(_load_document(args.rule_file)).handle(args)
     payload = {
         "uniform_bound": uniform_bound_search(rule),
         "minimal_sufficient": [
@@ -203,16 +194,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    loaded = _Loaded(_load_document(args.rule_file))
-    rule = loaded.handle(args)
+    rule = _Loaded(_load_document(args.rule_file)).handle(args)
     reports = run_suite(rule, args.suite)
     _emit([r.to_json_dict() for r in reports], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def cmd_identify(args) -> int:
-    loaded = _Loaded(_load_document(args.rule_file))
-    rule = loaded.handle(args)
+    rule = _Loaded(_load_document(args.rule_file)).handle(args)
     try:
         spec, checked = identify_csr(rule) if args.target == "csr" else identify_osr(rule)
     except (NotCsr, NotOsr) as exc:
@@ -230,8 +219,7 @@ def cmd_tm_run(args) -> int:
     loaded = _Loaded(_load_document(args.machine_file))
     if loaded.machine is None:
         raise ValidationError("tm-run expects a machine document")
-    alphabet = loaded.alphabet(args)
-    seq = alphabet.sequence(args.sequence)
+    seq = loaded.alphabet(args).sequence(args.sequence)
     result = tm_run(loaded.machine, seq, args.budget)
     _emit({"decision": result.decision, "steps": result.steps, "halted": result.halted}, args.out)
     return EXIT_OK
@@ -251,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         if text:
             p.add_argument("--format", choices=("json", "text"), default="json")
         if horizon:
-            p.add_argument("--horizon", type=int, help="declared horizon for machine-backed rules")
+            p.add_argument("--horizon", type=int, help="optional: asserted uniform bound of a machine")
             p.add_argument("--budget", type=int, help="step budget for machine-backed rules")
             p.add_argument("--alphabet", help="input alphabet for machine-backed rules, e.g. 'a b c'")
 

@@ -11,6 +11,7 @@ runs of one machine are safe.  One interpreter loop runs a machine until it
 halts or its input head first reaches a cell it was not given: ``tm_run``
 gives it the whole sequence, ``TmRuns`` a word at a time.  A machine that
 never moves its input head left carries only its paused configuration on.
+A run within B steps reads at most B - 1 symbols, so run trees are finite.
 
 JSON wire format::
 
@@ -175,7 +176,7 @@ def tm_run(tm: TwoTapeTm, seq: SeqSpec, budget: int) -> TmRun:
     without reaching a terminal state; non-halting can only be signaled this
     way since the input is infinite.
     """
-    config, decision = TmRuns(tm, seq.alphabet, budget).close(None, seq)
+    config, decision = TmRuns(tm, seq.alphabet, budget).close(seq)
     return TmRun(decision=decision, steps=config[-1])  # type: ignore[arg-type]
 
 
@@ -186,9 +187,9 @@ class TmRuns:
     ``read(config, word)`` resumes the run paused at ``config`` (None: not
     yet started) on the start marker and ``word``, read in place, until the
     input head first reaches the cell after them; it gives the paused run
-    and None, or the decision where the machine halts first.
-    ``close(config, seq)`` resumes it on the start marker and all of
-    ``seq``.  It is ``keyed`` when no transition moves the input head left.
+    and None, or the decision where the machine halts first.  ``close(seq)``
+    runs it on the start marker and all of ``seq``.  It is ``keyed`` when no
+    transition moves the input head left.
     """
 
     tm: TwoTapeTm
@@ -203,8 +204,8 @@ class TmRuns:
         names, end = self.alphabet.symbols, len(word) + 1
         return self.run(config, lambda p: START if p == 1 else names[word[p - 2]] if p <= end else None)
 
-    def close(self, config: TmConfig | None, seq: SeqSpec) -> tuple[TmConfig, str | None]:
-        return self.run(config, lambda pos: START if pos == 1 else seq.symbol_at(pos - 1))
+    def close(self, seq: SeqSpec) -> tuple[TmConfig, str | None]:
+        return self.run(None, lambda pos: START if pos == 1 else seq.symbol_at(pos - 1))
 
     def run(
         self, config: TmConfig | None, input_at: Callable[[int], str | None]

@@ -3,16 +3,19 @@
 import json
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.analysis import (
-    AxiomReport, RuleHandle, enumerate_minimal_sufficient, replay_witness, tabulate_automaton,
+    SUITES, AxiomReport, RuleHandle, enumerate_minimal_sufficient, replay_witness,
+    tabulate_automaton,
 )
 from seqdec.heuristics import (
-    Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, compile_rule, rule_from_dict, rule_to_json,
+    Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, compile_rule, rule_from_dict, rule_to_dict,
+    rule_to_json,
 )
 from seqdec.automaton import to_json as automaton_to_json
 from seqdec.machines import (
@@ -23,6 +26,7 @@ from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_machines import (
     copier_machine, echo_machine, peek_back_machine, scanner_machine, spinner_machine,
+    zigzag_machine,
 )
 
 ABC = Alphabet(("a", "b", "c"))
@@ -450,7 +454,7 @@ class TestAnalyze:
             cases.append((automaton_to_json(tabulate_automaton(rule)), rule, []))
         tm = automaton_to_tm(compile_rule(CsrSpec(ABC, {s: Fraction(1) for s in ABC}, Fraction(2))))
         flags = ["--horizon", "4", "--budget", "100", "--alphabet", "a b c"]
-        cases.append((tm_to_json(tm), RuleHandle.from_machine(tm, ABC, 4, 100), flags))
+        cases.append((tm_to_json(tm), RuleHandle.from_machine(tm, ABC, 100, 4), flags))
         path = tmp_path / "doc.json"
         for text, rule, flags in cases:
             path.write_text(text)
@@ -550,7 +554,7 @@ class TestIdentify:
         walked = sum(transitions)
         assert code == 0 and payload["checked"] > 0 and walked == 37
         transitions.clear()
-        analysis._tabulate_blackbox(RuleHandle.from_machine(tm, ABC, 4, 100))
+        analysis._tabulate_blackbox(RuleHandle.from_machine(tm, ABC, 100))
         assert sum(transitions) == walked
         # the 243 runs from the start marker that the walks replaced, and
         # the 82 transitions of a walk that shares only common prefixes
@@ -592,13 +596,20 @@ class TestTmRun:
         "machine, horizon, budget, code",
         [
             pytest.param(echo_machine, "-1", "50", 2, id="-1-2"),
-            # a one-way machine is tabulated by its configurations, so the
-            # echo machine answers at any horizon
+            # the walk goes until every run halts, so the echo machine
+            # answers at any horizon, one-way or two-way
             pytest.param(echo_machine, "1000000000", "50", 0, id="1000000000-0"),
             pytest.param(echo_machine, "10000000000", "50", 0, id="10000000000-0"),
-            # a two-way machine's windows are counted before any run
-            pytest.param(peek_back_machine, "1000000000", "50", 3, id="two-way-1000000000-3"),
-            pytest.param(peek_back_machine, "10000000000", "50", 3, id="two-way-10000000000-3"),
+            pytest.param(peek_back_machine, "1000000000", "50", 0, id="peek-back-1000000000-0"),
+            pytest.param(peek_back_machine, "10000000000", "50", 0, id="peek-back-10000000000-0"),
+            # a two-way machine that reads right forever: one state per word,
+            # until the state cap (about 2 s on a 2-core x86-64 box), or with
+            # a growing output tape, until the cap on the cells it holds
+            pytest.param(zigzag_machine, "1000000000", "10000000000", 3, id="two-way-1000000000-3"),
+            pytest.param(
+                lambda xy: zigzag_machine(xy, move_out="R"), "10000000000", "10000000000", 3,
+                id="two-way-10000000000-3",
+            ),
             # ever longer output tapes, until the cap on the cells they hold
             pytest.param(copier_machine, "10000000000", "10000000000", 3, id="copier-10000000000-3"),
         ],
@@ -615,11 +626,14 @@ class TestTmRun:
         monkeypatch.setattr(machines.TmRuns, "run", lambda *a: runs.append(1) or run(*a))
         begin = time.perf_counter()
         assert main(argv) == code
-        assert time.perf_counter() - begin < 1.0
+        # the walk to the state cap takes the 10 s of the scanner test below
+        assert time.perf_counter() - begin < (10.0 if machine is zigzag_machine else 1.0)
         err = capsys.readouterr().err
         assert "Traceback" not in err and (err.startswith("seqdec: ") if code else err == "")
         if code == 3:
-            assert "exceed the cap" in err and (len(runs) > 0) == (machine is not peek_back_machine)
+            assert "exceed the cap" in err and runs
+        if machine is zigzag_machine:
+            assert err == "seqdec: 262145 states exceed the cap of 262144\n"
 
     def test_never_halting_scanner_stops_at_the_state_cap(self, capsys, tmp_path):
         # one configuration per cell read, so 2^18 resumes, one step each, reach
@@ -637,7 +651,7 @@ class TestTmRun:
         path = tmp_path / "echo.json"
         path.write_text(tm_to_json(echo_machine(XY)))
         for flags, message in (
-            (["--horizon", "0", "--budget", "10"], "black-box rules need a declared horizon >= 1"),
+            (["--horizon", "0", "--budget", "10"], "horizon must be >= 1, got 0"),
             (["--horizon", "1", "--budget", "0"], "budget must be >= 1, got 0"),
         ):
             assert main(["analyze", str(path), *flags, "--alphabet", "x y"]) == 2
@@ -653,6 +667,9 @@ class TestTmRun:
         path = tmp_path / "echo.json"
         path.write_text(tm_to_json(echo_machine(XY)))
         assert main(["eval", str(path), "|x"]) == 2
+        assert capsys.readouterr().err == "seqdec: machine-backed rules need --budget\n"
+        # the budget bounds the walk, so no horizon is needed
+        assert main(["eval", str(path), "|x", "--budget", "10", "--alphabet", "x y"]) == 0
 
     def test_machine_backed_eval_and_axioms(self, capsys, tmp_path):
         path = tmp_path / "echo.json"
@@ -698,6 +715,46 @@ class TestTmRun:
             ["analyze", str(path), "--horizon", "2", "--budget", "50"]
         )
         assert code == 3
+
+
+def test_machines_answer_alike_with_and_without_a_horizon(capsys, tmp_path):
+    # every corpus rule and mutant embedded as a machine with budget 2K + 4:
+    # a horizon of K changes no byte of stdout, and one of K - 1 names the
+    # first window of that length that leaves the decision open
+    cases = [(compile_rule(spec), rule_to_dict(spec)["kind"]) for spec in build_corpus()]
+    for axiom, make in MUTANTS.items():
+        suite = next(name for name, axioms in SUITES.items() if axiom in axioms)
+        cases.append((tabulate_automaton(make()), suite))
+    path = tmp_path / "machine.json"
+    violations = 0
+    for aut, suite in cases:
+        names = aut.alphabet.symbols
+        doc = tm_to_json_dict(automaton_to_tm(aut))
+        doc["input_alphabet"] = list(names)
+        path.write_text(json.dumps(doc))
+        facts = RuleHandle.from_automaton(aut).facts
+        bound = facts.bound
+        budget = ["--budget", str(2 * bound + 4)]
+        for command in (
+            ["eval", f"{names[-1]}|{names[0]}"],
+            ["analyze"],
+            ["axioms", "--suite", suite],
+            ["identify", "--as", "osr" if suite == "osr" else "csr"],
+        ):
+            argv = [command[0], str(path), *command[1:], *budget]
+            code, without = main(argv), capsys.readouterr()
+            assert (main([*argv, "--horizon", str(bound)]), capsys.readouterr()) == (code, without)
+            assert code in (0, 1) and without.err == ""
+        if bound >= 2:
+            words = product(range(len(names)), repeat=bound - 1)
+            text = " ".join(names[i] for i in next(w for w in words if facts.decided(w) is None))
+            assert main(["analyze", str(path), *budget, "--horizon", str(bound - 1)]) == 3
+            assert capsys.readouterr().err == (
+                f"seqdec: the decision after window {text!r} is still open; "
+                f"the rule reads past the declared horizon {bound - 1}\n"
+            )
+            violations += 1
+    assert violations > 40
 
 
 class TestDeterminism:

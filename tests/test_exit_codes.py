@@ -6,14 +6,16 @@ small rule documents, well formed or not (half the config rules with a
 complete random table comparator), and on random automaton
 documents, stopping or not; ``minimize`` (JSON and text), ``compile
 --minimize`` and ``dot`` run on the automaton documents too.  Machine
-documents, embedded stopping automata, some with an output outside the
-input alphabet, and random total machines that may halt, run off the tape
-or spin, now and then with a junk field or a string for a list, go through
-``tm-run`` and ``eval`` on ``|x`` and on random literals, ``analyze``,
-``axioms --suite csr``, ``axioms --suite config`` (whose choice check
-rejects an output outside the alphabet) and ``compile`` with hostile
-horizons and budgets.  Whatever the input, the command must exit 0, 1, 2
-or 3 and never print a traceback.
+documents, embedded stopping automata, half of them choice rules and some
+with an output outside the input alphabet, and random total machines that
+may halt, run off the tape or spin, go through ``tm-run`` and ``eval`` on
+``|x`` and on random literals, ``analyze``, ``axioms --suite csr``,
+``axioms --suite config`` (whose choice check rejects an output outside the
+alphabet) and ``compile``.  Half of them are well formed, with budget 8 and
+horizon 3 or none, which every embedded automaton meets, so that many reach
+a checker; the others have hostile horizons or none, hostile budgets, and
+now and then a junk field or a string for a list.  Whatever the input, the command must
+exit 0, 1, 2 or 3 and never print a traceback.
 """
 
 import contextlib
@@ -44,8 +46,13 @@ AMOUNTS = ["1", "1/2", "3/2", "2"]
 JUNK = ["0", "-1", "x", 1, None]
 # horizons and budgets: real horizons stay at 3 or less, so tabulation is cheap
 LIMITS = ["-1", "0", "1", "2", "3", str(10 ** 10)]
-# a machine that may spin gets no budget it would take long to exhaust
-SPIN_BUDGETS = ["-1", "0", "1", "3", "60"]
+# a machine that may spin gets no budget whose run tree is large: within a
+# budget of B steps a run reads at most B - 1 symbols
+SPIN_BUDGETS = ["-1", "0", "1", "3", "8"]
+# a well-formed budget: enough for every embedded automaton drawn here
+# (bound at most 3, so 5 steps) and every layered random machine (six open
+# states, so six steps), and small enough for a spinner
+BUDGET = "8"
 
 
 def literals(alphabet: list[str]):
@@ -145,47 +152,66 @@ def test_automaton_documents_keep_the_exit_contract(doc, data):
 
 @st.composite
 def machine_documents(draw):
-    """A machine document, a budget for it and a literal over its symbols.
+    """A machine document, a budget, a horizon or None, and a literal over its symbols.
 
-    Embedded stopping automata get any budget; random total machines, which
-    may spin, get small ones.  About a third get a junk or stringified field.
+    Half are well formed: no junk field, ``BUDGET`` and no horizon or 3,
+    which holds for every embedded automaton drawn here, and random total
+    machines that halt within the budget.  In the other half embedded
+    stopping automata get any budget, random total machines, which may spin
+    or run off the tape, small ones, any horizon or none, and about a third
+    a junk or stringified field.
     """
+    well_formed = draw(st.booleans())
     if draw(st.booleans()):
-        alphabet, tm = draw(total_machines())
+        # a layered machine halts within its six open states' steps, unless
+        # its output head runs off the tape
+        machines = total_machines(moves_out="SR", layered=True) if well_formed else total_machines()
+        alphabet, tm = draw(machines)
         alphabet, budgets = list(alphabet), SPIN_BUDGETS
     else:
         alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
         tm, budgets = automaton_to_tm(draw(embeddable_automata(alphabet))), LIMITS
     doc = tm_to_json_dict(tm)
     doc["input_alphabet"] = alphabet
-    if draw(st.integers(0, 2)) == 0:
+    if not well_formed and draw(st.integers(0, 2)) == 0:
         key = draw(st.sampled_from(sorted(doc)))
         text = "".join(doc[key]) if isinstance(doc[key], list) and key != "transitions" else "x"
         doc[key] = draw(st.sampled_from(JUNK + [text]))
-    return doc, draw(st.sampled_from(budgets)), draw(literals(alphabet))
+    budget = BUDGET if well_formed else draw(st.sampled_from(budgets))
+    horizon = draw(st.sampled_from([None, "3"] if well_formed else [None] + LIMITS))
+    return doc, budget, horizon, draw(literals(alphabet))
 
 
 @st.composite
 def embeddable_automata(draw, alphabet):
-    """Stopping automata over up to three open states, some deciding outside the alphabet."""
+    """Stopping automata over up to three open states.
+
+    Half are choice rules that decide the symbol they stop on; the others
+    decide one of two outputs, some outside the alphabet.
+    """
     count = draw(st.integers(1, 3))
-    outputs = draw(st.permutations(alphabet + ["none"]))[:2]
+    choice = draw(st.booleans())
+    outputs = alphabet if choice else draw(st.permutations(alphabet + ["none"]))[:2]
     terminal = {f"t{i}": out for i, out in enumerate(outputs)}
     # each open state moves only to later ones, so every run stops
     transitions = {}
     for i in range(count):
-        targets = st.sampled_from([f"q{j}" for j in range(i + 1, count)] + list(terminal))
-        transitions[f"q{i}"] = {s: draw(targets) for s in alphabet}
+        later = [f"q{j}" for j in range(i + 1, count)]
+        transitions[f"q{i}"] = {
+            s: draw(st.sampled_from(later + ([f"t{k}"] if choice else list(terminal))))
+            for k, s in enumerate(alphabet)
+        }
     transitions.update({t: {s: t for s in alphabet} for t in terminal})
     return DecisionAutomaton(Alphabet(tuple(alphabet)), list(transitions), "q0", transitions, terminal)
 
 
-# about half the draws are embedded automata, so as many of them as 60 used to be
-@settings(max_examples=120, deadline=None)
-@given(case=machine_documents(), horizon=st.sampled_from(LIMITS))
-def test_machine_documents_keep_the_exit_contract(case, horizon):
-    doc, budget, literal = case
-    limits = ["--horizon", horizon, "--budget", budget]
+# half the draws are hostile, so about 120 of them
+@settings(max_examples=240, deadline=None)
+@given(case=machine_documents())
+def test_machine_documents_keep_the_exit_contract(case):
+    doc, budget, horizon, literal = case
+    # the budget bounds the walk, so a horizon is optional
+    limits = ["--budget", budget] + ([] if horizon is None else ["--horizon", horizon])
     assert_contract(doc, (
         ["tm-run", "|x", "--budget", budget],
         ["eval", "|x", *limits],

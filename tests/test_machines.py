@@ -63,6 +63,17 @@ def scanner_machine(alphabet):
     return TwoTapeTm.build(("q0",), "q0", (), syms, [("q0", "*", "*", "q0", "*", "R", "S")])
 
 
+def zigzag_machine(alphabet, move_out="S"):
+    """Step the input head right twice and left once, forever: a two-way
+    machine that reads right without halting.  With ``move_out="R"`` its
+    output tape grows a cell a step."""
+    syms = tuple(alphabet.symbols) + (START, BLANK)
+    rules = [("a", "*", "*", "b", "*", "R", move_out), ("b", "*", "*", "c", "*", "R", move_out)]
+    # the input head never reads the start marker in state c; the rule keeps the table total
+    rules += [("c", "*", "*", "a", "*", "L", move_out), ("c", START, "*", "a", "*", "R", move_out)]
+    return TwoTapeTm.build(("a", "b", "c"), "a", (), syms, rules)
+
+
 def copier_machine(alphabet):
     """Copy each input symbol to the output tape, moving both heads right, forever."""
     syms = tuple(alphabet.symbols) + (START, BLANK)
