@@ -335,7 +335,7 @@ class Facts:
         One breadth-first search over (open state, set of the symbols read)
         visits each node once, by its first word in length-then-
         lexicographic order, so each pair's segment is its first in
-        ``minimal``'s order, and the pairs come in that order.  Each pair is
+        ``segments``' order, and the pairs come in that order.  Each pair is
         found at a child of a node, so past ``WINDOW_CAP`` nodes times symbols
         it raises ``ResourceLimit``.
         """
@@ -373,30 +373,27 @@ class Facts:
         decisive = tuple(s for s in self.alphabet if s not in witnesses)
         return DecisiveSet(decisive, complement, {s: witnesses[s] for s in complement})
 
-    @cached_property
-    def minimal(self) -> list[tuple[Word, str]]:
-        """Minimal sufficient segments, breadth first, lexicographic within a length.
-
-        They are counted first, and past ``WINDOW_CAP`` none is listed.
-        Each open word carries its state, so every word costs one step.
-        """
+    def segments(self, root, pieces: Iterable) -> Iterator[tuple[Word | str, str]]:
+        """Label and decision of each minimal sufficient segment, breadth first,
+        lexicographic within a length; they are counted first, and past
+        ``WINDOW_CAP`` none is listed.  A label is ``root`` plus the piece of
+        each symbol read (``(i,)`` pieces give the word, escaped names its JSON
+        text), one concatenation onto its open parent's, which carries its state."""
         opened = self.open_states
         count = opened[self.start].segments if opened else 1
         if count > WINDOW_CAP:
             raise ResourceLimit(f"{count} minimal sufficient segments", WINDOW_CAP)
-        n = len(self.alphabet)
-        minimal: list[tuple[Word, str]] = []
-        frontier: list[tuple[Word, str]] = [((), self.start)]
+        step, decision, indexed = self.step, self.decision, list(enumerate(pieces))
+        frontier = [(root, self.start)]
         while frontier:
-            nxt: list[tuple[Word, str]] = []
-            for word, state in frontier:
-                got = self.decision(state)
-                if got is not None:
-                    minimal.append((word, got))
+            nxt = []
+            for label, state in frontier:
+                got = decision(state)
+                if got is None:
+                    nxt += [(label + piece, step(state, i)) for i, piece in indexed]
                 else:
-                    nxt.extend((word + (i,), self.step(state, i)) for i in range(n))
+                    yield label, got
             frontier = nxt
-        return minimal
 
     @property
     def bound(self) -> int:
@@ -485,7 +482,7 @@ def enumerate_minimal_sufficient(rule: RuleHandle) -> Iterator[tuple[Segment, st
     segment was open, and sufficiency is monotone under extension.
     Breadth-first, lexicographic within a length.
     """
-    for word, dec in rule.facts.minimal:
+    for word, dec in rule.facts.segments((), [(i,) for i in range(len(rule.alphabet))]):
         yield Segment(rule.alphabet, word), dec
 
 

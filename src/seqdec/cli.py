@@ -36,7 +36,6 @@ from .analysis import (
     NotCsr,
     NotOsr,
     RuleHandle,
-    _word_text,
     decisive_set,
     identify_csr,
     identify_osr,
@@ -52,13 +51,14 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-def _emit(payload, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(payload, out_path=None, end="\n") -> None:
+    """Write a payload, pretty-printed unless it is text already, to stdout or ``out_path``."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text + end)
     else:
-        print(text)
+        print(text, end=end)
 
 
 def _load_document(path: str) -> dict:
@@ -147,8 +147,7 @@ def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
     """Summary (text) or payload (JSON) of an automaton, its DOT and JSON files."""
     bound = verify_stopping(aut).bound
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(aut))
+        _emit(to_dot(aut), args.dot, end="")
     if args.out:
         _emit(automaton_mod.to_json_dict(aut), args.out)
     if args.format == "text":
@@ -163,24 +162,24 @@ def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
 
 def cmd_dot(args) -> int:
     loaded = _Loaded(_load_document(args.file))
-    text = to_dot(loaded.automaton or _compiled_automaton(loaded, args))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(to_dot(loaded.automaton or _compiled_automaton(loaded, args)), args.out, end="")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
+    """Uniform bound, minimal sufficient segments and decisive set.
+
+    One template renders each segment from its ``Facts.segments`` label, its JSON
+    text joined from escaped names.  The list replaces the dumped payload's empty
+    one, which only the key matches (strings escape quotes): one dump's bytes."""
     rule = _Loaded(_load_document(args.rule_file)).handle(args)
-    payload = {
-        "uniform_bound": uniform_bound_search(rule),
-        "minimal_sufficient": [
-            {"segment": _word_text(rule.alphabet, word), "decision": dec}
-            for word, dec in rule.facts.minimal
-        ],
-    }
+    escape = json.encoder.encode_basestring_ascii
+    pieces = [" " + escape(name)[1:-1] for name in rule.alphabet]
+    payload = {"uniform_bound": uniform_bound_search(rule), "minimal_sufficient": []}
+    segments = ",\n".join([
+        f'    {{\n      "decision": {escape(dec)},\n      "segment": "{label[1:]}"\n    }}'
+        for label, dec in rule.facts.segments("", pieces)
+    ])
     dset = decisive_set(rule)
     payload["decisive"] = list(dset.decisive)
     payload["non_decisive"] = list(dset.complement)
@@ -189,7 +188,8 @@ def cmd_analyze(args) -> int:
         payload["sequence"] = seq.text()
         payload["stopping_time"] = stopping_time(rule, seq)
         payload["decision"] = rule.decide(seq)
-    _emit(payload, args.out)
+    key, text = '"minimal_sufficient": ', json.dumps(payload, indent=2, sort_keys=True)
+    _emit(text.replace(key + "[]", f"{key}[\n{segments}\n  ]", 1), args.out)
     return EXIT_OK
 
 

@@ -57,6 +57,8 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValidationError("alphabet must not be empty")
+        if not all(isinstance(s, str) for s in self.symbols):
+            raise ValidationError(f"symbol names must be strings: {self.symbols}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError(f"duplicate symbol names: {self.symbols}")
         object.__setattr__(

@@ -1,5 +1,5 @@
 """Shared fixtures: the two-alternative score-threshold automaton and friends,
-and the window table the test oracles read."""
+and the window table and minimal segments the test oracles read."""
 
 import pytest
 
@@ -23,6 +23,11 @@ def window_table(facts) -> dict[tuple[int, ...], str]:
     table = {word: facts.decision(state) for word, state in layer}
     assert None not in table.values(), "full-depth windows must be decided"
     return table
+
+
+def minimal_words(facts) -> list[tuple[tuple[int, ...], str]]:
+    """Every minimal sufficient segment as a word, with its decision."""
+    return list(facts.segments((), [(i,) for i in range(len(facts.alphabet))]))
 
 
 def build_twosym_threshold2():

@@ -27,14 +27,14 @@ from seqdec.analysis import (
     replay_witness,
 )
 from seqdec.cli import main
-from tests.conftest import ABC, XY, window_table
+from tests.conftest import ABC, XY, minimal_words, window_table
 from tests.mutants import MUTANTS
 from tests.test_facts import rule_specs
 
 
 def oracle_informational_dominance(rule: RuleHandle) -> AxiomReport:
     facts = rule.facts
-    k, table, minimal = facts.bound, window_table(facts), facts.minimal
+    k, table, minimal = facts.bound, window_table(facts), minimal_words(facts)
     n = len(rule.alphabet)
     pool = [
         (word, dec, Segment(rule.alphabet, word).symbol_set()) for word, dec in minimal

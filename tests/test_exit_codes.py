@@ -15,7 +15,8 @@ alphabet) and ``compile``.  Half of them are well formed, with budget 8 and
 horizon 3 or none, which every embedded automaton meets, so that many reach
 a checker; the others have hostile horizons or none, hostile budgets, and
 now and then a junk field or a string for a list.  Whatever the input, the command must
-exit 0, 1, 2 or 3 and never print a traceback.
+exit 0, 1, 2 or 3 and never print a traceback, and ``analyze`` exiting 0
+must print one JSON document and one newline after it.
 """
 
 import contextlib
@@ -31,6 +32,7 @@ from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
+from tests.test_analyze_render import ESCAPED_NAMES
 from tests.test_run_tree import total_machines
 
 COMMANDS = (
@@ -58,7 +60,7 @@ BUDGET = "8"
 def literals(alphabet: list[str]):
     """Sequence literals over the document's symbols and an unknown one, with
     no, one or two "|" and cycles empty or not."""
-    names = st.sampled_from(alphabet + ["q"])
+    names = st.sampled_from([*map(str, alphabet), "q"])
     return st.builds(
         lambda prefix, bar, cycle: " ".join(prefix) + bar + " ".join(cycle),
         st.lists(names, max_size=3),
@@ -69,10 +71,16 @@ def literals(alphabet: list[str]):
 
 @st.composite
 def rule_documents(draw):
-    """Well-formed rule documents, and about as many with a junk field."""
+    """Well-formed rule documents, and about as many with a junk field or a
+    non-string symbol; a quarter are over symbol names that JSON escapes."""
     well_formed = draw(st.booleans())
-    alphabets = [["a"], ["a", "b"], ["a", "b", "c"]] + ([] if well_formed else [["a", "a"], []])
+    alphabets = [["a"], ["a", "b"], ["a", "b", "c"]]
+    alphabets += [] if well_formed else [["a", "a"], [], [1, 2]]
     alphabet = draw(st.sampled_from(alphabets))
+    if draw(st.integers(0, 3)) == 0:
+        # names that JSON escapes, with no space, so literals still parse
+        escaped = st.sampled_from(ESCAPED_NAMES)
+        alphabet = draw(st.lists(escaped, min_size=1, max_size=3, unique=True))
     names = alphabet if well_formed else alphabet + ["z"]
     amounts = st.sampled_from(AMOUNTS if well_formed else AMOUNTS + JUNK)
     kind = draw(st.sampled_from(("csr", "osr", "config") if well_formed else ("csr", "other")))
@@ -136,6 +144,10 @@ def assert_contract(doc: dict, commands=COMMANDS) -> None:
                 code = main([command[0], str(path), *command[1:]])
             assert code in (0, 1, 2, 3), (command, doc)
             assert "Traceback" not in err.getvalue(), (command, doc)
+            if command[0] == "analyze" and code == 0:
+                text = out.getvalue()
+                json.loads(text)
+                assert text.endswith("}\n"), (command, doc)
 
 
 @settings(max_examples=150, deadline=None)

@@ -40,7 +40,7 @@ from seqdec.analysis import (
     sufficiency_of,
     uniform_bound_search,
 )
-from tests.conftest import ABC, XY, window_table
+from tests.conftest import ABC, XY, minimal_words, window_table
 
 
 class OracleFacts(NamedTuple):
@@ -138,8 +138,8 @@ THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction
 
 
 @st.composite
-def rule_specs(draw):
-    alphabet = draw(st.sampled_from((XY, ABC)))
+def rule_specs(draw, alphabets=st.sampled_from((XY, ABC))):
+    alphabet = draw(alphabets)
     kind = draw(st.sampled_from(("csr", "osr", "config")))
     if kind == "csr":
         spec = CsrSpec(
@@ -212,7 +212,7 @@ def test_compiled_spec_matches_evaluate_rule(spec):
 def test_csr3_5_lists_every_minimal_segment():
     # counted first, 220,503 stays under the cap and is listed in full
     rule = RuleHandle.from_rule(CsrSpec(ABC, {s: Fraction(1, 5) for s in ABC}, Fraction(1)))
-    segments = rule.facts.minimal
+    segments = minimal_words(rule.facts)
     assert len(segments) == rule.facts.open_states[rule.facts.start].segments == 220503
     assert segments[0] == ((0, 0, 0, 0, 0), "a")
 
@@ -232,5 +232,5 @@ def test_one_peel_per_facts_build(monkeypatch):
     for rule in (automaton, RuleHandle.from_callable(ABC, automaton.decide, horizon=4)):
         calls.clear()
         facts = rule.facts
-        assert facts.bound == 4 and facts.open_states and facts.minimal
+        assert facts.bound == 4 and facts.open_states and minimal_words(facts)
         assert len(calls) == 1

@@ -1,7 +1,7 @@
 """The decisive set, the OSR axioms and ``identify_osr`` from the symbol-set
 product against the enumerations they replaced.
 
-Each oracle walks ``Facts.minimal``, the list of every minimal sufficient
+Each oracle walks ``minimal_words``, the list of every minimal sufficient
 segment in breadth-first, lexicographic order.  ``oracle_decisive_set``
 records for each symbol the first segment that holds it and decides
 otherwise.  ``oracle_replacement`` swaps every position of every segment
@@ -45,7 +45,7 @@ from seqdec.analysis import (
     replay_witness,
 )
 from seqdec.cli import main
-from tests.conftest import ABC, window_table
+from tests.conftest import ABC, minimal_words, window_table
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_dominance import both_handles, tree_automata
@@ -55,7 +55,7 @@ from tests.test_facts import rule_specs
 def oracle_decisive_set(rule: RuleHandle) -> DecisiveSet:
     alphabet = rule.alphabet
     witnesses: dict[str, tuple[str, str]] = {}
-    for word, dec in rule.facts.minimal:
+    for word, dec in minimal_words(rule.facts):
         seg = Segment(alphabet, word)
         for name in seg.symbol_set():
             if name != dec and name not in witnesses:
@@ -87,7 +87,7 @@ def oracle_replacement(rule: RuleHandle) -> AxiomReport:
     dset = oracle_decisive_set(rule)
     dprime = set(dset.complement)
     checked = 0
-    for m_word, _ in facts.minimal:
+    for m_word, _ in minimal_words(facts):
         if not Segment(rule.alphabet, m_word).symbol_set() <= dprime:
             continue
         for pos in range(1, len(m_word) + 1):
@@ -114,7 +114,7 @@ def non_decisive_segments(rule: RuleHandle) -> list[tuple[Word, str, frozenset[s
     dprime = set(oracle_decisive_set(rule).complement)
     return [
         (word, dec, Segment(rule.alphabet, word).symbol_set())
-        for word, dec in rule.facts.minimal
+        for word, dec in minimal_words(rule.facts)
         if Segment(rule.alphabet, word).symbol_set() <= dprime
     ]
 

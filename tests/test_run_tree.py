@@ -35,7 +35,7 @@ from seqdec.analysis import (
     _tabulate_blackbox,
     tabulate_automaton,
 )
-from tests.conftest import ABC, XY
+from tests.conftest import ABC, XY, minimal_words
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_dominance import tree_automata
@@ -95,7 +95,7 @@ def outcome(tabulate, horizon=None) -> tuple:
             f"the rule reads past the declared horizon {horizon}"
         )
         return "HorizonViolation", message, text, horizon
-    payload = facts.bound, facts.minimal, list(facts.outcomes.items()), facts.decisive
+    payload = facts.bound, minimal_words(facts), list(facts.outcomes.items()), facts.decisive
     return "automaton", payload, minimize(aut)
 
 
