@@ -128,6 +128,7 @@ class DecisionAutomaton:
         for q in self.terminal:
             if q not in state_set:
                 raise InvalidAutomatonError(f"terminal state {q!r} not in state set")
+        symbols = set(self.alphabet.symbols)
         for q in self.states:
             row = self.transitions.get(q)
             if row is None:
@@ -142,8 +143,7 @@ class DecisionAutomaton:
                     raise InvalidAutomatonError(
                         f"terminal state {q!r} is not absorbing on {sym!r}"
                     )
-            extra = set(row) - set(self.alphabet.symbols)
-            if extra:
+            if extra := set(row) - symbols:
                 raise InvalidAutomatonError(f"transitions on unknown symbols {extra} from {q!r}")
 
     def is_terminal(self, state: str) -> bool:
@@ -230,27 +230,29 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]
     successors agree on (a terminal's output, an escaping successor's own
     forced decision), else None.
     """
-    nonterm = [q for q in aut.states if q not in aut.terminal]
-    preds: dict[str, list[str]] = {q: [] for q in nonterm}
-    pending = {q: 0 for q in nonterm}
-    for q in nonterm:
-        for sym in aut.alphabet:
-            tgt = aut.transitions[q][sym]
-            if tgt not in aut.terminal:
+    terminal, rows, symbols = aut.terminal, aut.transitions, aut.alphabet.symbols
+    # each non-terminal state's successors, resolved once, in state order
+    succ = {q: [rows[q][s] for s in symbols] for q in aut.states if q not in terminal}
+    preds: dict[str, list[str]] = {q: [] for q in succ}
+    pending = dict.fromkeys(succ, 0)
+    for q, targets in succ.items():
+        for tgt in targets:
+            if tgt not in terminal:
                 pending[q] += 1
                 preds[tgt].append(q)
     peel: dict[str, tuple[int, str | None]] = {}
-    queue = deque(q for q in nonterm if pending[q] == 0)
+    queue = deque(q for q, n in pending.items() if n == 0)
     while queue:
         q = queue.popleft()
         depth, outputs = 0, set()
-        for sym in aut.alphabet:
-            tgt = aut.transitions[q][sym]
-            if tgt in aut.terminal:
-                outputs.add(aut.terminal[tgt])
+        for tgt in succ[q]:
+            if tgt in terminal:
+                outputs.add(terminal[tgt])
             else:
-                depth = max(depth, 1 + peel[tgt][0])
-                outputs.add(peel[tgt][1])
+                below, out = peel[tgt]
+                if below >= depth:
+                    depth = below + 1
+                outputs.add(out)
         peel[q] = (depth, outputs.pop() if len(outputs) == 1 else None)
         for p in preds[q]:
             pending[p] -= 1
@@ -282,21 +284,22 @@ def verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
     looping state in breadth-first order, by a shortest word.
     """
     peel = _escaping_states(aut)
-    parent = _breadth_first(aut)
+    # the walk finds the witness, so it is skipped when every state escapes
+    parent = {} if len(peel) + len(aut.terminal) == len(aut.states) else _breadth_first(aut)
     looping = [q for q in parent if q not in aut.terminal and q not in peel]
-    if looping:
-        cycle_states, cycle_symbols = _find_nonterminal_cycle(aut, looping[0], peel)
-        word, via = [], parent[cycle_states[0]]
-        while via is not None:
-            word.append(aut.alphabet.index(via[1]))
-            via = parent[via[0]]
-        return StopVerdict(
-            bound=None,
-            cycle_states=cycle_states,
-            cycle_symbols=cycle_symbols,
-            reach=Segment(aut.alphabet, tuple(reversed(word))),
-        )
-    return StopVerdict(bound=1 + peel[aut.initial][0])
+    if not looping:
+        return StopVerdict(bound=1 + peel[aut.initial][0])
+    cycle_states, cycle_symbols = _find_nonterminal_cycle(aut, looping[0], peel)
+    word, via = [], parent[cycle_states[0]]
+    while via is not None:
+        word.append(aut.alphabet.index(via[1]))
+        via = parent[via[0]]
+    return StopVerdict(
+        bound=None,
+        cycle_states=cycle_states,
+        cycle_symbols=cycle_symbols,
+        reach=Segment(aut.alphabet, tuple(reversed(word))),
+    )
 
 
 def _find_nonterminal_cycle(
@@ -480,8 +483,24 @@ def from_json_dict(data: dict) -> DecisionAutomaton:
         raise InvalidAutomatonError(f"malformed automaton document: {exc}") from exc
 
 
-def to_json(aut: DecisionAutomaton) -> str:
-    return json.dumps(to_json_dict(aut), indent=2, sort_keys=True)
+def to_json(aut: DecisionAutomaton, indent: str = "") -> str:
+    """``json.dumps(to_json_dict(aut), indent=2, sort_keys=True)`` over the states' rows,
+    each line after the first prefixed by ``indent``: names escaped once, one template per row."""
+    esc = json.encoder.encode_basestring_ascii
+    names = {q: esc(q) for q in aut.states}
+    symbols = sorted(aut.alphabet.symbols)
+    row = "{\n" + ",\n".join(f"      {esc(s).replace('%', '%%')}: %s" for s in symbols) + "\n    }"
+    rows = [f"{names[q]}: " + row % tuple([names[aut.transitions[q][s]] for s in symbols])
+            for q in sorted(aut.states)]
+    terminal = [f"{names[q]}: {esc(out)}" for q, out in sorted(aut.terminal.items())]
+
+    def block(items: list[str], brackets: str) -> str:
+        return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}" if items else brackets
+
+    text = (f'{{\n  "alphabet": {block([esc(s) for s in aut.alphabet], "[]")},'
+            f'\n  "initial": {names[aut.initial]},\n  "states": {block(list(names.values()), "[]")},'
+            f'\n  "terminal": {block(terminal, "{}")},\n  "transitions": {block(rows, "{}")}\n}}')
+    return text.replace("\n", "\n" + indent)
 
 
 def from_json(text: str) -> DecisionAutomaton:

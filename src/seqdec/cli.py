@@ -149,14 +149,18 @@ def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
     if args.dot:
         _emit(to_dot(aut), args.dot, end="")
     if args.out:
-        _emit(automaton_mod.to_json_dict(aut), args.out)
+        _emit(automaton_mod.to_json(aut), args.out)
     if args.format == "text":
         print(f"{len(aut.states)} states, bound {bound}")
     else:
         payload = {"state_count": len(aut.states), "uniform_bound": bound}
-        if not args.out:
-            payload["automaton"] = automaton_mod.to_json_dict(aut)
-        _emit(payload)
+        if args.out:
+            _emit(payload)
+        else:
+            # the automaton's text replaces an empty object, which only its key matches
+            payload["automaton"] = {}
+            key, text = '"automaton": ', json.dumps(payload, indent=2, sort_keys=True)
+            _emit(text.replace(key + "{}", key + automaton_mod.to_json(aut, "  "), 1))
     return EXIT_OK
 
 

@@ -255,8 +255,7 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
     aut = spec.alphabet
     _require_states(math.prod(counts.values()) + len(aut))
     zero = tuple(0 for _ in aut)
-    todo = [zero]
-    seen = {zero}
+    names, todo = {zero: _vector_name(aut, zero)}, [zero]  # each vector named once, when reached
     transitions: dict[str, dict[str, str]] = {}
     while todo:
         vec = todo.pop()
@@ -266,16 +265,16 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
                 row[name] = f"dec:{name}"
             else:
                 nxt = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
-                row[name] = _vector_name(aut, nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt not in names:
+                    names[nxt] = _vector_name(aut, nxt)
                     todo.append(nxt)
-        transitions[_vector_name(aut, vec)] = row
+                row[name] = names[nxt]
+        transitions[names[vec]] = row
     terminal = {f"dec:{name}": name for name in aut}
     for t in terminal:
         transitions[t] = absorbing_terminal_row(aut, t)
-    states = tuple(sorted(_vector_name(aut, v) for v in seen)) + tuple(sorted(terminal))
-    return DecisionAutomaton(aut, states, _vector_name(aut, zero), transitions, terminal)
+    states = tuple(sorted(names.values())) + tuple(sorted(terminal))
+    return DecisionAutomaton(aut, states, names[zero], transitions, terminal)
 
 
 def osr_evaluate(spec: OsrSpec, seq: SeqSpec) -> str:
@@ -296,38 +295,31 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     The strict order makes the running best a sufficient statistic for the
     fallback choice, so no further history is needed.
     """
-    aut = spec.alphabet
+    aut, rank = spec.alphabet, spec._rank  # type: ignore[attr-defined]
+    cut = rank[spec.threshold_alt]  # a symbol ranked before the threshold decides at once
     # (0, -), then (position, best) for every symbol not above the threshold
-    below = sum(not spec.above_threshold(sym) for sym in aut)
-    _require_states(1 + (spec.span - 1) * below + len(aut))
-
-    def name_of(pos: int, best: str | None) -> str:
-        return f"p{pos}:{best or '-'}"
-
-    transitions: dict[str, dict[str, str]] = {}
-    seen = {(0, None)}
+    _require_states(1 + (spec.span - 1) * sum(rank[sym] >= cut for sym in aut) + len(aut))
+    names: dict[tuple[int, str | None], str] = {(0, None): "p0:-"}  # each state, named once
     todo: list[tuple[int, str | None]] = [(0, None)]
+    transitions: dict[str, dict[str, str]] = {}
     while todo:
         pos, best = todo.pop()
         row = {}
         for sym in aut:
-            if spec.above_threshold(sym):
-                row[sym] = f"dec:{sym}"
-                continue
-            new_best = sym if best is None else spec.best([best, sym])
-            if pos + 1 == spec.span:
+            new_best = sym if best is None or rank[sym] < rank[best] else best
+            if rank[sym] < cut or pos + 1 == spec.span:  # sym is new_best if above the threshold
                 row[sym] = f"dec:{new_best}"
             else:
-                row[sym] = name_of(pos + 1, new_best)
-                if (pos + 1, new_best) not in seen:
-                    seen.add((pos + 1, new_best))
+                if (pos + 1, new_best) not in names:
+                    names[pos + 1, new_best] = f"p{pos + 1}:{new_best or '-'}"
                     todo.append((pos + 1, new_best))
-        transitions[name_of(pos, best)] = row
+                row[sym] = names[pos + 1, new_best]
+        transitions[names[pos, best]] = row
     terminal = {f"dec:{sym}": sym for sym in aut}
     for t in terminal:
         transitions[t] = absorbing_terminal_row(aut, t)
-    states = tuple(sorted(name_of(p, b) for p, b in seen)) + tuple(sorted(terminal))
-    return DecisionAutomaton(aut, states, name_of(0, None), transitions, terminal)
+    states = tuple(sorted(names.values())) + tuple(sorted(terminal))
+    return DecisionAutomaton(aut, states, "p0:-", transitions, terminal)
 
 
 def config_encode(seq: SeqSpec, symbol: str, window: int) -> tuple[int, ...]:

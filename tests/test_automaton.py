@@ -319,6 +319,12 @@ class TestConstruction:
         with pytest.raises(InvalidAutomatonError):
             DecisionAutomaton(XY, ("a",), "a", {"a": {"x": "a", "y": "ghost"}}, {})
 
+    def test_unknown_symbol_named_in_the_message(self):
+        row = {"x": "a", "y": "a", "z": "a"}
+        with pytest.raises(InvalidAutomatonError) as info:
+            DecisionAutomaton(XY, ("a",), "a", {"a": row}, {})
+        assert str(info.value) == "transitions on unknown symbols {'z'} from 'a'"
+
 
 class TestRun:
     def test_double_occurrence_absorbs(self, twosym_threshold2):

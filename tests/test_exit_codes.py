@@ -1,22 +1,24 @@
 """The exit-code contract on random documents, over the product searches.
 
-``axioms --suite csr|osr|config``, ``analyze``, ``identify --as csr|osr``
-and ``eval`` on random sequence literals, well formed or not, run on random
-small rule documents, well formed or not (half the config rules with a
-complete random table comparator), and on random automaton
-documents, stopping or not; ``minimize`` (JSON and text), ``compile
---minimize`` and ``dot`` run on the automaton documents too.  Machine
-documents, embedded stopping automata, half of them choice rules and some
-with an output outside the input alphabet, and random total machines that
-may halt, run off the tape or spin, go through ``tm-run`` and ``eval`` on
-``|x`` and on random literals, ``analyze``, ``axioms --suite csr``,
-``axioms --suite config`` (whose choice check rejects an output outside the
-alphabet) and ``compile``.  Half of them are well formed, with budget 8 and
-horizon 3 or none, which every embedded automaton meets, so that many reach
-a checker; the others have hostile horizons or none, hostile budgets, and
-now and then a junk field or a string for a list.  Whatever the input, the command must
-exit 0, 1, 2 or 3 and never print a traceback, and ``analyze`` exiting 0
-must print one JSON document and one newline after it.
+``axioms --suite csr|osr|config``, ``analyze``, ``identify --as csr|osr``,
+``eval`` on random sequence literals, well formed or not, and ``compile``
+with and without ``--minimize`` run on random small rule documents, well
+formed or not (half the config rules with a complete random table
+comparator); all but plain ``compile`` run on random automaton documents
+too, stopping or not, with ``minimize`` (JSON and text) and ``dot``.  Machine documents, embedded stopping automata, half of them
+choice rules and some with an output outside the input alphabet, and
+random total machines that may halt, run off the tape or spin, go through
+``tm-run`` and ``eval`` on ``|x`` and on random literals, ``analyze``,
+``axioms --suite csr``, ``axioms --suite config`` (whose choice check
+rejects an output outside the alphabet) and ``compile``.  Half of them are
+well formed, with budget 8 and horizon 3 or none, which every embedded
+automaton meets, so that many reach a checker; the others have hostile
+horizons or none, hostile budgets, and now and then a junk field or a
+string for a list.  Whatever the input, the command must exit 0, 1, 2 or 3
+and never print a traceback.  ``analyze``, and ``compile`` and ``minimize``
+in JSON, exiting 0 must print one JSON document ending in ``}`` and one
+newline, and the automaton ``compile`` or ``minimize`` prints must load
+again.
 """
 
 import contextlib
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
+from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row, from_json_dict
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
@@ -42,6 +44,9 @@ COMMANDS = (
 AUTOMATON_COMMANDS = COMMANDS + (
     ["minimize"], ["minimize", "--format", "text"], ["compile", "--minimize"], ["dot"],
 )
+
+# commands whose stdout is one JSON document unless ``--format text`` is given
+JSON_COMMANDS = ("analyze", "compile", "minimize")
 
 AMOUNTS = ["1", "1/2", "3/2", "2"]
 # values of the wrong type or out of range, drawn only for ill-formed documents
@@ -144,16 +149,19 @@ def assert_contract(doc: dict, commands=COMMANDS) -> None:
                 code = main([command[0], str(path), *command[1:]])
             assert code in (0, 1, 2, 3), (command, doc)
             assert "Traceback" not in err.getvalue(), (command, doc)
-            if command[0] == "analyze" and code == 0:
+            if command[0] in JSON_COMMANDS and "text" not in command and code == 0:
                 text = out.getvalue()
-                json.loads(text)
+                payload = json.loads(text)
                 assert text.endswith("}\n"), (command, doc)
+                if "automaton" in payload:
+                    from_json_dict(payload["automaton"])
 
 
 @settings(max_examples=150, deadline=None)
 @given(doc=rule_documents(), data=st.data())
 def test_rule_documents_keep_the_exit_contract(doc, data):
-    assert_contract(doc, COMMANDS + (["eval", data.draw(literals(doc["alphabet"]))],))
+    eval_literal = ["eval", data.draw(literals(doc["alphabet"]))]
+    assert_contract(doc, COMMANDS + (["compile"], ["compile", "--minimize"], eval_literal))
 
 
 @settings(max_examples=150, deadline=None)
