@@ -10,12 +10,11 @@ from fractions import Fraction
 from seqdec import (
     Alphabet,
     CsrSpec,
+    RuleHandle,
     csr_compile,
-    decidedness,
     evaluate,
     minimize,
     to_dot,
-    verify_stopping,
 )
 
 alphabet = Alphabet(("x", "y"))
@@ -25,8 +24,8 @@ raw = csr_compile(rule)
 small = minimize(raw)
 print(f"compiled: {len(raw.states)} states; minimized: {len(small.states)} states")
 
-verdict = verify_stopping(small)
-print(f"every input decides within {verdict.bound} observations")
+facts = RuleHandle.from_automaton(small).facts
+print(f"every input decides within {facts.bound} observations")
 
 print("\nruns:")
 for text in ("|x", "|x y", "y|x"):
@@ -35,9 +34,8 @@ for text in ("|x", "|x y", "y|x"):
     print(f"  {text:<8} -> {decision} at position {stop}")
 
 print("\nper-state commitments:")
-for state, verdict in decidedness(small).items():
-    label = verdict.decision if verdict.is_decided else "open"
-    print(f"  {state:<4} {label}")
+for state in small.states:
+    print(f"  {state:<4} {facts.decision(state) or 'open'}")
 
 print("\nDOT rendering:\n")
 print(to_dot(small))

@@ -21,7 +21,6 @@ from seqdec import (
     tabulate_automaton,
     tm_run,
     uniform_bound_search,
-    verify_stopping,
 )
 
 abc = Alphabet(("a", "b", "c"))
@@ -40,7 +39,8 @@ print("\nresynthesis from budgeted machine runs:")
 box = RuleHandle.from_machine(machine, abc, budget=100)
 rebuilt = minimize(tabulate_automaton(box))
 print(f"  bound found by the walk, with no horizon declared: {uniform_bound_search(box)}")
-print(f"  observed automaton: {len(rebuilt.states)} states, bound {verify_stopping(rebuilt).bound}")
+rebuilt_bound = RuleHandle.from_automaton(rebuilt).facts.bound
+print(f"  observed automaton: {len(rebuilt.states)} states, bound {rebuilt_bound}")
 for text in ("|a b c", "b b|a"):
     seq = abc.sequence(text)
     print(f"  {text:<8} original {evaluate(aut, seq)[0]!r}, rebuilt {evaluate(rebuilt, seq)[0]!r}")

@@ -8,12 +8,12 @@ depth-first walk of its run tree until every run decides: one state per
 distinct configuration of a machine that never moves its input head left,
 else one per word.  A declared horizon is checked against the uniform
 bound the walk finds.  One peel of the automaton gives every state's
-decision, a terminal's output or the one the peel forces, and shows that
-the rule stops.
+decision, a terminal's output or the one the peel forces, and the one
+stopping verdict: the uniform bound K, one past the longest run through
+open states, or an input on which the rule never decides.
 
-Stopping questions walk at most K states along the input, K being the
-uniform bound.  One pass over the reachable open states in the peel's
-order gives K (one more than the longest run through them), each state's
+Stopping questions walk at most K states along the input.  One pass over
+the reachable open states in the peel's order gives each state's
 reachable decisions and the number of minimal sufficient segments, which
 only ``analyze`` lists, under ``WINDOW_CAP``.  The decisive set, two of
 the OSR axioms and ``identify_osr``'s ranking ask only which symbol sets
@@ -57,11 +57,12 @@ from .automaton import (
     NOT_SUFFICIENT,
     SUFFICIENT,
     DecisionAutomaton,
+    NonStoppingRuleError,  # raised by stopping_bound; analyses re-export it
     Sufficiency,
     _escaping_states,
     absorbing_terminal_row,
     evaluate,
-    reachable_states,
+    stopping_bound,
 )
 from . import heuristics
 from .machines import TmRuns, TwoTapeTm
@@ -91,10 +92,6 @@ class HorizonViolation(SeqdecError):
     def __init__(self, window: str, horizon: int, why: str):
         super().__init__(f"{why}; the rule reads past the declared horizon {horizon}")
         self.window, self.horizon = window, horizon
-
-
-class NonStoppingRuleError(SeqdecError):
-    """The automaton admits an endless undecided run; analyses refuse to guess."""
 
 
 class NotAChoiceRule(SeqdecError):
@@ -263,14 +260,12 @@ class OpenState(NamedTuple):
     """What is known of one reachable open state.
 
     ``word`` is a shortest word reaching it, lexicographic among the
-    shortest; ``depth`` is the longest run from it through open states;
-    ``toward`` maps each decision some continuation can still force to the
-    least symbol that leads toward it; and ``segments`` counts the words
-    from it whose last symbol is the first to decide.
+    shortest; ``toward`` maps each decision some continuation can still
+    force to the least symbol that leads toward it; and ``segments`` counts
+    the words from it whose last symbol is the first to decide.
     """
 
     word: Word
-    depth: int
     toward: dict[str, int]
     segments: int
 
@@ -281,9 +276,11 @@ class Facts:
 
     ``step(state, index)`` follows a transition and ``decision(state)`` is a
     terminal's output or the decision the peel forces, None while the
-    outcome is still open.  ``peel`` maps each escaping state to its depth
-    and forced decision, successors first; every reachable non-terminal
-    state is in it.
+    outcome is still open.  ``peel`` maps each escaping state to its open
+    depth and forced decision, successors first; every reachable
+    non-terminal state is in it.  ``bound`` is the peel's stopping verdict,
+    the least K such that every length-K window forces the decision, so one
+    past the deepest open word and the length of the last minimal segment.
     """
 
     automaton: DecisionAutomaton
@@ -292,23 +289,21 @@ class Facts:
     step: Callable[[str, int], str]
     decision: Callable[[str], str | None]
     peel: dict[str, tuple[int, str | None]]
+    bound: int
 
     @classmethod
     def of(cls, rule: RuleHandle) -> Facts:
         aut = rule.automaton or _tabulate_blackbox(rule)
         peel = _escaping_states(aut)
+        bound = stopping_bound(aut, peel)
         outcome = {q: out for q, (_, out) in peel.items()}
         outcome.update(aut.terminal)
-        # only looping states are outside both, and the rule stops if none is reachable
-        if len(outcome) < len(aut.states) and not outcome.keys() >= set(reachable_states(aut)):
-            raise NonStoppingRuleError(
-                "the automaton admits an endless run; no stopping analysis applies"
-            )
         names, transitions = aut.alphabet.symbols, aut.transitions
         facts = cls(
-            aut, aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get, peel
+            aut, aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get,
+            peel, bound,
         )
-        if (h := rule.horizon) is not None and facts.bound > h:
+        if (h := rule.horizon) is not None and bound > h:
             # a tabulated state's words have one length, so this is the first open window
             word = next(s.word for s in facts.open_states.values() if len(s.word) == h)
             text = _word_text(aut.alphabet, word)
@@ -395,19 +390,13 @@ class Facts:
                     yield label, got
             frontier = nxt
 
-    @property
-    def bound(self) -> int:
-        """One past the deepest open word, so the length of the last minimal segment."""
-        opened = self.open_states
-        return 1 + opened[self.start].depth if opened else 0
-
     @cached_property
     def open_states(self) -> dict[str, OpenState]:
         """Every reachable open state, breadth first, with what lies below it.
 
         After one breadth-first pass for shortest words, one pass in the
-        peel's order, successors first, gives each its depth, its decisions
-        and its count of minimal sufficient continuations.
+        peel's order, successors first, gives each its decisions and its
+        count of minimal sufficient continuations.
         """
         n = len(self.alphabet)
         if self.decision(self.start) is not None:
@@ -420,22 +409,21 @@ class Facts:
                 if r not in words and self.decision(r) is None:
                     words[r] = words[q] + (i,)
                     order.append(r)
-        below: dict[str, tuple[int, dict[str, int], int]] = {}
+        below: dict[str, tuple[dict[str, int], int]] = {}
         for q in self.peel:
             if q not in words:
                 continue
-            depth, toward, segments = 0, {}, 0
+            toward, segments = {}, 0
             for i in range(n):
                 r = self.step(q, i)
                 if r in words:
-                    depth = max(depth, 1 + below[r][0])
-                    for d in below[r][1]:
+                    for d in below[r][0]:
                         toward.setdefault(d, i)
-                    segments += below[r][2]
+                    segments += below[r][1]
                 else:
                     toward.setdefault(self.decision(r), i)
                     segments += 1
-            below[q] = (depth, toward, segments)
+            below[q] = (toward, segments)
         return {q: OpenState(words[q], *below[q]) for q in order}
 
     def reach(self, state: str) -> AbstractSet[str]:

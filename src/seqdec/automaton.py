@@ -3,10 +3,12 @@
 A decision automaton reads one symbol per position and moves through a
 finite state set.  Terminal states are absorbing and carry an output label;
 a run's decision is the output of the first terminal state it enters.  The
-analyses here are exact graph computations: per-state decidedness and
-stopping verification with a tight uniform bound, both read off one peel
-of the states that must absorb; minimization, which hash-conses the peel
-bottom up and refines only the looping states; and DOT export.
+analyses here are exact graph computations.  One peel of the states that
+must absorb gives each its forced decision and its open depth, and with
+them the one stopping verdict: the least K such that every length-K window
+forces the decision, or an input that never decides.  Minimization
+hash-conses the peel bottom up and refines only the looping states.  DOT
+export draws the reachable part.
 
 Automata are immutable after construction and every analysis is a pure
 function, so they are safe to share across concurrent workers.
@@ -51,24 +53,23 @@ class DivergenceError(SeqdecError):
         self.position = position
 
 
+class NonStoppingRuleError(SeqdecError):
+    """Some input never decides, so no uniform bound exists.
+
+    ``sequence`` is one such input: its prefix is a shortest word to a
+    reachable loop of undecided states, and its cycle goes round the loop.
+    """
+
+    def __init__(self, sequence: SeqSpec):
+        super().__init__(
+            f"the rule never decides on {sequence.text()!r}; no stopping analysis applies"
+        )
+        self.sequence = sequence
+
+
 NOT_SUFFICIENT = "not_sufficient"
 SUFFICIENT = "sufficient"
 MINIMAL_SUFFICIENT = "minimal_sufficient"
-
-
-@dataclass(frozen=True)
-class Decidedness:
-    """Per-state verdict: the decision forced from here, or None if open.
-
-    A state is decided on ``y`` when every reachable terminal outputs ``y``
-    and no infinite terminal-free run can start from it.
-    """
-
-    decision: str | None
-
-    @property
-    def is_decided(self) -> bool:
-        return self.decision is not None
 
 
 @dataclass(frozen=True)
@@ -81,27 +82,6 @@ class Sufficiency:
     @property
     def is_sufficient(self) -> bool:
         return self.status != NOT_SUFFICIENT
-
-
-@dataclass(frozen=True)
-class StopVerdict:
-    """Either a uniform stopping bound or a witness of non-termination.
-
-    When ``bound`` is set, every run of that length from the initial state
-    ends in a terminal state, and some run needs exactly that many symbols.
-    Otherwise the witness fields give a reachable loop of non-terminal
-    states: ``reach`` drives the automaton to ``cycle_states[0]`` and
-    ``cycle_symbols`` walks the loop back to it.
-    """
-
-    bound: int | None = None
-    cycle_states: tuple[str, ...] | None = None
-    cycle_symbols: tuple[str, ...] | None = None
-    reach: Segment | None = None
-
-    @property
-    def stops(self) -> bool:
-        return self.bound is not None
 
 
 @dataclass(frozen=True)
@@ -128,6 +108,9 @@ class DecisionAutomaton:
         for q in self.terminal:
             if q not in state_set:
                 raise InvalidAutomatonError(f"terminal state {q!r} not in state set")
+        for q in self.transitions:
+            if q not in state_set:
+                raise InvalidAutomatonError(f"transitions row {q!r} not in state set")
         symbols = set(self.alphabet.symbols)
         for q in self.states:
             row = self.transitions.get(q)
@@ -225,10 +208,11 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]
     are final before it is.  The complement within the non-terminal states
     is exactly the set admitting an infinite terminal-free run.
 
-    Each escaping state maps to its depth, the longest path from it through
-    non-terminal states, and to its forced decision: the one output all its
-    successors agree on (a terminal's output, an escaping successor's own
-    forced decision), else None.
+    Each escaping state maps to its open depth, the longest run from it
+    through undecided states (an undecided successor adds one to its own,
+    a decided one nothing), and to its forced decision: the one output all
+    its successors agree on (a terminal's output, an escaping successor's
+    own forced decision), else None.
     """
     terminal, rows, symbols = aut.terminal, aut.transitions, aut.alphabet.symbols
     # each non-terminal state's successors, resolved once, in state order
@@ -250,7 +234,7 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]
                 outputs.add(terminal[tgt])
             else:
                 below, out = peel[tgt]
-                if below >= depth:
+                if out is None and below >= depth:
                     depth = below + 1
                 outputs.add(out)
         peel[q] = (depth, outputs.pop() if len(outputs) == 1 else None)
@@ -261,66 +245,45 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]
     return peel
 
 
-def decidedness(aut: DecisionAutomaton) -> dict[str, Decidedness]:
-    """Per-state decision forced by the reachable graph structure.
+def stopping_bound(
+    aut: DecisionAutomaton, peel: dict[str, tuple[int, str | None]] | None = None
+) -> int:
+    """The one stopping verdict, read off the peel (built here unless given).
 
-    Only escaping states can be decided: a state that can reach a
-    terminal-free loop can put its decision off forever.
+    The bound is the least K such that every length-K window forces the
+    decision: 0 when the initial state is decided, else one more than its
+    open depth.  When a reachable state is outside the peel there is none,
+    and :class:`NonStoppingRuleError` carries an input that never decides.
     """
-    peel = _escaping_states(aut)
-    return {
-        q: Decidedness(aut.terminal[q] if q in aut.terminal else peel.get(q, (0, None))[1])
-        for q in aut.states
-    }
-
-
-def verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
-    """Uniform bound over all inputs, or a witness loop when there is none.
-
-    The bound is one more than the longest path through reachable
-    non-terminal states, which exists exactly when that subgraph is acyclic.
-    The bound is tight: some run stays non-terminal for the whole path and
-    absorbs on its final symbol.  The witness loop is entered from the first
-    looping state in breadth-first order, by a shortest word.
-    """
-    peel = _escaping_states(aut)
+    peel = _escaping_states(aut) if peel is None else peel
     # the walk finds the witness, so it is skipped when every state escapes
-    parent = {} if len(peel) + len(aut.terminal) == len(aut.states) else _breadth_first(aut)
-    looping = [q for q in parent if q not in aut.terminal and q not in peel]
-    if not looping:
-        return StopVerdict(bound=1 + peel[aut.initial][0])
-    cycle_states, cycle_symbols = _find_nonterminal_cycle(aut, looping[0], peel)
-    word, via = [], parent[cycle_states[0]]
+    if len(peel) + len(aut.terminal) < len(aut.states):
+        parent = _breadth_first(aut)
+        looping = [q for q in parent if q not in aut.terminal and q not in peel]
+        if looping:
+            raise NonStoppingRuleError(_loop_witness(aut, parent, looping))
+    depth, out = peel[aut.initial]
+    return 0 if out is not None else 1 + depth
+
+
+def _loop_witness(
+    aut: DecisionAutomaton, parent: dict[str, tuple[str, str] | None], looping: list[str]
+) -> SeqSpec:
+    """From the first looping state breadth first, follow the first symbol that
+    stays among them until a state repeats: a shortest word to that state,
+    lexicographic among the shortest, then the loop's symbols."""
+    rows, inside = aut.transitions, set(looping)
+    state, symbols, walked = looping[0], [], {}
+    while state not in walked:
+        walked[state] = len(symbols)
+        symbols.append(next(s for s in aut.alphabet if rows[state][s] in inside))
+        state = rows[state][symbols[-1]]
+    word, via = [], parent[state]
     while via is not None:
-        word.append(aut.alphabet.index(via[1]))
+        word.append(via[1])
         via = parent[via[0]]
-    return StopVerdict(
-        bound=None,
-        cycle_states=cycle_states,
-        cycle_symbols=cycle_symbols,
-        reach=Segment(aut.alphabet, tuple(reversed(word))),
-    )
-
-
-def _find_nonterminal_cycle(
-    aut: DecisionAutomaton, start: str, peel: dict[str, tuple[int, str | None]]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Walk states outside the peel until one repeats; return the loop."""
-    path_states, path_symbols = [start], []
-    seen = {start: 0}
-    state = start
-    while True:
-        for sym in aut.alphabet:
-            tgt = aut.transitions[state][sym]
-            if tgt not in aut.terminal and tgt not in peel:
-                path_symbols.append(sym)
-                state = tgt
-                break
-        if state in seen:
-            i = seen[state]
-            return tuple(path_states[i:]), tuple(path_symbols[i:])
-        seen[state] = len(path_states)
-        path_states.append(state)
+    cycle = aut.alphabet.segment(symbols[walked[state]:])
+    return SeqSpec(aut.alphabet, aut.alphabet.segment(word[::-1]), cycle)
 
 
 def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:

@@ -24,14 +24,13 @@ import sys
 
 from .core import Alphabet, ResourceLimit, ValidationError, prefix_of
 from . import automaton as automaton_mod
-from .automaton import DivergenceError, minimize, to_dot, verify_stopping
+from .automaton import DivergenceError, NonStoppingRuleError, minimize, stopping_bound, to_dot
 from . import machines as machines_mod
 from .machines import BLANK, START, BudgetExhausted, TapeBoundsError, tm_run
 from . import heuristics
 from .analysis import (
     SUITES,
     HorizonViolation,
-    NonStoppingRuleError,
     NotAChoiceRule,
     NotCsr,
     NotOsr,
@@ -144,8 +143,12 @@ def cmd_minimize(args) -> int:
 
 
 def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
-    """Summary (text) or payload (JSON) of an automaton, its DOT and JSON files."""
-    bound = verify_stopping(aut).bound
+    """Summary (text) or payload (JSON) of an automaton, its DOT and JSON files;
+    the bound is None when some input never decides."""
+    try:
+        bound = stopping_bound(aut)
+    except NonStoppingRuleError:
+        bound = None
     if args.dot:
         _emit(to_dot(aut), args.dot, end="")
     if args.out:

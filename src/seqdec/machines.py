@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
-from .automaton import DecisionAutomaton, verify_stopping
+from .automaton import DecisionAutomaton, NonStoppingRuleError, stopping_bound
 
 START = "◁"
 BLANK = "_"
@@ -250,9 +250,13 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
     run therefore takes stop position + 2 steps, linear in the stop
     position, and the decision equals the automaton's on every sequence.
     """
-    verdict = verify_stopping(aut)
-    if not verdict.stops:
-        raise InvalidMachineError("automaton is not a stopping rule; embedding would not halt")
+    try:
+        stopping_bound(aut)
+    except NonStoppingRuleError as exc:
+        raise InvalidMachineError(
+            f"automaton is not a stopping rule: it never decides on {exc.sequence.text()!r}, "
+            "so its embedding would not halt"
+        ) from exc
     syms = tuple(aut.alphabet.symbols) + (START, BLANK)
     outputs = sorted(set(aut.terminal.values()))
     if not set(outputs) <= set(syms):

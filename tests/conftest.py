@@ -1,10 +1,15 @@
 """Shared fixtures: the two-alternative score-threshold automaton and friends,
-and the window table and minimal segments the test oracles read."""
+the window table and minimal segments the test oracles read, and the
+stopping passes that the peel's one verdict replaced, kept as oracles."""
+
+import itertools
+from collections import deque
+from typing import NamedTuple
 
 import pytest
 
-from seqdec.core import Alphabet
-from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
+from seqdec.core import Alphabet, Segment
+from seqdec.automaton import DecisionAutomaton, _breadth_first, absorbing_terminal_row, run
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
@@ -28,6 +33,133 @@ def window_table(facts) -> dict[tuple[int, ...], str]:
 def minimal_words(facts) -> list[tuple[tuple[int, ...], str]]:
     """Every minimal sufficient segment as a word, with its decision."""
     return list(facts.segments((), [(i,) for i in range(len(facts.alphabet))]))
+
+
+class StopVerdict(NamedTuple):
+    """The absorption verdict: ``bound`` is one past the longest run through
+    reachable non-terminal states, so every run reaches a terminal within it;
+    without one, ``reach`` drives the automaton to ``cycle_states[0]`` and
+    ``cycle_symbols`` walks a loop of non-terminal states back to it."""
+
+    bound: int | None
+    cycle_states: tuple[str, ...] | None = None
+    cycle_symbols: tuple[str, ...] | None = None
+    reach: Segment | None = None
+
+    @property
+    def stops(self) -> bool:
+        return self.bound is not None
+
+
+def oracle_peel(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]]:
+    """The peel by absorption depth: each escaping state's longest run through
+    non-terminal states, decided or not, and its forced decision, every
+    successor looked up by symbol at each step."""
+    nonterm = [q for q in aut.states if q not in aut.terminal]
+    preds: dict[str, list[str]] = {q: [] for q in nonterm}
+    pending = {q: 0 for q in nonterm}
+    for q in nonterm:
+        for sym in aut.alphabet:
+            tgt = aut.transitions[q][sym]
+            if tgt not in aut.terminal:
+                pending[q] += 1
+                preds[tgt].append(q)
+    peel: dict[str, tuple[int, str | None]] = {}
+    queue = deque(q for q in nonterm if pending[q] == 0)
+    while queue:
+        q = queue.popleft()
+        depth, outputs = 0, set()
+        for sym in aut.alphabet:
+            tgt = aut.transitions[q][sym]
+            if tgt in aut.terminal:
+                outputs.add(aut.terminal[tgt])
+            else:
+                depth = max(depth, 1 + peel[tgt][0])
+                outputs.add(peel[tgt][1])
+        peel[q] = (depth, outputs.pop() if len(outputs) == 1 else None)
+        for p in preds[q]:
+            pending[p] -= 1
+            if pending[p] == 0:
+                queue.append(p)
+    return peel
+
+
+def oracle_verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
+    """The absorption bound, or the loop met by walking from the first looping
+    state breadth first by the first symbol that stays outside the peel."""
+    peel = oracle_peel(aut)
+    parent = _breadth_first(aut)
+    looping = [q for q in parent if q not in aut.terminal and q not in peel]
+    if not looping:
+        return StopVerdict(bound=1 + peel[aut.initial][0])
+    path_states, path_symbols, seen = [looping[0]], [], {looping[0]: 0}
+    state = looping[0]
+    while True:
+        for sym in aut.alphabet:
+            tgt = aut.transitions[state][sym]
+            if tgt not in aut.terminal and tgt not in peel:
+                path_symbols.append(sym)
+                state = tgt
+                break
+        if state in seen:
+            i = seen[state]
+            break
+        seen[state] = len(path_states)
+        path_states.append(state)
+    word, via = [], parent[path_states[i]]
+    while via is not None:
+        word.append(aut.alphabet.index(via[1]))
+        via = parent[via[0]]
+    reach = Segment(aut.alphabet, tuple(word[::-1]))
+    return StopVerdict(None, tuple(path_states[i:]), tuple(path_symbols[i:]), reach)
+
+
+def oracle_decidedness(aut: DecisionAutomaton) -> dict[str, str | None]:
+    """Each state's forced decision by fixpoint sweeps, one pass over all
+    states per level, None where it is open.
+
+    A state's reachable outputs grow until no sweep changes them; a state
+    escapes once every successor is terminal or escapes.  A non-terminal
+    state is decided when it escapes and reaches exactly one output.
+    """
+    outputs = {
+        q: frozenset([out]) if (out := aut.terminal.get(q)) is not None else frozenset()
+        for q in aut.states
+    }
+    escaping = set()
+    changed = True
+    while changed:
+        changed = False
+        for q in aut.states:
+            if q in aut.terminal:
+                continue
+            succ = [aut.transitions[q][sym] for sym in aut.alphabet]
+            merged = outputs[q].union(*(outputs[t] for t in succ))
+            if merged != outputs[q]:
+                outputs[q] = merged
+                changed = True
+            if q not in escaping and all(t in aut.terminal or t in escaping for t in succ):
+                escaping.add(q)
+                changed = True
+    return {
+        q: aut.terminal[q] if q in aut.terminal
+        else next(iter(outputs[q])) if q in escaping and len(outputs[q]) == 1
+        else None
+        for q in aut.states
+    }
+
+
+def oracle_least_bound(aut: DecisionAutomaton) -> int | None:
+    """Least K such that all |alphabet|^K windows force the decision, each
+    window run from the initial state and judged by the sweep oracle; None
+    when the absorption verdict finds a loop, so some run never decides."""
+    if not oracle_verify_stopping(aut).stops:
+        return None
+    decided = oracle_decidedness(aut)
+    for k in itertools.count():
+        windows = itertools.product(aut.alphabet.symbols, repeat=k)
+        if all(decided[run(aut, aut.alphabet.segment(w))] is not None for w in windows):
+            return k
 
 
 def build_twosym_threshold2():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from seqdec.core import Segment, SeqSpec
-from seqdec.automaton import evaluate, isomorphic, minimize, verify_stopping
+from seqdec.automaton import evaluate, isomorphic, minimize
 from seqdec.heuristics import (
     Comparator,
     ConfigRuleSpec,
@@ -35,7 +35,7 @@ from seqdec.analysis import (
     sufficiency_of,
     uniform_bound_search,
 )
-from tests.conftest import ABC, XY, build_twosym_threshold2
+from tests.conftest import ABC, XY, build_twosym_threshold2, oracle_verify_stopping
 from tests.mutants import MUTANTS
 from tests.test_analysis import oracle_minimal_sufficient
 
@@ -145,10 +145,10 @@ def test_criterion_3_ranked_threshold_choices():
 
 
 def test_criterion_4_uniform_bound_is_tight(corpus):
-    """Every corpus rule compiles to a machine with a finite bound that the
-    brute-force maximum stopping position matches exactly."""
+    """Every corpus rule compiles to a machine with a finite absorption bound
+    that the brute-force maximum stopping position matches exactly."""
     for spec, aut in corpus:
-        verdict = verify_stopping(aut)
+        verdict = oracle_verify_stopping(aut)
         assert verdict.stops, f"{spec} compiled to a non-stopping machine"
         k = verdict.bound
         assert k <= MAX_BOUND
@@ -220,7 +220,7 @@ def test_criterion_8_machine_embedding(corpus):
     bound-length window, within eight steps per bound unit."""
     for spec, aut in corpus:
         tm = automaton_to_tm(aut)
-        k = verify_stopping(aut).bound
+        k = oracle_verify_stopping(aut).bound
         n = len(aut.alphabet)
         budget = 8 * k + 8
         for word in itertools.product(range(n), repeat=k):

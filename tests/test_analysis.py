@@ -123,11 +123,12 @@ class TestUniformBoundSearch:
         assert uniform_bound_search(RuleHandle.from_rule(spec)) == 3
 
     def test_automaton_bound_matches_absorption_bound(self):
-        from seqdec.automaton import verify_stopping
+        # compiled CSR and OSR automata decide only where they absorb
+        from tests.conftest import oracle_verify_stopping
 
         for spec in (CSR3, FIG_CSR, OSR_AB):
             rule = RuleHandle.from_rule(spec)
-            assert uniform_bound_search(rule) == verify_stopping(rule.automaton).bound
+            assert uniform_bound_search(rule) == oracle_verify_stopping(rule.automaton).bound
 
     def test_max_stopping_time_equals_bound(self):
         rule = RuleHandle.from_rule(FIG_CSR)
@@ -219,8 +220,9 @@ class TestHorizon:
         from seqdec.analysis import NonStoppingRuleError
 
         loop = DecisionAutomaton(XY, ("q",), "q", {"q": {"x": "q", "y": "q"}}, {})
-        with pytest.raises(NonStoppingRuleError):
+        with pytest.raises(NonStoppingRuleError, match=r"never decides on '\|x'") as info:
             uniform_bound_search(RuleHandle.from_automaton(loop))
+        assert info.value.sequence == XY.sequence("|x")
 
 
 class TestDecisiveSet:

@@ -1,4 +1,5 @@
-"""Tests for decision automata: runs, decidedness, stopping, minimization."""
+"""Tests for decision automata: runs, the peel's decisions and stopping
+verdict against the sweep and absorption oracles, minimization."""
 
 from collections import deque
 
@@ -10,12 +11,12 @@ from seqdec.automaton import (
     MINIMAL_SUFFICIENT,
     NOT_SUFFICIENT,
     SUFFICIENT,
-    Decidedness,
     DecisionAutomaton,
     DivergenceError,
     InvalidAutomatonError,
+    NonStoppingRuleError,
+    _escaping_states,
     absorbing_terminal_row,
-    decidedness,
     evaluate,
     from_json,
     isomorphic,
@@ -23,12 +24,14 @@ from seqdec.automaton import (
     reachable_states,
     run,
     to_dot,
+    stopping_bound,
     to_json,
-    verify_stopping,
 )
 from seqdec.analysis import RuleHandle, sufficiency_of, tabulate_automaton
 from seqdec.heuristics import compile_rule
-from tests.conftest import XY, build_twosym_threshold2
+from tests.conftest import (
+    XY, build_twosym_threshold2, oracle_decidedness, oracle_least_bound, oracle_verify_stopping,
+)
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 
@@ -70,54 +73,26 @@ def oracle_sufficiency(aut, seg, bound):
     return decisions.pop() if len(decisions) == 1 else None
 
 
-def oracle_decidedness(aut):
-    """Decidedness by fixpoint sweeps, one pass over all states per level.
-
-    A state's reachable outputs grow until no sweep changes them; a state
-    escapes once every successor is terminal or escapes.  A non-terminal
-    state is decided when it escapes and reaches exactly one output.
-    """
-    outputs = {
-        q: frozenset([out]) if (out := aut.terminal.get(q)) is not None else frozenset()
-        for q in aut.states
+def decisions(aut):
+    """Each state's decision as the peel gives it: a terminal's output, else
+    the forced one, else None."""
+    peel = _escaping_states(aut)
+    return {
+        q: aut.terminal[q] if q in aut.terminal else peel.get(q, (0, None))[1] for q in aut.states
     }
-    escaping = set()
-    changed = True
-    while changed:
-        changed = False
-        for q in aut.states:
-            if q in aut.terminal:
-                continue
-            succ = [aut.transitions[q][sym] for sym in aut.alphabet]
-            merged = outputs[q].union(*(outputs[t] for t in succ))
-            if merged != outputs[q]:
-                outputs[q] = merged
-                changed = True
-            if q not in escaping and all(t in aut.terminal or t in escaping for t in succ):
-                escaping.add(q)
-                changed = True
-    result = {}
-    for q in aut.states:
-        if q in aut.terminal:
-            result[q] = Decidedness(aut.terminal[q])
-        elif q in escaping and len(outputs[q]) == 1:
-            result[q] = Decidedness(next(iter(outputs[q])))
-        else:
-            result[q] = Decidedness(None)
-    return result
 
 
 def oracle_minimize(aut):
     """Minimization by Moore refinement, one round over every reachable state
     per depth level.
 
-    Starts from the decidedness classes and splits blocks by their
+    Starts from the sweep oracle's decision classes and splits blocks by their
     successors' blocks until a round splits nothing; the blocks are then
     renamed breadth first, each represented by its first state in breadth-first
     order, exactly as ``minimize`` does.
     """
-    dec = decidedness(aut)
-    if dec[aut.initial].is_decided:
+    dec = oracle_decidedness(aut)
+    if dec[aut.initial] is not None:
         return DecisionAutomaton(
             alphabet=aut.alphabet,
             states=("q0", "q1"),
@@ -126,11 +101,11 @@ def oracle_minimize(aut):
                 "q0": {sym: "q1" for sym in aut.alphabet},
                 "q1": absorbing_terminal_row(aut.alphabet, "q1"),
             },
-            terminal={"q1": dec[aut.initial].decision},
+            terminal={"q1": dec[aut.initial]},
         )
     reach = reachable_states(aut)
     classes = {}
-    block = {q: classes.setdefault(dec[q].decision, len(classes)) for q in reach}
+    block = {q: classes.setdefault(dec[q], len(classes)) for q in reach}
     while True:
         refined = {}
         new_block = {
@@ -162,8 +137,8 @@ def oracle_minimize(aut):
         transitions[names[b]] = {
             sym: names[block[aut.transitions[q][sym]]] for sym in aut.alphabet
         }
-        if dec[q].is_decided:
-            terminal[names[b]] = dec[q].decision
+        if dec[q] is not None:
+            terminal[names[b]] = dec[q]
     return DecisionAutomaton(
         alphabet=aut.alphabet,
         states=tuple(names[b] for b in order),
@@ -202,15 +177,15 @@ def tail_into_loop(length, period):
 
 
 @st.composite
-def random_automata(draw):
-    """Up to ten open states and three terminals over one to three symbols.
+def random_automata(draw, max_open=10):
+    """Up to ``max_open`` open states and three terminals over one to three symbols.
 
     Acyclic draws only point forward or at terminals (the last open state
     loops on itself when there is no terminal); cyclic ones point anywhere.
     Unreachable states are left in.
     """
     alphabet = Alphabet(("a", "b", "c")[: draw(st.integers(1, 3))])
-    n_open = draw(st.integers(1, 10))
+    n_open = draw(st.integers(1, max_open))
     opens = [f"s{i}" for i in range(n_open)]
     outputs = draw(st.lists(st.sampled_from(alphabet.symbols), max_size=3))
     terminal = {f"t{i}": out for i, out in enumerate(outputs)}
@@ -266,15 +241,16 @@ class TestOnePeel:
     @settings(max_examples=150, deadline=None)
     @given(aut=random_automata())
     def test_matches_sweep_oracle(self, aut):
-        assert decidedness(aut) == oracle_decidedness(aut)
+        assert decisions(aut) == oracle_decidedness(aut)
 
-        verdict = verify_stopping(aut)
+        verdict = oracle_verify_stopping(aut)
         looping = [
             q for q in reachable_states(aut) if q not in aut.terminal and on_open_cycle(aut, q)
         ]
         assert verdict.stops == (not looping)
         if verdict.stops:
             assert verdict.bound == 1 + longest_open_path(aut, aut.initial)
+            assert stopping_bound(aut) == oracle_least_bound(aut) <= verdict.bound
         else:
             state = run(aut, verdict.reach)
             assert state == verdict.cycle_states[0]
@@ -282,6 +258,11 @@ class TestOnePeel:
                 assert state not in aut.terminal
                 state = aut.transitions[state][sym]
             assert state == verdict.cycle_states[0]
+            with pytest.raises(NonStoppingRuleError) as info:
+                stopping_bound(aut)
+            assert run(aut, info.value.sequence.prefix) == verdict.cycle_states[0]
+            with pytest.raises(DivergenceError):
+                evaluate(aut, info.value.sequence)
 
         small = minimize(aut)
         assert isomorphic(minimize(small), small)
@@ -318,6 +299,11 @@ class TestConstruction:
     def test_unknown_target_rejected(self):
         with pytest.raises(InvalidAutomatonError):
             DecisionAutomaton(XY, ("a",), "a", {"a": {"x": "a", "y": "ghost"}}, {})
+
+    def test_row_for_an_unlisted_state_rejected(self):
+        rows = {"a": {"x": "a", "y": "a"}, "zz": {"x": 5}}
+        with pytest.raises(InvalidAutomatonError, match="^transitions row 'zz' not in state set$"):
+            DecisionAutomaton(XY, ("a",), "a", rows, {})
 
     def test_unknown_symbol_named_in_the_message(self):
         row = {"x": "a", "y": "a", "z": "a"}
@@ -364,13 +350,14 @@ class TestEvaluate:
 
 class TestDecidedness:
     def test_terminals_decided_on_output(self, twosym_threshold2):
-        dec = decidedness(twosym_threshold2)
-        assert dec["2_x"].decision == "x" and dec["2_y"].decision == "y"
+        dec = decisions(twosym_threshold2)
+        assert dec == oracle_decidedness(twosym_threshold2)
+        assert dec["2_x"] == "x" and dec["2_y"] == "y"
 
     def test_mixed_state_undecided(self, twosym_threshold2):
-        dec = decidedness(twosym_threshold2)
-        assert not dec["1_x1_y"].is_decided
-        assert not dec["q0"].is_decided
+        dec = decisions(twosym_threshold2)
+        assert dec["1_x1_y"] is None and oracle_decidedness(twosym_threshold2)["1_x1_y"] is None
+        assert dec["q0"] is None
 
     def test_single_output_forces_decision(self):
         # A -> B -> T(y); F unavoidable from both, so both decided on y
@@ -385,8 +372,11 @@ class TestDecidedness:
             },
             {"T": "y"},
         )
-        dec = decidedness(aut)
-        assert dec["A"].decision == "y" and dec["B"].decision == "y"
+        dec = decisions(aut)
+        assert dec == oracle_decidedness(aut)
+        assert dec["A"] == "y" and dec["B"] == "y"
+        # decided before any symbol, though every run absorbs only at the second
+        assert stopping_bound(aut) == 0 and oracle_verify_stopping(aut).bound == 2
 
     def test_avoidable_terminal_leaves_state_undecided(self):
         # same unique output, but a self-loop makes absorption avoidable
@@ -397,18 +387,18 @@ class TestDecidedness:
             {"A": {"x": "A", "y": "T"}, "T": absorbing_terminal_row(XY, "T")},
             {"T": "y"},
         )
-        assert not decidedness(aut)["A"].is_decided
+        assert decisions(aut)["A"] is None and oracle_decidedness(aut)["A"] is None
 
     def test_monotone_along_runs(self, twosym_threshold2):
         aut = twosym_threshold2
-        dec = decidedness(aut)
+        dec = decisions(aut)
         for length in range(4):
             for seg in enumerate_segments(XY, length):
                 state = run(aut, seg)
-                if dec[state].is_decided:
+                if dec[state] is not None:
                     for sym in XY:
                         nxt = aut.transitions[state][sym]
-                        assert dec[nxt].decision == dec[state].decision
+                        assert dec[nxt] == dec[state]
 
 
 class TestSufficiency:
@@ -423,7 +413,7 @@ class TestSufficiency:
     def test_matches_bruteforce_oracle(self, twosym_threshold2):
         aut = twosym_threshold2
         rule = RuleHandle.from_automaton(aut)
-        bound = verify_stopping(aut).bound
+        bound = oracle_verify_stopping(aut).bound
         for length in range(bound + 1):
             for seg in enumerate_segments(XY, length):
                 expect = oracle_sufficiency(aut, seg, bound)
@@ -433,11 +423,12 @@ class TestSufficiency:
 
 class TestVerifyStopping:
     def test_bound_three(self, twosym_threshold2):
-        assert verify_stopping(twosym_threshold2).bound == 3
+        assert oracle_verify_stopping(twosym_threshold2).bound == 3
+        assert stopping_bound(twosym_threshold2) == 3
 
     def test_bound_is_tight(self, twosym_threshold2):
         aut = twosym_threshold2
-        bound = verify_stopping(aut).bound
+        bound = oracle_verify_stopping(aut).bound
         stops = []
         for seg in enumerate_segments(XY, bound):
             seq = concat(seg, constant(XY, "x"))
@@ -445,7 +436,8 @@ class TestVerifyStopping:
         assert max(stops) == bound
 
     def test_one_step_machine(self):
-        assert verify_stopping(one_step_chooser(XY)).bound == 1
+        assert oracle_verify_stopping(one_step_chooser(XY)).bound == 1
+        assert stopping_bound(one_step_chooser(XY)) == 1
 
     def test_long_chain_needs_no_recursion(self):
         # 1499 undecided states in a row: deeper than the recursion limit
@@ -454,7 +446,8 @@ class TestVerifyStopping:
         from seqdec.heuristics import CsrSpec, csr_compile
 
         spec = CsrSpec(XY, {"x": Fraction(1, 1500), "y": Fraction(1)}, Fraction(1))
-        assert verify_stopping(csr_compile(spec)).bound == 1500
+        aut = csr_compile(spec)
+        assert oracle_verify_stopping(aut).bound == stopping_bound(aut) == 1500
 
     def test_nonterminal_cycle_witnessed(self):
         aut = DecisionAutomaton(
@@ -469,7 +462,7 @@ class TestVerifyStopping:
             },
             {"t": "y"},
         )
-        verdict = verify_stopping(aut)
+        verdict = oracle_verify_stopping(aut)
         assert not verdict.stops
         # replay: the reach segment hits the loop head, the loop returns to it
         state = run(aut, verdict.reach)
@@ -478,6 +471,12 @@ class TestVerifyStopping:
             assert state not in aut.terminal
             state = aut.transitions[state][sym]
         assert state == verdict.cycle_states[0]
+        # the one verdict names the same loop, entered by the same word
+        with pytest.raises(NonStoppingRuleError, match=r"never decides on 'x\|x x'") as info:
+            stopping_bound(aut)
+        assert info.value.sequence == XY.sequence("x|x x")
+        with pytest.raises(DivergenceError):
+            evaluate(aut, info.value.sequence)
 
 
 class TestMinimize:
@@ -517,7 +516,7 @@ class TestMinimize:
         # every input with prefix and cycle lengths up to one past the bound
         aut = twosym_threshold2
         small = minimize(aut)
-        bound = verify_stopping(aut).bound
+        bound = oracle_verify_stopping(aut).bound
         for plen in range(bound + 2):
             for pre in enumerate_segments(XY, plen):
                 for clen in (1, 2, bound + 1):
@@ -560,7 +559,9 @@ class TestMinimizeAgainstRefinement:
     @pytest.mark.parametrize("period, states", [(3, 8), (2, 307)])
     def test_long_tail_into_a_loop(self, period, states):
         aut = tail_into_loop(300, period)
-        assert not verify_stopping(aut).stops
+        assert not oracle_verify_stopping(aut).stops
+        with pytest.raises(NonStoppingRuleError):
+            stopping_bound(aut)
         small = minimize(aut)
         assert to_json(small) == to_json(oracle_minimize(aut))
         assert len(small.states) == states

@@ -139,10 +139,10 @@ class TestCompile:
         spec = ConfigRuleSpec(XY, 2, Comparator(2, builtin="numeric-value"))
         path = tmp_path / "cfg.json"
         path.write_text(rule_to_json(spec))
+        # this comparator always favors the earliest occurrence, so the first
+        # symbol decides, though the unminimized machine absorbs only at 2
         code, payload = run_json(capsys, ["compile", str(path)])
-        assert code == 0 and payload["uniform_bound"] == 2
-        # this comparator always favors the earliest occurrence, so the
-        # minimized machine commits on the first symbol
+        assert code == 0 and payload["uniform_bound"] == 1
         code, payload = run_json(capsys, ["compile", str(path), "--minimize"])
         assert code == 0 and payload["uniform_bound"] == 1
 
@@ -241,6 +241,11 @@ def test_compile_past_the_state_cap_exits_3(capsys, tmp_path, kind, command):
     assert "Traceback" not in err
 
 
+UNLISTED_ROW = {
+    "alphabet": ["x", "y"], "states": ["q", "t"], "initial": "q",
+    "transitions": {"q": {"x": "t", "y": "t"}, "t": {"x": "t", "y": "t"}, "zz": {"x": 5}},
+    "terminal": {"t": "x"},
+}
 MALFORMED_DOCUMENTS = {
     "csr-weights-list": {
         "kind": "csr", "alphabet": ["a", "b"], "weights": ["1"], "threshold": "1",
@@ -287,12 +292,24 @@ MALFORMED_DOCUMENTS = {
     "machine-transitions-object": {
         **tm_to_json_dict(echo_machine(XY)), "transitions": {},
     },
+    # a row for a name outside "states", rejected, not carried along unread
+    "automaton-unlisted-row": UNLISTED_ROW,
     # one entry where 2^40 are due, rejected before any bit-word is listed
     "comparator-table-short": {
         "kind": "config", "alphabet": ["a", "b"], "window": 40,
         "comparator": {"table": {"0": 1}},
     },
 }
+
+
+@pytest.mark.parametrize("argv", [["minimize", "--format", "text"], ["eval", "|x"]])
+def test_rows_for_unlisted_states_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(UNLISTED_ROW))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seqdec: transitions row 'zz' not in state set\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))

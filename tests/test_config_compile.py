@@ -2,7 +2,8 @@
 
 Each rule is compiled with and without ``--minimize``; the SHA-256 prefix
 of its stdout must match the one recorded when the compiler called
-``config_evaluate`` once per prefix-tree leaf.
+``config_evaluate`` once per prefix-tree leaf, but for the bound, which is
+the peel's forced-decision bound.
 """
 
 import contextlib
@@ -28,35 +29,38 @@ def golden_spec(symbols: str, window: int, comparator: str) -> ConfigRuleSpec:
 
 
 # SHA-256 prefixes of ``seqdec compile`` stdout, plain then ``--minimize``,
-# as printed when the compiler called ``config_evaluate`` once per leaf
+# as printed when the compiler called ``config_evaluate`` once per leaf, with
+# "uniform_bound" the least K at which every window forces the decision: a
+# rule that the first symbol decides prints 1 (0 over one symbol), not the
+# window at which the unminimized prefix tree absorbs
 GOLDEN = {
-    "x/1/table": ["474186f4367de8f3", "ac81239e3fdb2cd6"],
-    "x/1/numeric-value": ["474186f4367de8f3", "ac81239e3fdb2cd6"],
-    "x/1/first-position-priority": ["474186f4367de8f3", "ac81239e3fdb2cd6"],
-    "x/3/table": ["f0fb55630bccac5a", "ac81239e3fdb2cd6"],
-    "x/3/numeric-value": ["f0fb55630bccac5a", "ac81239e3fdb2cd6"],
-    "x/3/first-position-priority": ["f0fb55630bccac5a", "ac81239e3fdb2cd6"],
-    "x/5/table": ["4c511b06925dee57", "ac81239e3fdb2cd6"],
-    "x/5/numeric-value": ["4c511b06925dee57", "ac81239e3fdb2cd6"],
-    "x/5/first-position-priority": ["4c511b06925dee57", "ac81239e3fdb2cd6"],
+    "x/1/table": ["907ccf8724a6a3d4", "215a8ed3109119da"],
+    "x/1/numeric-value": ["907ccf8724a6a3d4", "215a8ed3109119da"],
+    "x/1/first-position-priority": ["907ccf8724a6a3d4", "215a8ed3109119da"],
+    "x/3/table": ["cbf71a1d39366518", "215a8ed3109119da"],
+    "x/3/numeric-value": ["cbf71a1d39366518", "215a8ed3109119da"],
+    "x/3/first-position-priority": ["cbf71a1d39366518", "215a8ed3109119da"],
+    "x/5/table": ["10d2535cae25f59a", "215a8ed3109119da"],
+    "x/5/numeric-value": ["10d2535cae25f59a", "215a8ed3109119da"],
+    "x/5/first-position-priority": ["10d2535cae25f59a", "215a8ed3109119da"],
     "xy/1/table": ["9e440bd9a7b51c7a", "19b43354611a11f4"],
     "xy/1/numeric-value": ["9e440bd9a7b51c7a", "19b43354611a11f4"],
     "xy/1/first-position-priority": ["9e440bd9a7b51c7a", "19b43354611a11f4"],
     "xy/3/table": ["164d4c1206a0f1f4", "c13c3cc401607b70"],
-    "xy/3/numeric-value": ["4810ff77df7a67d3", "19b43354611a11f4"],
-    "xy/3/first-position-priority": ["4810ff77df7a67d3", "19b43354611a11f4"],
+    "xy/3/numeric-value": ["3f50f26c0486bbc1", "19b43354611a11f4"],
+    "xy/3/first-position-priority": ["3f50f26c0486bbc1", "19b43354611a11f4"],
     "xy/5/table": ["ebbb990142be6156", "98d071cefb11a88d"],
-    "xy/5/numeric-value": ["6b3c7db410f3a718", "19b43354611a11f4"],
-    "xy/5/first-position-priority": ["6b3c7db410f3a718", "19b43354611a11f4"],
+    "xy/5/numeric-value": ["49d3cdf5eed4d546", "19b43354611a11f4"],
+    "xy/5/first-position-priority": ["49d3cdf5eed4d546", "19b43354611a11f4"],
     "abc/1/table": ["17bf8652240fa9c0", "b9ad03ed47c447d2"],
     "abc/1/numeric-value": ["17bf8652240fa9c0", "b9ad03ed47c447d2"],
     "abc/1/first-position-priority": ["17bf8652240fa9c0", "b9ad03ed47c447d2"],
     "abc/3/table": ["6723b13625c8b6ce", "864eab93d1091228"],
-    "abc/3/numeric-value": ["aa1f049dac6d659a", "b9ad03ed47c447d2"],
-    "abc/3/first-position-priority": ["aa1f049dac6d659a", "b9ad03ed47c447d2"],
+    "abc/3/numeric-value": ["1773ba83a12a1da9", "b9ad03ed47c447d2"],
+    "abc/3/first-position-priority": ["1773ba83a12a1da9", "b9ad03ed47c447d2"],
     "abc/5/table": ["4b106c4f78e1be39", "d98b811a8ef38e6b"],
-    "abc/5/numeric-value": ["276faf5a76dc7898", "b9ad03ed47c447d2"],
-    "abc/5/first-position-priority": ["276faf5a76dc7898", "b9ad03ed47c447d2"],
+    "abc/5/numeric-value": ["607d9c07d5cbdad6", "b9ad03ed47c447d2"],
+    "abc/5/first-position-priority": ["607d9c07d5cbdad6", "b9ad03ed47c447d2"],
 }
 
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Segment
-from seqdec.automaton import verify_stopping
 from seqdec.heuristics import CsrSpec, compile_rule, rule_to_json, segment_tree_automaton
 from seqdec.analysis import (
     AxiomReport,
@@ -27,7 +26,7 @@ from seqdec.analysis import (
     replay_witness,
 )
 from seqdec.cli import main
-from tests.conftest import ABC, XY, minimal_words, window_table
+from tests.conftest import ABC, XY, minimal_words, oracle_verify_stopping, window_table
 from tests.mutants import MUTANTS
 from tests.test_facts import rule_specs
 
@@ -79,7 +78,7 @@ def assert_agrees_with_oracle(rule: RuleHandle) -> AxiomReport:
 
 def both_handles(aut):
     rule = RuleHandle.from_automaton(aut)
-    box = RuleHandle.from_callable(aut.alphabet, rule.decide, verify_stopping(aut).bound)
+    box = RuleHandle.from_callable(aut.alphabet, rule.decide, oracle_verify_stopping(aut).bound)
     return rule, box
 
 

@@ -19,8 +19,6 @@ from seqdec.automaton import (
     NOT_SUFFICIENT,
     SUFFICIENT,
     Sufficiency,
-    decidedness,
-    verify_stopping,
 )
 from seqdec.heuristics import (
     Comparator,
@@ -40,7 +38,9 @@ from seqdec.analysis import (
     sufficiency_of,
     uniform_bound_search,
 )
-from tests.conftest import ABC, XY, minimal_words, window_table
+from tests.conftest import (
+    ABC, XY, minimal_words, oracle_decidedness, oracle_verify_stopping, window_table,
+)
 
 
 class OracleFacts(NamedTuple):
@@ -72,15 +72,15 @@ def blackbox_layers(rule: RuleHandle) -> list[dict]:
 def oracle_facts(rule: RuleHandle) -> OracleFacts:
     if rule.automaton is not None:
         aut = rule.automaton
-        verdict = verify_stopping(aut)
+        verdict = oracle_verify_stopping(aut)
         assert verdict.stops
-        dec = decidedness(aut)
+        dec = oracle_decidedness(aut)
 
         def sufficient(word):
             state = aut.initial
             for idx in word:
                 state = aut.transitions[state][aut.alphabet.name(idx)]
-            return dec[state].decision
+            return dec[state]
 
         depth_limit = verdict.bound
     else:
@@ -172,7 +172,7 @@ def indices(alphabet, min_size, max_size):
 def test_facts_match_the_enumeration(spec, black_box, data):
     aut = compile_rule(spec)
     rule = RuleHandle.from_automaton(aut)
-    horizon = verify_stopping(aut).bound
+    horizon = oracle_verify_stopping(aut).bound
     if black_box:
         rule = RuleHandle.from_callable(spec.alphabet, rule.decide, horizon)
     oracle = oracle_facts(rule)

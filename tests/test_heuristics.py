@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Alphabet, Segment, SeqSpec, concat, constant, enumerate_segments
-from seqdec.automaton import evaluate, isomorphic, minimize, run, verify_stopping
+from seqdec.automaton import evaluate, isomorphic, minimize, run, stopping_bound
 from seqdec.heuristics import (
     BUILTIN_COMPARATORS,
     BitstreamCollection,
@@ -30,7 +30,7 @@ from seqdec.heuristics import (
     rule_to_json,
     segment_tree_automaton,
 )
-from tests.conftest import ABC, XY, build_twosym_threshold2
+from tests.conftest import ABC, XY, build_twosym_threshold2, oracle_verify_stopping
 
 ONE = Fraction(1)
 
@@ -312,8 +312,11 @@ class TestConfigCompile:
             assert evaluate(aut, seq)[0] == config_evaluate(spec, seq)
 
     def test_bound_equals_window(self):
+        # every run absorbs at the window, while the first symbol already decides
         spec = ConfigRuleSpec(XY, 3, Comparator(3, builtin="first-position-priority"))
-        assert verify_stopping(config_compile(spec)).bound == 3
+        aut = config_compile(spec)
+        assert oracle_verify_stopping(aut).bound == 3
+        assert stopping_bound(aut) == stopping_bound(minimize(aut)) == 1
 
     def test_segment_tree_shape(self):
         aut = segment_tree_automaton(XY, 2, lambda w: XY.name(w[0]))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from seqdec.core import Alphabet, concat, constant, enumerate_segments
-from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row, evaluate
+from seqdec.automaton import DecisionAutomaton, DivergenceError, absorbing_terminal_row, evaluate
 from seqdec.heuristics import CsrSpec, csr_compile
 from seqdec.machines import (
     BLANK,
@@ -187,6 +187,24 @@ class TestAutomatonEmbedding:
         )
         with pytest.raises(InvalidMachineError):
             automaton_to_tm(loop)
+
+    def test_non_stopping_refusal_names_a_never_deciding_input(self):
+        # y leads into a loop that never absorbs; x absorbs at once
+        aut = DecisionAutomaton(
+            XY,
+            ("q0", "p", "t"),
+            "q0",
+            {
+                "q0": {"x": "t", "y": "p"},
+                "p": {"x": "p", "y": "p"},
+                "t": absorbing_terminal_row(XY, "t"),
+            },
+            {"t": "x"},
+        )
+        with pytest.raises(InvalidMachineError, match=r"never decides on 'y\|x'"):
+            automaton_to_tm(aut)
+        with pytest.raises(DivergenceError):
+            evaluate(aut, XY.sequence("y|x"))
 
 
 class TestBalancedWordFixture:

@@ -24,7 +24,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Alphabet, SeqdecError, Segment
-from seqdec.automaton import isomorphic, minimize, verify_stopping
+from seqdec.automaton import isomorphic, minimize
 from seqdec.heuristics import compile_rule, segment_tree_automaton
 from seqdec.machines import BLANK, START, TwoTapeTm, automaton_to_tm, tm_run
 from seqdec.analysis import (
@@ -35,7 +35,7 @@ from seqdec.analysis import (
     _tabulate_blackbox,
     tabulate_automaton,
 )
-from tests.conftest import ABC, XY, minimal_words
+from tests.conftest import ABC, XY, minimal_words, oracle_verify_stopping
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_dominance import tree_automata
@@ -167,7 +167,7 @@ def test_random_halting_machines_match_the_fresh_runs(machine, budget, horizon):
 def test_embedded_tree_automata_match(aut, extra, data):
     # an embedded run takes its stop position plus two steps, and it stops
     # where the automaton reaches a terminal, maybe past the uniform bound
-    bound = verify_stopping(aut).bound
+    bound = oracle_verify_stopping(aut).bound
     horizon = data.draw(st.one_of(st.none(), st.integers(1, bound + 1)))
     got = assert_walk_matches(automaton_to_tm(aut), aut.alphabet, bound + 2 + extra, horizon)
     uniform = RuleHandle.from_automaton(aut).facts.bound
@@ -178,7 +178,7 @@ def test_embedded_tree_automata_match(aut, extra, data):
 @given(spec=rule_specs(), short=st.booleans())
 def test_embedded_rules_match(spec, short):
     aut = compile_rule(spec)
-    bound = verify_stopping(aut).bound
+    bound = oracle_verify_stopping(aut).bound
     # one step short of the budget an embedded run needs, so some runs exhaust it
     budget = bound + (1 if short else 2)
     assert_walk_matches(automaton_to_tm(aut), aut.alphabet, budget, max(bound, 1))
@@ -189,7 +189,7 @@ def test_corpus_and_mutant_machines_round_trip():
     automata = [compile_rule(spec) for spec in build_corpus()]
     automata += [tabulate_automaton(make()) for make in MUTANTS.values()]
     for aut in automata:
-        bound = verify_stopping(aut).bound
+        bound = oracle_verify_stopping(aut).bound
         back = tabulate_automaton(RuleHandle.from_machine(automaton_to_tm(aut), aut.alphabet, 2 * bound + 4))
         assert isomorphic(minimize(back), minimize(aut))
         # one state per configuration, so no more than the embedded automaton's
