@@ -59,6 +59,10 @@ class Alphabet:
             raise ValidationError("alphabet must not be empty")
         if not all(isinstance(s, str) for s in self.symbols):
             raise ValidationError(f"symbol names must be strings: {self.symbols}")
+        # a sequence literal splits on '|' and whitespace, so it cannot spell such a name
+        for s in self.symbols:
+            if s.split() != [s] or "|" in s:
+                raise ValidationError(f"symbol name {s!r} is empty or contains whitespace or '|'")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError(f"duplicate symbol names: {self.symbols}")
         object.__setattr__(

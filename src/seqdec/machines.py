@@ -22,13 +22,21 @@ JSON wire format::
                       "move_out": "L|S|R"}, ...]}
 
 ``read`` (input symbol) and ``peek`` (output symbol) accept ``"*"`` as a
-wildcard; explicit entries win over wildcards.
+wildcard, and ``"write": "*"`` writes back the peeked symbol.  The most
+specific rule wins: explicit > ``(q, a, *)`` > ``(q, *, b)`` > ``(q, *, *)``.
+Documents are written in that wildcard form, a rule per row of cells that
+share the next state and both moves and a default per state for its most
+common row, so they cost the machine's rules, not its table; expanded
+tables still load.  Rules naming an unknown state or symbol, and repeated
+tape symbols, are refused.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
@@ -37,6 +45,8 @@ from .automaton import DecisionAutomaton, NonStoppingRuleError, stopping_bound
 START = "◁"
 BLANK = "_"
 MOVES = {"L": -1, "S": 0, "R": 1}
+
+RULE_FIELDS = ("state", "read", "peek", "next", "write", "move_in", "move_out")
 
 TmKey = tuple[str, str, str]
 TmAction = tuple[str, str, str, str]
@@ -87,6 +97,8 @@ class TwoTapeTm:
         if not self.terminal <= state_set:
             raise InvalidMachineError("terminal states must be states")
         syms = set(self.tape_alphabet)
+        if len(syms) != len(self.tape_alphabet):
+            raise InvalidMachineError(f"duplicate tape symbols: {self.tape_alphabet}")
         if START not in syms or BLANK not in syms:
             raise InvalidMachineError(f"tape alphabet must contain {START!r} and {BLANK!r}")
         for (q, a, b), (nq, w, mi, mo) in self.transitions.items():
@@ -104,15 +116,12 @@ class TwoTapeTm:
             # may be overwritten
             if a == START and mi == "L":
                 raise InvalidMachineError("input head cannot move left of the start cell")
-        for q in self.states:
-            if q in self.terminal:
-                continue
-            for a in self.tape_alphabet:
-                for b in self.tape_alphabet:
-                    if (q, a, b) not in self.transitions:
-                        raise InvalidMachineError(
-                            f"transition table not total: missing ({q!r}, {a!r}, {b!r})"
-                        )
+        # every key is a live state and two tape symbols, so the count decides totality
+        live = [q for q in self.states if q not in self.terminal]
+        if len(self.transitions) != len(live) * len(syms) ** 2:
+            cells = ((q, a, b) for q in live for a in self.tape_alphabet for b in self.tape_alphabet)
+            missing = next(cell for cell in cells if cell not in self.transitions)
+            raise InvalidMachineError(f"transition table not total: missing {missing!r}")
 
     @classmethod
     def build(
@@ -124,34 +133,18 @@ class TwoTapeTm:
         rules: Iterable[tuple[str, str, str, str, str, str, str]],
     ) -> TwoTapeTm:
         """Construct from (state, read, peek, next, write, move_in, move_out)
-        rules where read/peek may be the wildcard ``"*"``; the most specific
-        rule wins, and wildcards are expanded to a total table.  A ``"*"``
-        in the write slot writes the peeked symbol back unchanged."""
+        rules in the wildcard form above, each expanded into its cells once."""
         syms = tuple(tape_alphabet)
-        terminal = frozenset(terminal)
-        buckets: dict[int, dict[TmKey, TmAction]] = {0: {}, 1: {}, 2: {}, 3: {}}
-        for q, read, peek, nq, w, mi, mo in rules:
-            if q in terminal:
-                raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
-            spec = (read != "*") * 2 + (peek != "*")
-            buckets[spec][(q, read, peek)] = (nq, w, mi, mo)
+        # least specific first, so each layer overwrites the cells it shares with the last
+        layers: tuple[list, ...] = ([], [], [], [])
+        for rule in rules:
+            layers[(rule[1] != "*") * 2 + (rule[2] != "*")].append(rule)
         table: dict[TmKey, TmAction] = {}
-        for q in states:
-            if q in terminal:
-                continue
-            for a in syms:
-                for b in syms:
-                    for spec, key in (
-                        (3, (q, a, b)),
-                        (2, (q, a, "*")),
-                        (1, (q, "*", b)),
-                        (0, (q, "*", "*")),
-                    ):
-                        action = buckets[spec].get(key)
-                        if action is not None:
-                            w = b if action[1] == "*" else action[1]
-                            table[(q, a, b)] = (action[0], w, action[2], action[3])
-                            break
+        for layer in layers:
+            for q, read, peek, nq, w, mi, mo in layer:
+                for a in syms if read == "*" else (read,):
+                    for b in syms if peek == "*" else (peek,):
+                        table[q, a, b] = (nq, b if w == "*" else w, mi, mo)
         return cls(tuple(states), initial, terminal, syms, table)
 
 
@@ -279,24 +272,33 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
 
 
 def to_json_dict(tm: TwoTapeTm) -> dict:
+    """The document in wildcard form: each live state's rows that keep one
+    action become its ``(q, *, *)`` default and ``(q, a, *)`` rules."""
+    syms, table, rules = tm.tape_alphabet, tm.transitions, []
+    for q in (q for q in tm.states if q not in tm.terminal):
+        rows, cells = {}, []
+        for a in syms:
+            row = [table[q, a, b] for b in syms]
+            writes = tuple(w for _, w, _, _ in row)
+            if len({(nq, mi, mo) for nq, _, mi, mo in row}) == 1 and (
+                writes == syms or len(set(writes)) == 1
+            ):
+                nq, _, mi, mo = row[0]
+                rows[a] = (nq, "*" if writes == syms else writes[0], mi, mo)
+            else:
+                cells += [(q, a, b, *action) for b, action in zip(syms, row)]
+        if rows:
+            default = Counter(rows.values()).most_common(1)[0][0]
+            rules.append((q, "*", "*", *default))
+            rules += [(q, a, "*", *action) for a, action in rows.items() if action != default]
+        rules += cells
     return {
         "kind": "tm",
         "states": list(tm.states),
         "initial": tm.initial,
         "terminal": sorted(tm.terminal),
         "tape_alphabet": list(tm.tape_alphabet),
-        "transitions": [
-            {
-                "state": q,
-                "read": a,
-                "peek": b,
-                "next": nq,
-                "write": w,
-                "move_in": mi,
-                "move_out": mo,
-            }
-            for (q, a, b), (nq, w, mi, mo) in sorted(tm.transitions.items())
-        ],
+        "transitions": [dict(zip(RULE_FIELDS, rule)) for rule in rules],
     }
 
 
@@ -312,10 +314,7 @@ def from_json_dict(data: dict) -> TwoTapeTm:
     try:
         if not isinstance(data["transitions"], list):
             raise InvalidMachineError("transitions must be a list of objects")
-        rules = [
-            (t["state"], t["read"], t["peek"], t["next"], t["write"], t["move_in"], t["move_out"])
-            for t in data["transitions"]
-        ]
+        rules = list(map(itemgetter(*RULE_FIELDS), data["transitions"]))
         return TwoTapeTm.build(
             string_list(data, "states"),
             data["initial"],

@@ -1,6 +1,8 @@
 """Shared fixtures: the two-alternative score-threshold automaton and friends,
-the window table and minimal segments the test oracles read, and the
-stopping passes that the peel's one verdict replaced, kept as oracles."""
+the window table and minimal segments the test oracles read, the stopping
+passes that the peel's one verdict replaced and the machine table's
+bucket search that the layered expansion replaced, kept as oracles, and
+the expanded machine document."""
 
 import itertools
 from collections import deque
@@ -10,6 +12,7 @@ import pytest
 
 from seqdec.core import Alphabet, Segment
 from seqdec.automaton import DecisionAutomaton, _breadth_first, absorbing_terminal_row, run
+from seqdec.machines import InvalidMachineError, TwoTapeTm
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
@@ -187,3 +190,46 @@ def build_twosym_threshold2():
 @pytest.fixture
 def twosym_threshold2():
     return build_twosym_threshold2()
+
+
+def oracle_build(states, initial, terminal, tape_alphabet, rules) -> TwoTapeTm:
+    """``TwoTapeTm.build`` by the bucket search: each rule goes to the bucket
+    of its specificity, a later rule with the same key replacing an earlier
+    one, and each cell of each live state takes the most specific of four
+    lookups.  Rules for unknown states or read/peek symbols are never looked
+    up, so they drop out."""
+    syms = tuple(tape_alphabet)
+    terminal = frozenset(terminal)
+    buckets: dict[int, dict] = {0: {}, 1: {}, 2: {}, 3: {}}
+    for q, read, peek, nq, w, mi, mo in rules:
+        if q in terminal:
+            raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
+        buckets[(read != "*") * 2 + (peek != "*")][(q, read, peek)] = (nq, w, mi, mo)
+    table = {}
+    for q in states:
+        if q in terminal:
+            continue
+        for a in syms:
+            for b in syms:
+                for spec, key in ((3, (q, a, b)), (2, (q, a, "*")), (1, (q, "*", b)), (0, (q, "*", "*"))):
+                    action = buckets[spec].get(key)
+                    if action is not None:
+                        w = b if action[1] == "*" else action[1]
+                        table[(q, a, b)] = (action[0], w, action[2], action[3])
+                        break
+    return TwoTapeTm(tuple(states), initial, terminal, syms, table)
+
+
+def expanded_json_dict(tm: TwoTapeTm) -> dict:
+    """A machine document with one explicit rule per cell of the table."""
+    return {
+        "kind": "tm",
+        "states": list(tm.states),
+        "initial": tm.initial,
+        "terminal": sorted(tm.terminal),
+        "tape_alphabet": list(tm.tape_alphabet),
+        "transitions": [
+            {"state": q, "read": a, "peek": b, "next": nq, "write": w, "move_in": mi, "move_out": mo}
+            for (q, a, b), (nq, w, mi, mo) in sorted(tm.transitions.items())
+        ],
+    }

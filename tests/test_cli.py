@@ -292,6 +292,25 @@ MALFORMED_DOCUMENTS = {
     "machine-transitions-object": {
         **tm_to_json_dict(echo_machine(XY)), "transitions": {},
     },
+    # rules the bucket search never looked up, and a tape symbol listed twice
+    "machine-rule-unknown-state": {
+        **tm_to_json_dict(echo_machine(XY)),
+        "transitions": tm_to_json_dict(echo_machine(XY))["transitions"] + [
+            {"state": "nosuch", "read": "*", "peek": "*", "next": "halt", "write": "*",
+             "move_in": "S", "move_out": "S"},
+        ],
+    },
+    "machine-rule-unknown-symbol": {
+        **tm_to_json_dict(echo_machine(XY)),
+        "transitions": tm_to_json_dict(echo_machine(XY))["transitions"] + [
+            {"state": "q0", "read": "z", "peek": "*", "next": "halt", "write": "*",
+             "move_in": "S", "move_out": "S"},
+        ],
+    },
+    "machine-tape-symbol-repeated": {
+        **tm_to_json_dict(echo_machine(XY)), "tape_alphabet": ["x", "y", "◁", "_", "x"],
+        "input_alphabet": ["x", "y"],
+    },
     # a row for a name outside "states", rejected, not carried along unread
     "automaton-unlisted-row": UNLISTED_ROW,
     # one entry where 2^40 are due, rejected before any bit-word is listed
@@ -321,6 +340,21 @@ def test_malformed_document_exit_2_without_traceback(capsys, tmp_path, name):
     assert time.perf_counter() - begin < 1.0
     err = capsys.readouterr().err
     assert err.startswith("seqdec: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["eval", "|c"], ["compile"]])
+def test_symbol_names_no_literal_can_spell_exit_2(capsys, tmp_path, command):
+    # the witness of this loop, '|a b', could not be read back
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps({
+        "alphabet": ["a b", "c"], "states": ["q", "t"], "initial": "q",
+        "transitions": {"q": {"a b": "q", "c": "t"}, "t": {"a b": "t", "c": "t"}},
+        "terminal": {"t": "c"},
+    }))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seqdec: symbol name 'a b' is empty or contains whitespace or '|'\n"
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,13 @@ class TestAlphabet:
         with pytest.raises(ValidationError):
             Alphabet(("a", "a"))
 
+    @pytest.mark.parametrize("name", ["a b", "a|b", "|", " a", "a\t", "a\nb", "a\u2003b", ""])
+    def test_rejects_names_no_literal_can_spell(self, name):
+        # a sequence literal splits on whitespace and '|', and drops empty names
+        with pytest.raises(ValidationError) as err:
+            Alphabet(("c", name))
+        assert str(err.value) == f"symbol name {name!r} is empty or contains whitespace or '|'"
+
     def test_index_round_trip(self):
         assert [ABC.index(s) for s in ABC] == [0, 1, 2]
         assert ABC.name(2) == "c"

@@ -7,7 +7,8 @@ formed or not (half the config rules with a complete random table
 comparator); all but plain ``compile`` run on random automaton documents
 too, stopping or not, with ``minimize`` (JSON and text) and ``dot``.  Machine documents, embedded stopping automata, half of them
 choice rules and some with an output outside the input alphabet, and
-random total machines that may halt, run off the tape or spin, go through
+random total machines that may halt, run off the tape or spin, each
+written in wildcard form or fully expanded, go through
 ``tm-run`` and ``eval`` on ``|x`` and on random literals, ``analyze``,
 ``axioms --suite csr``, ``axioms --suite config`` (whose choice check
 rejects an output outside the alphabet) and ``compile``.  Half of them are
@@ -34,6 +35,7 @@ from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row, from_jso
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
+from tests.conftest import expanded_json_dict
 from tests.test_analyze_render import ESCAPED_NAMES
 from tests.test_run_tree import total_machines
 
@@ -174,6 +176,9 @@ def test_automaton_documents_keep_the_exit_contract(doc, data):
 def machine_documents(draw):
     """A machine document, a budget, a horizon or None, and a literal over its symbols.
 
+    Documents come in both shapes: as ``to_json_dict`` writes them, in
+    wildcard form, and fully expanded, one rule per cell.
+
     Half are well formed: no junk field, ``BUDGET`` and no horizon or 3,
     which holds for every embedded automaton drawn here, and random total
     machines that halt within the budget.  In the other half embedded
@@ -191,7 +196,8 @@ def machine_documents(draw):
     else:
         alphabet = draw(st.sampled_from((["x", "y"], ["x", "y", "z"])))
         tm, budgets = automaton_to_tm(draw(embeddable_automata(alphabet))), LIMITS
-    doc = tm_to_json_dict(tm)
+    # written in wildcard form or with one rule per cell
+    doc = draw(st.sampled_from((tm_to_json_dict, expanded_json_dict)))(tm)
     doc["input_alphabet"] = alphabet
     if not well_formed and draw(st.integers(0, 2)) == 0:
         key = draw(st.sampled_from(sorted(doc)))
