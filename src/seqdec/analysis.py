@@ -318,6 +318,13 @@ class Facts:
             state = self.step(state, idx)
             yield self.decision(state)
 
+    def stop(self, seq: SeqSpec) -> tuple[int, str]:
+        """Least k whose window of ``seq`` is sufficient, and the decision it forces."""
+        for k, got in enumerate(self.decisions(map(seq.at, itertools.count(1)))):
+            if got is not None:
+                return k, got
+        raise AssertionError("unreachable: every run is decided within the bound")
+
     def decided(self, word: Word) -> str | None:
         """Decision forced by ``word``, or None if it is not sufficient."""
         *_, last = self.decisions(word)
@@ -457,10 +464,7 @@ def uniform_bound_search(rule: RuleHandle) -> int:
 
 def stopping_time(rule: RuleHandle, seq: SeqSpec) -> int:
     """Least k whose window of ``seq`` is sufficient."""
-    for k, got in enumerate(rule.facts.decisions(map(seq.at, itertools.count(1)))):
-        if got is not None:
-            return k
-    raise AssertionError("unreachable: every run is decided within the bound")
+    return rule.facts.stop(seq)[0]
 
 
 def enumerate_minimal_sufficient(rule: RuleHandle) -> Iterator[tuple[Segment, str]]:
@@ -486,9 +490,10 @@ def sufficiency_of(rule: RuleHandle, seg: Segment) -> Sufficiency:
 
 
 def tabulate_automaton(rule: RuleHandle) -> DecisionAutomaton:
-    """The automaton every analysis of the rule runs on: for a black box, the
-    constructive per-instance bridge from its runs to an automaton."""
-    return rule.facts.automaton
+    """The automaton every analysis of the rule runs on: a given automaton as it
+    is, and for a black box the constructive per-instance bridge from its runs
+    to an automaton."""
+    return rule.facts.automaton if rule.automaton is None else rule.automaton
 
 
 @dataclass(frozen=True)

@@ -129,15 +129,6 @@ class DecisionAutomaton:
             if extra := set(row) - symbols:
                 raise InvalidAutomatonError(f"transitions on unknown symbols {extra} from {q!r}")
 
-    def is_terminal(self, state: str) -> bool:
-        return state in self.terminal
-
-    def output(self, state: str) -> str:
-        return self.terminal[state]
-
-    def step(self, state: str, symbol: str) -> str:
-        return self.transitions[state][symbol]
-
 
 def absorbing_terminal_row(alphabet: Alphabet, state: str) -> dict[str, str]:
     """Self-loop transition row for an absorbing state."""

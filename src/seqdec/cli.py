@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Loads rule, automaton, or machine JSON files and runs evaluation,
-compilation, stopping analysis, axiom suites, identification, and machine
-simulation.  Payloads go to stdout as JSON (DOT for graphs); diagnostics go
-to stderr.  Exit codes are a stable scripting contract:
+Every command reads one rule, automaton or machine JSON document as one
+rule: ``eval``, ``compile`` (``minimize`` is ``compile --minimize``),
+``dot``, ``analyze``, ``axioms`` and ``identify`` take any kind, a machine
+with ``--budget``; ``tm-run`` simulates machines only.  Payloads go to
+stdout as JSON (DOT for graphs); diagnostics go to stderr.  Exit codes are
+a stable scripting contract:
 
 * 0: success, or every axiom passed
 * 1: an axiom failed, or identification found a disagreeing input
 * 2: input could not be parsed or validated
-* 3: a resource or assumption gave out (diverging run, exhausted budget,
-  violated horizon, non-stopping automaton, window table or automaton
-  over its cap)
+* 3: a resource or assumption gave out (exhausted budget, violated
+  horizon, an input ``u|v`` that never decides, named, window table or
+  automaton over its cap)
 
 Sequence literals use ``prefix|cycle`` notation, e.g. ``"a b|c"``.
 """
@@ -24,7 +26,7 @@ import sys
 
 from .core import Alphabet, ResourceLimit, ValidationError, prefix_of
 from . import automaton as automaton_mod
-from .automaton import DivergenceError, NonStoppingRuleError, minimize, stopping_bound, to_dot
+from .automaton import NonStoppingRuleError, minimize, stopping_bound, to_dot
 from . import machines as machines_mod
 from .machines import BLANK, START, BudgetExhausted, TapeBoundsError, tm_run
 from . import heuristics
@@ -39,7 +41,6 @@ from .analysis import (
     identify_csr,
     identify_osr,
     run_suite,
-    stopping_time,
     tabulate_automaton,
     uniform_bound_search,
 )
@@ -60,56 +61,48 @@ def _emit(payload, out_path=None, end="\n") -> None:
         print(text, end=end)
 
 
-def _load_document(path: str) -> dict:
+def _load(path: str, args) -> RuleHandle:
+    """The rule a document states: a rule compiled, an automaton as it is, a
+    machine run within ``--budget`` on ``--alphabet``, its ``input_alphabet``
+    or its tape's symbols.  ``tm-run`` refuses all but machines."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
-    return doc
-
-
-class _Loaded:
-    """A parsed input file: exactly one of rule spec, automaton, machine."""
-
-    def __init__(self, doc: dict):
-        self.rule = self.automaton = self.machine = None
-        self.machine_alphabet = None
-        kind = doc.get("kind")
-        if kind in ("csr", "osr", "config"):
-            self.rule = heuristics.rule_from_dict(doc)
-        elif kind == "tm":
-            self.machine = machines_mod.from_json_dict(doc)
-            if "input_alphabet" in doc:
-                self.machine_alphabet = Alphabet(machines_mod.string_list(doc, "input_alphabet"))
-        elif {"states", "initial", "transitions", "terminal"} <= set(doc):
-            self.automaton = automaton_mod.from_json_dict(doc)
-        else:
-            raise ValidationError("unrecognized document: need a rule, automaton, or machine")
-
-    def alphabet(self, args) -> Alphabet:
-        """A machine's input alphabet: ``--alphabet``, its ``input_alphabet`` or its tape's."""
-        if getattr(args, "alphabet", None):
-            return Alphabet(tuple(args.alphabet.replace(",", " ").split()))
-        if self.machine_alphabet is not None:
-            return self.machine_alphabet
-        specials = {START, BLANK}
-        return Alphabet(tuple(s for s in self.machine.tape_alphabet if s not in specials))
-
-    def handle(self, args) -> RuleHandle:
-        if self.rule is not None:
-            return RuleHandle.from_rule(self.rule)
-        if self.automaton is not None:
-            return RuleHandle.from_automaton(self.automaton)
-        if getattr(args, "budget", None) is None:
+    kind = doc.get("kind")
+    if kind == "tm":
+        machine, alphabet = machines_mod.from_json_dict(doc), None
+        if "input_alphabet" in doc:
+            alphabet = Alphabet(machines_mod.string_list(doc, "input_alphabet"))
+        if args.budget is None:
             raise ValidationError("machine-backed rules need --budget")
-        return RuleHandle.from_machine(self.machine, self.alphabet(args), args.budget, args.horizon)
+        if args.alphabet:
+            alphabet = Alphabet(tuple(args.alphabet.replace(",", " ").split()))
+        elif alphabet is None:
+            alphabet = Alphabet(tuple(s for s in machine.tape_alphabet if s not in (START, BLANK)))
+        return RuleHandle.from_machine(machine, alphabet, args.budget, getattr(args, "horizon", None))
+    if kind in ("csr", "osr", "config"):
+        parsed, handle = heuristics.rule_from_dict(doc), RuleHandle.from_rule
+    elif {"states", "initial", "transitions", "terminal"} <= set(doc):
+        parsed, handle = automaton_mod.from_json_dict(doc), RuleHandle.from_automaton
+    else:
+        raise ValidationError("unrecognized document: need a rule, automaton, or machine")
+    if args.command == "tm-run":
+        raise ValidationError("tm-run expects a machine document")
+    return handle(parsed)
+
+
+def _dumps_with(payload: dict, key: str, text: str) -> str:
+    """``payload`` dumped with the JSON ``text`` as the value of ``key``, spliced in
+    where a null stood, which only the key matches (strings escape their quotes)."""
+    key_text, dumped = f'"{key}": ', json.dumps({**payload, key: None}, indent=2, sort_keys=True)
+    return dumped.replace(key_text + "null", key_text + text, 1)
 
 
 def cmd_eval(args) -> int:
-    rule = _Loaded(_load_document(args.rule_file)).handle(args)
+    rule = _load(args.rule_file, args)
     seq = rule.alphabet.sequence(args.sequence)
-    decision = rule.decide(seq)
-    stop = stopping_time(rule, seq)
+    stop, decision = rule.facts.stop(seq)
     payload = {
         "decision": decision,
         "stop_position": stop,
@@ -122,24 +115,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _compiled_automaton(loaded: _Loaded, args):
-    if loaded.rule is not None:
-        return heuristics.compile_rule(loaded.rule)
-    if loaded.machine is not None:
-        return tabulate_automaton(loaded.handle(args))
-    raise ValidationError("input is already an automaton; use the minimize command")
-
-
 def cmd_compile(args) -> int:
-    aut = _compiled_automaton(_Loaded(_load_document(args.rule_file)), args)
+    aut = tabulate_automaton(_load(args.rule_file, args))
     return _report_automaton(minimize(aut) if args.minimize else aut, args)
-
-
-def cmd_minimize(args) -> int:
-    loaded = _Loaded(_load_document(args.automaton_file))
-    if loaded.automaton is None:
-        raise ValidationError("minimize expects an automaton document")
-    return _report_automaton(minimize(loaded.automaton), args)
 
 
 def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
@@ -160,16 +138,12 @@ def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
         if args.out:
             _emit(payload)
         else:
-            # the automaton's text replaces an empty object, which only its key matches
-            payload["automaton"] = {}
-            key, text = '"automaton": ', json.dumps(payload, indent=2, sort_keys=True)
-            _emit(text.replace(key + "{}", key + automaton_mod.to_json(aut, "  "), 1))
+            _emit(_dumps_with(payload, "automaton", automaton_mod.to_json(aut, "  ")))
     return EXIT_OK
 
 
 def cmd_dot(args) -> int:
-    loaded = _Loaded(_load_document(args.file))
-    _emit(to_dot(loaded.automaton or _compiled_automaton(loaded, args)), args.out, end="")
+    _emit(to_dot(tabulate_automaton(_load(args.file, args))), args.out, end="")
     return EXIT_OK
 
 
@@ -177,12 +151,11 @@ def cmd_analyze(args) -> int:
     """Uniform bound, minimal sufficient segments and decisive set.
 
     One template renders each segment from its ``Facts.segments`` label, its JSON
-    text joined from escaped names.  The list replaces the dumped payload's empty
-    one, which only the key matches (strings escape quotes): one dump's bytes."""
-    rule = _Loaded(_load_document(args.rule_file)).handle(args)
+    text joined from escaped names, spliced into the dumped payload: one dump's bytes."""
+    rule = _load(args.rule_file, args)
     escape = json.encoder.encode_basestring_ascii
     pieces = [" " + escape(name)[1:-1] for name in rule.alphabet]
-    payload = {"uniform_bound": uniform_bound_search(rule), "minimal_sufficient": []}
+    payload = {"uniform_bound": uniform_bound_search(rule)}
     segments = ",\n".join([
         f'    {{\n      "decision": {escape(dec)},\n      "segment": "{label[1:]}"\n    }}'
         for label, dec in rule.facts.segments("", pieces)
@@ -193,22 +166,20 @@ def cmd_analyze(args) -> int:
     if args.sequence:
         seq = rule.alphabet.sequence(args.sequence)
         payload["sequence"] = seq.text()
-        payload["stopping_time"] = stopping_time(rule, seq)
-        payload["decision"] = rule.decide(seq)
-    key, text = '"minimal_sufficient": ', json.dumps(payload, indent=2, sort_keys=True)
-    _emit(text.replace(key + "[]", f"{key}[\n{segments}\n  ]", 1), args.out)
+        payload["stopping_time"], payload["decision"] = rule.facts.stop(seq)
+    _emit(_dumps_with(payload, "minimal_sufficient", f"[\n{segments}\n  ]"), args.out)
     return EXIT_OK
 
 
 def cmd_axioms(args) -> int:
-    rule = _Loaded(_load_document(args.rule_file)).handle(args)
+    rule = _load(args.rule_file, args)
     reports = run_suite(rule, args.suite)
     _emit([r.to_json_dict() for r in reports], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def cmd_identify(args) -> int:
-    rule = _Loaded(_load_document(args.rule_file)).handle(args)
+    rule = _load(args.rule_file, args)
     try:
         spec, checked = identify_csr(rule) if args.target == "csr" else identify_osr(rule)
     except (NotCsr, NotOsr) as exc:
@@ -223,11 +194,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_tm_run(args) -> int:
-    loaded = _Loaded(_load_document(args.machine_file))
-    if loaded.machine is None:
-        raise ValidationError("tm-run expects a machine document")
-    seq = loaded.alphabet(args).sequence(args.sequence)
-    result = tm_run(loaded.machine, seq, args.budget)
+    rule = _load(args.machine_file, args)
+    result = tm_run(rule.runs.tm, rule.alphabet.sequence(args.sequence), args.budget)
     _emit({"decision": result.decision, "steps": result.steps, "halted": result.halted}, args.out)
     return EXIT_OK
 
@@ -241,14 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, horizon=True, text=False):
+    def common(p, text=False):
         p.add_argument("--out", help="write the main payload to this file")
         if text:
             p.add_argument("--format", choices=("json", "text"), default="json")
-        if horizon:
-            p.add_argument("--horizon", type=int, help="optional: asserted uniform bound of a machine")
-            p.add_argument("--budget", type=int, help="step budget for machine-backed rules")
-            p.add_argument("--alphabet", help="input alphabet for machine-backed rules, e.g. 'a b c'")
+        p.add_argument("--horizon", type=int, help="optional: asserted uniform bound of a machine")
+        p.add_argument("--budget", type=int, help="step budget for machine-backed rules")
+        p.add_argument("--alphabet", help="input alphabet for machine-backed rules, e.g. 'a b c'")
 
     p = sub.add_parser("eval", help="decision, stop position, and minimal sufficient prefix")
     p.add_argument("rule_file")
@@ -256,20 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, text=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compile", help="compile a rule to a decision automaton")
+    p = sub.add_parser("compile", help="compile a document to a decision automaton")
     p.add_argument("rule_file")
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--dot", help="also write a DOT rendering to this file")
     common(p, text=True)
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("minimize", help="minimize an automaton")
-    p.add_argument("automaton_file")
+    p = sub.add_parser("minimize", help="compile --minimize: a document's minimal automaton")
+    p.add_argument("rule_file")
     p.add_argument("--dot", help="also write a DOT rendering to this file")
-    common(p, horizon=False, text=True)
-    p.set_defaults(func=cmd_minimize)
+    common(p, text=True)
+    p.set_defaults(func=cmd_compile, minimize=True)
 
-    p = sub.add_parser("dot", help="DOT rendering of an automaton or compiled rule")
+    p = sub.add_parser("dot", help="DOT rendering of a document's automaton")
     p.add_argument("file")
     common(p)
     p.set_defaults(func=cmd_dot)
@@ -311,7 +278,6 @@ def main(argv=None) -> int:
         print(f"seqdec: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (
-        DivergenceError,
         BudgetExhausted,
         HorizonViolation,
         NonStoppingRuleError,

@@ -101,6 +101,7 @@ class TwoTapeTm:
             raise InvalidMachineError(f"duplicate tape symbols: {self.tape_alphabet}")
         if START not in syms or BLANK not in syms:
             raise InvalidMachineError(f"tape alphabet must contain {START!r} and {BLANK!r}")
+        one_way = True  # no transition moves the input head left: TmRuns.keyed
         for (q, a, b), (nq, w, mi, mo) in self.transitions.items():
             if q in self.terminal:
                 raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
@@ -114,14 +115,17 @@ class TwoTapeTm:
             # the input head to cell 1 and a left move can be refused here;
             # the output head is guarded at runtime since the marker cell
             # may be overwritten
-            if a == START and mi == "L":
-                raise InvalidMachineError("input head cannot move left of the start cell")
+            if mi == "L":
+                if a == START:
+                    raise InvalidMachineError("input head cannot move left of the start cell")
+                one_way = False
         # every key is a live state and two tape symbols, so the count decides totality
         live = [q for q in self.states if q not in self.terminal]
         if len(self.transitions) != len(live) * len(syms) ** 2:
             cells = ((q, a, b) for q in live for a in self.tape_alphabet for b in self.tape_alphabet)
             missing = next(cell for cell in cells if cell not in self.transitions)
             raise InvalidMachineError(f"transition table not total: missing {missing!r}")
+        object.__setattr__(self, "_one_way", one_way)
 
     @classmethod
     def build(
@@ -133,19 +137,29 @@ class TwoTapeTm:
         rules: Iterable[tuple[str, str, str, str, str, str, str]],
     ) -> TwoTapeTm:
         """Construct from (state, read, peek, next, write, move_in, move_out)
-        rules in the wildcard form above, each expanded into its cells once."""
-        syms = tuple(tape_alphabet)
+        rules in the wildcard form above, each expanded into its cells once.
+        Each rule's action is checked as it is filed, since more specific
+        rules may override every cell it has."""
+        states, syms = tuple(states), tuple(tape_alphabet)
+        state_set = set(states)
         # least specific first, so each layer overwrites the cells it shares with the last
         layers: tuple[list, ...] = ([], [], [], [])
         for rule in rules:
-            layers[(rule[1] != "*") * 2 + (rule[2] != "*")].append(rule)
+            q, read, peek, nq, w, mi, mo = rule
+            if nq not in state_set:
+                raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
+            if w != "*" and w not in syms:
+                raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {read!r}, {peek!r})")
+            if mi not in MOVES or mo not in MOVES:
+                raise InvalidMachineError(f"moves must be L, S or R, got ({mi!r}, {mo!r})")
+            layers[(read != "*") * 2 + (peek != "*")].append(rule)
         table: dict[TmKey, TmAction] = {}
         for layer in layers:
             for q, read, peek, nq, w, mi, mo in layer:
                 for a in syms if read == "*" else (read,):
                     for b in syms if peek == "*" else (peek,):
                         table[q, a, b] = (nq, b if w == "*" else w, mi, mo)
-        return cls(tuple(states), initial, terminal, syms, table)
+        return cls(states, initial, terminal, syms, table)
 
 
 @dataclass(frozen=True)
@@ -191,7 +205,7 @@ class TmRuns:
 
     @property
     def keyed(self) -> bool:
-        return all(move != "L" for _, _, move, _ in self.tm.transitions.values())
+        return self.tm._one_way  # type: ignore[attr-defined]
 
     def read(self, config: TmConfig | None, word: Sequence[int]) -> tuple[TmConfig, str | None]:
         names, end = self.alphabet.symbols, len(word) + 1

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqdec.analysis import RuleHandle, decisive_set, stopping_time, tabulate_automaton
 from seqdec.automaton import to_json as automaton_to_json
-from seqdec.cli import _Loaded, build_parser, main
+from seqdec.cli import _load, build_parser, main
 from seqdec.core import Alphabet
 from seqdec.heuristics import (
     Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, compile_rule, rule_to_json,
@@ -87,7 +87,7 @@ def assert_renders_as_oracle(tmp_path, text: str, flags=()) -> None:
     path, out_file = tmp_path / "doc.json", tmp_path / "out.json"
     path.write_text(text, encoding="utf-8")
     argv = ["analyze", str(path), *flags]
-    rule = _Loaded(json.loads(text)).handle(build_parser().parse_args(argv))
+    rule = _load(str(path), build_parser().parse_args(argv))
     for literal in (None, literal_of(rule.alphabet.symbols)):
         seq = [] if literal is None else ["--seq", literal]
         want = oracle_analyze_text(rule, literal)

@@ -37,7 +37,7 @@ from seqdec.automaton import (
     to_json,
     to_json_dict,
 )
-from seqdec.cli import _compiled_automaton, _Loaded, build_parser, main
+from seqdec.cli import _load, build_parser, main
 from seqdec.core import Alphabet, SeqSpec
 from seqdec.heuristics import (
     CsrSpec, OsrSpec, _vector_name, compile_rule, csr_compile, csr_critical_counts, osr_compile,
@@ -189,16 +189,13 @@ def run(argv) -> tuple[int, str]:
 
 
 def assert_reports_as_oracle(tmp_path, text: str, flags=()) -> None:
-    """``compile`` (both ways) or ``minimize`` stdout and ``--out`` bytes equal the oracle's."""
+    """``compile`` stdout and ``--out`` bytes, both ways, equal the oracle's; ``minimize``
+    is ``compile --minimize``."""
     path, out_file = tmp_path / "doc.json", tmp_path / "out.json"
     path.write_text(text, encoding="utf-8")
-    loaded = _Loaded(json.loads(text))
-    if loaded.automaton is not None:
-        cases = [(["minimize", str(path)], minimize(loaded.automaton))]
-    else:
-        argv = ["compile", str(path), *flags]
-        aut = _compiled_automaton(loaded, build_parser().parse_args(argv))
-        cases = [(argv, aut), (argv + ["--minimize"], minimize(aut))]
+    argv = ["compile", str(path), *flags]
+    aut = tabulate_automaton(_load(str(path), build_parser().parse_args(argv)))
+    cases = [(argv, aut), (argv + ["--minimize"], minimize(aut))]
     for argv, aut in cases:
         assert run(argv) == (0, oracle_report(aut, written=False))
         assert run(argv + ["--out", str(out_file)]) == (0, oracle_report(aut, written=True))

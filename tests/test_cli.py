@@ -19,7 +19,8 @@ from seqdec.heuristics import (
 )
 from seqdec.automaton import to_json as automaton_to_json
 from seqdec.machines import (
-    TwoTapeTm, automaton_to_tm, to_json as tm_to_json, to_json_dict as tm_to_json_dict,
+    RULE_FIELDS, TwoTapeTm, automaton_to_tm, to_json as tm_to_json,
+    to_json_dict as tm_to_json_dict,
 )
 from tests.conftest import build_twosym_threshold2
 from tests.mutants import MUTANTS
@@ -311,6 +312,16 @@ MALFORMED_DOCUMENTS = {
         **tm_to_json_dict(echo_machine(XY)), "tape_alphabet": ["x", "y", "◁", "_", "x"],
         "input_alphabet": ["x", "y"],
     },
+    # a default whose every cell a read rule overrides, refused all the same
+    "machine-rule-overridden-everywhere": {
+        "kind": "tm", "states": ["q0", "halt"], "initial": "q0", "terminal": ["halt"],
+        "tape_alphabet": ["x", "◁", "_"],
+        "transitions": [
+            dict(zip(RULE_FIELDS, rule))
+            for rule in [("q0", "*", "*", "nosuch", "zz", "X", "Y")]
+            + [("q0", a, "*", "halt", "*", "S", "S") for a in ("x", "◁", "_")]
+        ],
+    },
     # a row for a name outside "states", rejected, not carried along unread
     "automaton-unlisted-row": UNLISTED_ROW,
     # one entry where 2^40 are due, rejected before any bit-word is listed
@@ -329,6 +340,22 @@ def test_rows_for_unlisted_states_exit_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "seqdec: transitions row 'zz' not in state set\n"
+
+
+def test_tm_run_refuses_a_rule_before_compiling_it(capsys, tmp_path):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(OVERSIZED_RULES["csr"]))
+    assert main(["tm-run", str(path), "|a", "--budget", "5"]) == 2
+    assert capsys.readouterr().err == "seqdec: tm-run expects a machine document\n"
+
+
+@pytest.mark.parametrize("name", ["machine-input-alphabet-number", "machine-input-alphabet-string"])
+def test_malformed_input_alphabet_exits_2_under_a_given_alphabet(capsys, tmp_path, name):
+    path = tmp_path / "tm.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
+    for command in (["eval", "|x"], ["analyze"], ["tm-run", "|x"]):
+        assert main([*command[:1], str(path), *command[1:], "--budget", "5", "--alphabet", "x y"]) == 2
+        assert capsys.readouterr().err == "seqdec: input_alphabet must be a list of strings\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
@@ -472,8 +499,18 @@ class TestMinimizeAndDot:
         assert exc.value.code == 2
         assert "unrecognized arguments: --format text" in capsys.readouterr().err
 
-    def test_minimize_rejects_rule_file(self, capsys, fig_file):
-        assert main(["minimize", fig_file]) == 2
+    def test_minimize_prints_as_compile_minimize(self, capsys, fig_file, tmp_path):
+        aut_path, tm_path = tmp_path / "aut.json", tmp_path / "tm.json"
+        aut_path.write_text(automaton_to_json(build_twosym_threshold2()))
+        doc = tm_to_json_dict(echo_machine(XY))
+        doc["input_alphabet"] = ["x", "y"]
+        tm_path.write_text(json.dumps(doc))
+        for path, flags in ((fig_file, []), (aut_path, []), (tm_path, ["--budget", "10"])):
+            for extra in ([], ["--format", "text"]):
+                assert main(["minimize", str(path), *flags, *extra]) == 0
+                want = capsys.readouterr()
+                assert main(["compile", str(path), "--minimize", *flags, *extra]) == 0
+                assert capsys.readouterr() == want and want.out
 
 
 class TestAnalyze:

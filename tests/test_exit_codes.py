@@ -1,17 +1,18 @@
 """The exit-code contract on random documents, over the product searches.
 
 ``axioms --suite csr|osr|config``, ``analyze``, ``identify --as csr|osr``,
-``eval`` on random sequence literals, well formed or not, and ``compile``
-with and without ``--minimize`` run on random small rule documents, well
-formed or not (half the config rules with a complete random table
-comparator); all but plain ``compile`` run on random automaton documents
-too, stopping or not, with ``minimize`` (JSON and text) and ``dot``.  Machine documents, embedded stopping automata, half of them
-choice rules and some with an output outside the input alphabet, and
-random total machines that may halt, run off the tape or spin, each
-written in wildcard form or fully expanded, go through
+``eval`` on random sequence literals, well formed or not, ``compile`` with
+and without ``--minimize``, ``minimize`` (JSON and text) and ``dot`` run on
+random small rule documents, well formed or not (half the config rules
+with a complete random table comparator), and on random automaton
+documents, stopping or not.  Machine documents, embedded stopping
+automata, half of them choice rules and some with an output outside the
+input alphabet, and random total machines that may halt, run off the tape
+or spin, each written in wildcard form or fully expanded, go through
 ``tm-run`` and ``eval`` on ``|x`` and on random literals, ``analyze``,
 ``axioms --suite csr``, ``axioms --suite config`` (whose choice check
-rejects an output outside the alphabet) and ``compile``.  Half of them are
+rejects an output outside the alphabet), ``compile``, ``minimize`` and
+``dot``.  Half of them are
 well formed, with budget 8 and horizon 3 or none, which every embedded
 automaton meets, so that many reach a checker; the others have hostile
 horizons or none, hostile budgets, and now and then a junk field or a
@@ -42,9 +43,7 @@ from tests.test_run_tree import total_machines
 COMMANDS = (
     ["axioms", "--suite", "csr"], ["axioms", "--suite", "osr"], ["axioms", "--suite", "config"],
     ["analyze"], ["identify", "--as", "csr"], ["identify", "--as", "osr"],
-)
-AUTOMATON_COMMANDS = COMMANDS + (
-    ["minimize"], ["minimize", "--format", "text"], ["compile", "--minimize"], ["dot"],
+    ["compile"], ["compile", "--minimize"], ["minimize"], ["minimize", "--format", "text"], ["dot"],
 )
 
 # commands whose stdout is one JSON document unless ``--format text`` is given
@@ -163,13 +162,13 @@ def assert_contract(doc: dict, commands=COMMANDS) -> None:
 @given(doc=rule_documents(), data=st.data())
 def test_rule_documents_keep_the_exit_contract(doc, data):
     eval_literal = ["eval", data.draw(literals(doc["alphabet"]))]
-    assert_contract(doc, COMMANDS + (["compile"], ["compile", "--minimize"], eval_literal))
+    assert_contract(doc, COMMANDS + (eval_literal,))
 
 
 @settings(max_examples=150, deadline=None)
 @given(doc=automaton_documents(), data=st.data())
 def test_automaton_documents_keep_the_exit_contract(doc, data):
-    assert_contract(doc, AUTOMATON_COMMANDS + (["eval", data.draw(literals(doc["alphabet"]))],))
+    assert_contract(doc, COMMANDS + (["eval", data.draw(literals(doc["alphabet"]))],))
 
 
 @st.composite
@@ -247,6 +246,8 @@ def test_machine_documents_keep_the_exit_contract(case):
         ["axioms", "--suite", "csr", *limits],
         ["axioms", "--suite", "config", *limits],
         ["compile", *limits],
+        ["minimize", *limits],
+        ["dot", *limits],
     ))
 
 

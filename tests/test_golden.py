@@ -15,6 +15,7 @@ Record the corpus and its outputs again, from the repository root::
 import contextlib
 import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,7 +69,9 @@ def corpus() -> dict[str, str]:
 
 def command_lines() -> dict[str, list[str]]:
     """Every recorded command line by recording name."""
-    documents = [(f"{name}{suffix}", LITERALS[name]) for name in RULES for suffix in ("", ".aut", ".tm")]
+    documents = [
+        (f"{name}{kind}", LITERALS[name]) for name in RULES for kind in ("", ".aut", ".tm")
+    ]
     documents.append(("loop.aut", ("|x", "|y")))
     lines = {}
     for doc, (first, second) in documents:
@@ -96,7 +99,8 @@ def command_lines() -> dict[str, list[str]]:
     # a budget too small for the embedded machine's longest run
     lines["csr.tm.eval-small-budget"] = ["eval", "docs/csr.tm.json", "|a b", "--budget", "3"]
     lines["csr.tm.eval-no-budget"] = ["eval", "docs/csr.tm.json", "|a b"]
-    lines["csr.tm.eval-alphabet"] = ["eval", "docs/csr.tm.json", "|a b", "--alphabet", "a b", *MACHINE_FLAGS]
+    lines["csr.tm.eval-alphabet"] = ["eval", "docs/csr.tm.json", "|a b", "--alphabet", "a b"]
+    lines["csr.tm.eval-alphabet"] += MACHINE_FLAGS
     return lines
 
 
@@ -146,9 +150,9 @@ def record() -> None:
         stale.unlink()
     for name, text in corpus().items():
         (docs_dir / name).write_text(text, encoding="utf-8")
-    with contextlib.chdir(GOLDEN):
-        for name, argv in command_lines().items():
-            Path(f"{name}.json").write_text(recording_text(run_cli(argv)), encoding="utf-8")
+    os.chdir(GOLDEN)
+    for name, argv in command_lines().items():
+        Path(f"{name}.json").write_text(recording_text(run_cli(argv)), encoding="utf-8")
 
 
 if __name__ == "__main__":

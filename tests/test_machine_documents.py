@@ -5,7 +5,9 @@ replaced: four lookups per cell, most specific first.  On well-formed rule
 lists, whose rules name live states and tape symbols only, the two must
 give the same machine, or refuse the same missing cell.  Where a rule names
 an unknown state, read or peek symbol, the bucket search dropped it, and
-``build`` refuses it.  ``to_json_dict`` writes the wildcard form, ``expanded_json_dict``
+``build`` refuses it, as it refuses a rule whose next state, write symbol
+or moves are unknown even where other rules override all its cells.
+``to_json_dict`` writes the wildcard form, ``expanded_json_dict``
 one rule per cell; both load back to the machine they came from, and the
 written rules mean the same machine under the bucket search too.
 """
@@ -84,7 +86,8 @@ def test_layered_build_matches_the_bucket_search(machine):
         (("nosuch", "*", "*", "q0", "*", "S", "S"), "unknown state in transition ('nosuch' -> 'q0')"),
         (("q0", "z", "*", "q0", "*", "S", "S"), "unknown tape symbol in transition ('q0', 'z', 'x')"),
         (("q0", "*", "z", "q0", "*", "S", "S"), "unknown tape symbol in transition ('q0', 'x', 'z')"),
-        (("q0", "x", "*", "q0", "z", "S", "S"), "unknown tape symbol in transition ('q0', 'x', 'x')"),
+        # an action is checked on its rule, before any cell is filed
+        (("q0", "x", "*", "q0", "z", "S", "S"), "unknown tape symbol in transition ('q0', 'x', '*')"),
     ],
 )
 def test_rules_naming_unknown_names_are_refused(extra, message):
@@ -94,6 +97,23 @@ def test_rules_naming_unknown_names_are_refused(extra, message):
     assert outcome(TwoTapeTm.build, machine) == message
     # the bucket search never looked up an unknown state, read or peek
     assert isinstance(outcome(oracle_build, machine), TwoTapeTm) == (extra[4] != "z")
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (("nosuch", "*", "S", "S"), "unknown state in transition ('q0' -> 'nosuch')"),
+        (("halt", "zz", "S", "S"), "unknown tape symbol in transition ('q0', '*', '*')"),
+        (("halt", "*", "X", "S"), "moves must be L, S or R, got ('X', 'S')"),
+        (("halt", "*", "S", "Y"), "moves must be L, S or R, got ('S', 'Y')"),
+    ],
+)
+def test_rules_overridden_everywhere_are_refused(action, message):
+    # one read rule per tape symbol overrides every cell of the default
+    rules = [("q0", "*", "*", *action)]
+    rules += [("q0", a, "*", "halt", "*", "S", "S") for a in ("x", START, BLANK)]
+    machine = (("q0", "halt"), "q0", ("halt",), ("x", START, BLANK), rules)
+    assert outcome(TwoTapeTm.build, machine) == message
 
 
 def test_totality_names_the_first_missing_cell():
