@@ -12,7 +12,6 @@ from seqdec import (
     CsrSpec,
     RuleHandle,
     csr_compile,
-    evaluate,
     minimize,
     to_dot,
 )
@@ -30,7 +29,7 @@ print(f"every input decides within {facts.bound} observations")
 print("\nruns:")
 for text in ("|x", "|x y", "y|x"):
     seq = alphabet.sequence(text)
-    decision, stop = evaluate(small, seq)
+    stop, decision = facts.stop(seq)
     print(f"  {text:<8} -> {decision} at position {stop}")
 
 print("\nper-state commitments:")

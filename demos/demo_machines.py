@@ -16,7 +16,6 @@ from seqdec import (
     RuleHandle,
     automaton_to_tm,
     csr_compile,
-    evaluate,
     minimize,
     tabulate_automaton,
     tm_run,
@@ -26,12 +25,13 @@ from seqdec import (
 abc = Alphabet(("a", "b", "c"))
 rule = CsrSpec(abc, {s: Fraction(1) for s in abc}, Fraction(3))
 aut = csr_compile(rule)
+facts = RuleHandle.from_automaton(aut).facts
 machine = automaton_to_tm(aut)
 print(f"automaton: {len(aut.states)} states -> machine: {len(machine.states)} states")
 
 for text in ("|a b c", "b b|a", "|c"):
     seq = abc.sequence(text)
-    decision, stop = evaluate(aut, seq)
+    stop, decision = facts.stop(seq)
     run = tm_run(machine, seq, budget=100)
     print(f"  {text:<8} automaton: {decision}@{stop}   machine: {run.decision} in {run.steps} steps")
 
@@ -39,8 +39,8 @@ print("\nresynthesis from budgeted machine runs:")
 box = RuleHandle.from_machine(machine, abc, budget=100)
 rebuilt = minimize(tabulate_automaton(box))
 print(f"  bound found by the walk, with no horizon declared: {uniform_bound_search(box)}")
-rebuilt_bound = RuleHandle.from_automaton(rebuilt).facts.bound
-print(f"  observed automaton: {len(rebuilt.states)} states, bound {rebuilt_bound}")
+rebuilt_facts = RuleHandle.from_automaton(rebuilt).facts
+print(f"  observed automaton: {len(rebuilt.states)} states, bound {rebuilt_facts.bound}")
 for text in ("|a b c", "b b|a"):
     seq = abc.sequence(text)
-    print(f"  {text:<8} original {evaluate(aut, seq)[0]!r}, rebuilt {evaluate(rebuilt, seq)[0]!r}")
+    print(f"  {text:<8} original {facts.stop(seq)[1]!r}, rebuilt {rebuilt_facts.stop(seq)[1]!r}")

@@ -13,12 +13,11 @@ from seqdec import (
     CsrSpec,
     RuleHandle,
     csr_critical_counts,
-    csr_evaluate,
-    csr_uniform_bound,
     enumerate_minimal_sufficient,
     prefix_of,
     stopping_time,
     sufficiency_of,
+    uniform_bound_search,
 )
 
 alphabet = Alphabet(("a", "b", "c"))
@@ -26,14 +25,12 @@ rule = CsrSpec(alphabet, {name: Fraction(1) for name in alphabet}, Fraction(3))
 
 print("weights:", {k: str(v) for k, v in rule.weights.items()}, "threshold:", rule.threshold)
 print("per-symbol critical counts:", csr_critical_counts(rule))
-print("worst-case stopping position:", csr_uniform_bound(rule))
+handle = RuleHandle.from_rule(rule)
+print("worst-case stopping position:", uniform_bound_search(handle))
 
 stream = alphabet.sequence("|a b c")
-choice, position = csr_evaluate(rule, stream)
-print(f"\non the stream {stream.text()!r}: choice {choice!r} at position {position}")
-
-handle = RuleHandle.from_rule(rule)
-stop = stopping_time(handle, stream)
+choice, stop = handle.decide(stream), stopping_time(handle, stream)
+print(f"\non the stream {stream.text()!r}: choice {choice!r} at position {stop}")
 window = prefix_of(stream, stop)
 print(f"the decision is already forced by the window {window.text()!r}")
 

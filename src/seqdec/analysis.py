@@ -49,6 +49,7 @@ from .core import (
     SeqSpec,
     SeqdecError,
     ValidationError,
+    _require_same_alphabet,
     constant,
     relabel,
 )
@@ -61,7 +62,6 @@ from .automaton import (
     Sufficiency,
     _escaping_states,
     absorbing_terminal_row,
-    evaluate,
     stopping_bound,
 )
 from . import heuristics
@@ -192,7 +192,8 @@ class RuleHandle:
 
     def decide(self, seq: SeqSpec) -> str:
         if self.automaton is not None:
-            return evaluate(self.automaton, seq)[0]
+            return self.facts.stop(seq)[1]
+        _require_same_alphabet(self.alphabet, seq.alphabet)
         return self.runs.close(seq)[1]  # type: ignore[union-attr,return-value]
 
     @cached_property
@@ -320,6 +321,7 @@ class Facts:
 
     def stop(self, seq: SeqSpec) -> tuple[int, str]:
         """Least k whose window of ``seq`` is sufficient, and the decision it forces."""
+        _require_same_alphabet(self.alphabet, seq.alphabet)
         for k, got in enumerate(self.decisions(map(seq.at, itertools.count(1)))):
             if got is not None:
                 return k, got

@@ -26,31 +26,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (
-    Alphabet,
-    Segment,
-    SeqSpec,
-    SeqdecError,
-    ValidationError,
-    _require_same_alphabet,
-)
+from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
 
 
 class InvalidAutomatonError(ValidationError):
     """The automaton description violates a structural invariant."""
-
-
-class DivergenceError(SeqdecError):
-    """A run never reaches a terminal state on the given input.
-
-    Detected exactly: the pair (state, phase within prefix/cycle) repeated
-    without absorption, so the run is provably infinite.
-    """
-
-    def __init__(self, message: str, state: str, position: int):
-        super().__init__(message)
-        self.state = state
-        self.position = position
 
 
 class NonStoppingRuleError(SeqdecError):
@@ -133,44 +113,6 @@ class DecisionAutomaton:
 def absorbing_terminal_row(alphabet: Alphabet, state: str) -> dict[str, str]:
     """Self-loop transition row for an absorbing state."""
     return {sym: state for sym in alphabet}
-
-
-def run(aut: DecisionAutomaton, seg: Segment) -> str:
-    """State reached by folding the transition function over the word."""
-    _require_same_alphabet(aut.alphabet, seg.alphabet)
-    state = aut.initial
-    for idx in seg.word:
-        state = aut.transitions[state][aut.alphabet.name(idx)]
-    return state
-
-
-def evaluate(aut: DecisionAutomaton, seq: SeqSpec) -> tuple[str, int]:
-    """Decision and absorption position for an infinite input.
-
-    Simulates positions 1, 2, ... until a terminal state is entered and
-    returns its output together with the entry position.  Raises
-    DivergenceError when the (state, phase) pair repeats without reaching a
-    terminal state, which proves the run never stops.
-    """
-    _require_same_alphabet(aut.alphabet, seq.alphabet)
-    p, c = len(seq.prefix), len(seq.cycle)
-    state = aut.initial
-    seen: set[tuple[str, int]] = set()
-    pos = 0
-    while True:
-        phase = pos if pos < p else p + (pos - p) % c
-        if (state, phase) in seen:
-            raise DivergenceError(
-                f"run never reaches a terminal state on {seq.text()!r} "
-                f"(state {state!r} recurs at phase {phase})",
-                state=state,
-                position=pos + 1,
-            )
-        seen.add((state, phase))
-        pos += 1
-        state = aut.transitions[state][seq.symbol_at(pos)]
-        if state in aut.terminal:
-            return aut.terminal[state], pos
 
 
 def _breadth_first(aut: DecisionAutomaton) -> dict[str, tuple[str, str] | None]:

@@ -3,8 +3,8 @@
 A sequence is a total function from positions 1, 2, ... to symbols of a
 finite alphabet.  It is stored as a finite prefix plus a nonempty repeating
 cycle, a representation that is closed under every transformation the
-decision-rule machinery needs: truncation, concatenation, adjacent swaps,
-position deletion, and relabeling.  All values here are immutable and all
+decision-rule machinery needs: truncation, adjacent swaps, position
+deletion, and relabeling.  All values here are immutable and all
 operations are pure, so they can be shared freely across workers.
 
 Sequence literals use the textual form ``prefix|cycle`` with space-separated
@@ -14,7 +14,6 @@ symbol names: ``a b|c`` is (a b c c c ...), ``|a b c`` is the pure cycle
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -304,12 +303,6 @@ def prefix_of(seq: SeqSpec, k: int) -> Segment:
     return Segment(seq.alphabet, seq.window(k))
 
 
-def concat(head: Segment, tail: SeqSpec) -> SeqSpec:
-    """Sequence that reads ``head`` first and then continues as ``tail``."""
-    _require_same_alphabet(head.alphabet, tail.alphabet)
-    return SeqSpec(tail.alphabet, head + tail.prefix, tail.cycle)
-
-
 def favorable_shift(seq: SeqSpec, k: int) -> SeqSpec:
     """Swap the symbols at positions k and k+1.
 
@@ -342,14 +335,6 @@ def relabel(seq: SeqSpec, sigma: Relabeling) -> SeqSpec:
         return Segment(seg.alphabet, tuple(sigma.apply_index(i) for i in seg.word))
 
     return SeqSpec(seq.alphabet, mapped(seq.prefix), mapped(seq.cycle))
-
-
-def enumerate_segments(alphabet: Alphabet, length: int) -> Iterator[Segment]:
-    """All words of the given length, lexicographically by symbol index."""
-    if length < 0:
-        raise ValidationError(f"length must be >= 0, got {length}")
-    for word in itertools.product(range(len(alphabet)), repeat=length):
-        yield Segment(alphabet, word)
 
 
 def constant(alphabet: Alphabet, name: str) -> SeqSpec:

@@ -35,13 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .core import (
-    Alphabet,
-    ResourceLimit,
-    SeqSpec,
-    ValidationError,
-    _require_same_alphabet,
-)
+from .core import Alphabet, ResourceLimit, ValidationError
 from .automaton import DecisionAutomaton, absorbing_terminal_row
 
 
@@ -105,16 +99,6 @@ class OsrSpec:
         if self.span < 1:
             raise InvalidRuleError(f"span must be >= 1, got {self.span}")
         object.__setattr__(self, "_rank", {s: i for i, s in enumerate(self.order)})
-
-    def prefers(self, x: str, y: str) -> bool:
-        """True when x is ranked strictly above y."""
-        return self._rank[x] < self._rank[y]  # type: ignore[attr-defined]
-
-    def above_threshold(self, x: str) -> bool:
-        return self.prefers(x, self.threshold_alt)
-
-    def best(self, names) -> str:
-        return min(names, key=lambda s: self._rank[s])  # type: ignore[attr-defined]
 
 
 BUILTIN_COMPARATORS = ("first-position-priority", "numeric-value")
@@ -189,55 +173,11 @@ class ConfigRuleSpec:
 RuleSpec = Union[CsrSpec, OsrSpec, ConfigRuleSpec]
 
 
-@dataclass(frozen=True)
-class BitstreamCollection:
-    """Per-symbol bit-words of common length, exactly one 1 per position."""
-
-    streams: Mapping[str, tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "streams", {k: tuple(v) for k, v in self.streams.items()})
-        lengths = {len(v) for v in self.streams.values()}
-        if len(lengths) != 1:
-            raise InvalidRuleError(f"bitstreams must share one length, got {sorted(lengths)}")
-        (n,) = lengths
-        for i in range(n):
-            ones = sum(v[i] for v in self.streams.values())
-            if ones != 1:
-                raise InvalidRuleError(f"position {i + 1} carries {ones} ones, expected exactly 1")
-
-
-def csr_evaluate(spec: CsrSpec, seq: SeqSpec) -> tuple[str, int]:
-    """First crossing of the threshold: (chosen symbol, crossing position).
-
-    Only the symbol read at the crossing position changed score there, so
-    the chooser is unique; an assertion keeps that argument honest.
-    """
-    _require_same_alphabet(spec.alphabet, seq.alphabet)
-    totals = {name: Fraction(0) for name in spec.alphabet}
-    limit = csr_uniform_bound(spec)
-    for pos in range(1, limit + 1):
-        name = seq.symbol_at(pos)
-        totals[name] += spec.weights[name]
-        if totals[name] >= spec.threshold:
-            assert all(
-                totals[other] < spec.threshold for other in spec.alphabet if other != name
-            )
-            return name, pos
-    raise AssertionError("unreachable: positive weights cross the threshold within the bound")
-
-
 def csr_critical_counts(spec: CsrSpec) -> dict[str, int]:
     """Occurrences of each symbol needed to reach the threshold alone."""
     return {
         name: math.ceil(spec.threshold / spec.weights[name]) for name in spec.alphabet
     }
-
-
-def csr_uniform_bound(spec: CsrSpec) -> int:
-    """Worst-case stopping position: every symbol one short, then one more."""
-    counts = csr_critical_counts(spec)
-    return 1 + sum(n - 1 for n in counts.values())
 
 
 def _vector_name(alphabet: Alphabet, vector: tuple[int, ...]) -> str:
@@ -277,18 +217,6 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
     return DecisionAutomaton(aut, states, names[zero], transitions, terminal)
 
 
-def osr_evaluate(spec: OsrSpec, seq: SeqSpec) -> str:
-    """First above-threshold symbol within the span, else the best seen."""
-    _require_same_alphabet(spec.alphabet, seq.alphabet)
-    seen = []
-    for pos in range(1, spec.span + 1):
-        name = seq.symbol_at(pos)
-        if spec.above_threshold(name):
-            return name
-        seen.append(name)
-    return spec.best(seen)
-
-
 def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     """Automaton tracking (position, best below-threshold symbol so far).
 
@@ -320,35 +248,6 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
         transitions[t] = absorbing_terminal_row(aut, t)
     states = tuple(sorted(names.values())) + tuple(sorted(terminal))
     return DecisionAutomaton(aut, states, "p0:-", transitions, terminal)
-
-
-def config_encode(seq: SeqSpec, symbol: str, window: int) -> tuple[int, ...]:
-    """Occupancy pattern of a symbol over positions 1..window."""
-    if window < 1:
-        raise InvalidRuleError(f"window must be >= 1, got {window}")
-    idx = seq.alphabet.index(symbol)
-    return tuple(1 if seq.at(i) == idx else 0 for i in range(1, window + 1))
-
-
-def bitstream_collection(seq: SeqSpec, window: int) -> BitstreamCollection:
-    """Feasible collection of the patterns of all symbols occurring in the window."""
-    occurring = {seq.symbol_at(i) for i in range(1, window + 1)}
-    return BitstreamCollection(
-        {name: config_encode(seq, name, window) for name in sorted(occurring)}
-    )
-
-
-def config_evaluate(spec: ConfigRuleSpec, seq: SeqSpec) -> str:
-    """Occurring symbol whose window pattern has the best comparator rank.
-
-    Feasibility makes the patterns of distinct occurring symbols distinct,
-    so injectivity of the ranking gives a unique maximum.
-    """
-    _require_same_alphabet(spec.alphabet, seq.alphabet)
-    occurring = sorted({seq.symbol_at(i) for i in range(1, spec.window + 1)})
-    return max(
-        occurring, key=lambda name: spec.comparator.rank(config_encode(seq, name, spec.window))
-    )
 
 
 def segment_tree_automaton(
@@ -393,8 +292,8 @@ def segment_tree_automaton(
 def config_compile(spec: ConfigRuleSpec) -> DecisionAutomaton:
     """Tabulate the window evaluator into a prefix-tree automaton.
 
-    Each leaf decides as ``config_evaluate`` does, from one occupancy mask
-    per occurring symbol; the comparator ranks each mask once, lazily.
+    Each leaf picks the occurring symbol whose occupancy mask the comparator
+    ranks best; the comparator ranks each mask once, lazily.
     """
     w = spec.window
 
@@ -417,14 +316,6 @@ def compile_rule(spec: RuleSpec) -> DecisionAutomaton:
     if isinstance(spec, OsrSpec):
         return osr_compile(spec)
     return config_compile(spec)
-
-
-def evaluate_rule(spec: RuleSpec, seq: SeqSpec) -> str:
-    if isinstance(spec, CsrSpec):
-        return csr_evaluate(spec, seq)[0]
-    if isinstance(spec, OsrSpec):
-        return osr_evaluate(spec, seq)
-    return config_evaluate(spec, seq)
 
 
 def _fraction(text) -> Fraction:

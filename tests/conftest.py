@@ -11,8 +11,9 @@ from typing import NamedTuple
 import pytest
 
 from seqdec.core import Alphabet, Segment
-from seqdec.automaton import DecisionAutomaton, _breadth_first, absorbing_terminal_row, run
+from seqdec.automaton import DecisionAutomaton, _breadth_first, absorbing_terminal_row
 from seqdec.machines import InvalidMachineError, TwoTapeTm
+from tests.definitions import run
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))

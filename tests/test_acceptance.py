@@ -12,14 +12,13 @@ from fractions import Fraction
 import pytest
 
 from seqdec.core import Segment, SeqSpec
-from seqdec.automaton import evaluate, isomorphic, minimize
+from seqdec.automaton import isomorphic, minimize
 from seqdec.heuristics import (
     Comparator,
     ConfigRuleSpec,
     CsrSpec,
     OsrSpec,
     compile_rule,
-    csr_uniform_bound,
 )
 from seqdec.machines import automaton_to_tm, tm_run
 from seqdec.analysis import (
@@ -36,6 +35,7 @@ from seqdec.analysis import (
     uniform_bound_search,
 )
 from tests.conftest import ABC, XY, build_twosym_threshold2, oracle_verify_stopping
+from tests.definitions import csr_uniform_bound, evaluate
 from tests.mutants import MUTANTS
 from tests.test_analysis import oracle_minimal_sufficient
 

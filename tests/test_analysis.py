@@ -6,16 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from seqdec.core import Alphabet, ResourceLimit, Segment, SeqSpec, constant
-from seqdec.automaton import MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, Sufficiency, evaluate
-from seqdec.heuristics import (
-    Comparator,
-    ConfigRuleSpec,
-    CsrSpec,
-    OsrSpec,
-    csr_evaluate,
-    osr_evaluate,
-)
+from seqdec.core import Alphabet, AlphabetMismatchError, ResourceLimit, Segment, SeqSpec, constant
+from seqdec.automaton import MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, Sufficiency
+from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, OsrSpec
 from seqdec.analysis import (
     CHECKERS,
     SUITES,
@@ -44,6 +37,7 @@ from seqdec.analysis import (
     uniform_bound_search,
 )
 from tests.conftest import ABC, XY
+from tests.definitions import csr_evaluate, evaluate, osr_evaluate
 from tests.mutants import MUTANTS
 
 ONE = Fraction(1)
@@ -108,6 +102,12 @@ class TestStoppingTime:
             for cyc in range(2):
                 seq = closure(XY, word, cyc)
                 assert stopping_time(aut, seq) == stopping_time(box, seq)
+
+    def test_sequence_over_another_alphabet_refused(self):
+        for rule in fig_handles():
+            for ask in (stopping_time, RuleHandle.decide):
+                with pytest.raises(AlphabetMismatchError):
+                    ask(rule, ABC.sequence("|a"))
 
 
 class TestUniformBoundSearch:

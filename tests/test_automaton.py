@@ -6,23 +6,20 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqdec.core import Alphabet, SeqSpec, concat, constant, enumerate_segments
+from seqdec.core import Alphabet, SeqSpec, constant
 from seqdec.automaton import (
     MINIMAL_SUFFICIENT,
     NOT_SUFFICIENT,
     SUFFICIENT,
     DecisionAutomaton,
-    DivergenceError,
     InvalidAutomatonError,
     NonStoppingRuleError,
     _escaping_states,
     absorbing_terminal_row,
-    evaluate,
     from_json,
     isomorphic,
     minimize,
     reachable_states,
-    run,
     to_dot,
     stopping_bound,
     to_json,
@@ -32,6 +29,7 @@ from seqdec.heuristics import compile_rule
 from tests.conftest import (
     XY, build_twosym_threshold2, oracle_decidedness, oracle_least_bound, oracle_verify_stopping,
 )
+from tests.definitions import DivergenceError, concat, enumerate_segments, evaluate, run
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 

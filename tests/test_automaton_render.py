@@ -89,7 +89,8 @@ def oracle_csr_compile(spec: CsrSpec) -> DecisionAutomaton:
 
 
 def oracle_osr_compile(spec: OsrSpec) -> DecisionAutomaton:
-    """The OSR compiler as it was, ranking through ``OsrSpec`` at every transition."""
+    """The OSR compiler as it was, ranking by a search of ``order`` at every transition."""
+    rank = spec.order.index
 
     def name_of(pos, best):
         return f"p{pos}:{best or '-'}"
@@ -99,10 +100,10 @@ def oracle_osr_compile(spec: OsrSpec) -> DecisionAutomaton:
         pos, best = todo.pop()
         row = {}
         for sym in spec.alphabet:
-            if spec.above_threshold(sym):
+            if rank(sym) < rank(spec.threshold_alt):
                 row[sym] = f"dec:{sym}"
                 continue
-            new_best = sym if best is None else spec.best([best, sym])
+            new_best = sym if best is None else min(best, sym, key=rank)
             if pos + 1 == spec.span:
                 row[sym] = f"dec:{new_best}"
             else:

@@ -604,9 +604,10 @@ class TestIdentify:
         assert "disagreeing_sequence" in payload
 
     def test_one_agreement_pass(self, capsys, tmp_path, monkeypatch):
-        # one search over state pairs that never probes the rule again: the
-        # automaton is never run, the machine only while it is tabulated,
-        # by one walk that runs each distinct configuration once
+        # one search over state pairs that never probes the rule again: no
+        # handle is asked to decide a sequence, and the machine runs only
+        # while it is tabulated, by one walk that runs each distinct
+        # configuration once
         import itertools
 
         from seqdec import analysis, machines
@@ -623,27 +624,29 @@ class TestIdentify:
         doc["input_alphabet"] = ["a", "b", "c"]
         tm_path = tmp_path / "csr222_tm.json"
         tm_path.write_text(json.dumps(doc))
-        evaluations, transitions = [], []
-        evaluate, run = analysis.evaluate, machines.TmRuns.run
+        decisions, transitions = [], []
+        decide, run = RuleHandle.decide, machines.TmRuns.run
 
         def counted(self, config, input_at):
             new, decision = run(self, config, input_at)
             transitions.append(new[-1] - (config[-1] if config else 0))
             return new, decision
 
-        monkeypatch.setattr(analysis, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
+        monkeypatch.setattr(RuleHandle, "decide", lambda *a: decisions.append(1) or decide(*a))
         monkeypatch.setattr(machines.TmRuns, "run", counted)
         code, payload = run_json(capsys, ["identify", str(aut_path), "--as", "csr"])
-        assert code == 0 and payload["checked"] > 0 and len(evaluations) == 0
+        assert code == 0 and payload["checked"] > 0 and len(decisions) == 0
         code, payload = run_json(
             capsys,
             ["identify", str(tm_path), "--as", "csr", "--horizon", "4", "--budget", "100"],
         )
         walked = sum(transitions)
-        assert code == 0 and payload["checked"] > 0 and walked == 37
+        assert code == 0 and payload["checked"] > 0 and walked == 37 and len(decisions) == 0
         transitions.clear()
         analysis._tabulate_blackbox(RuleHandle.from_machine(tm, ABC, 100))
         assert sum(transitions) == walked
+        assert RuleHandle.from_automaton(aut).decide(ABC.sequence("|a")) == "a"
+        assert len(decisions) == 1  # the count sees a decision when one is asked for
         # the 243 runs from the start marker that the walks replaced, and
         # the 82 transitions of a walk that shares only common prefixes
         per_closure = sum(

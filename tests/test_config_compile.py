@@ -1,9 +1,9 @@
 """The bytes ``seqdec compile`` prints for a fixed corpus of config rules.
 
 Each rule is compiled with and without ``--minimize``; the SHA-256 prefix
-of its stdout must match the one recorded when the compiler called
-``config_evaluate`` once per prefix-tree leaf, but for the bound, which is
-the peel's forced-decision bound.
+of its stdout must match the one recorded when the compiler ran the direct
+window evaluator once per prefix-tree leaf, but for the bound, which is the
+peel's forced-decision bound.
 """
 
 import contextlib
@@ -29,7 +29,7 @@ def golden_spec(symbols: str, window: int, comparator: str) -> ConfigRuleSpec:
 
 
 # SHA-256 prefixes of ``seqdec compile`` stdout, plain then ``--minimize``,
-# as printed when the compiler called ``config_evaluate`` once per leaf, with
+# as printed when the compiler ran the direct window evaluator once per leaf, with
 # "uniform_bound" the least K at which every window forces the decision: a
 # rule that the first symbol decides prints 1 (0 over one symbol), not the
 # window at which the unminimized prefix tree absorbs

@@ -12,14 +12,13 @@ from seqdec.core import (
     Segment,
     SeqSpec,
     ValidationError,
-    concat,
     constant,
-    enumerate_segments,
     favorable_deletion,
     favorable_shift,
     prefix_of,
     relabel,
 )
+from tests.definitions import concat, enumerate_segments
 
 ABC = Alphabet(("a", "b", "c"))
 XY = Alphabet(("x", "y"))

@@ -26,8 +26,6 @@ from seqdec.heuristics import (
     CsrSpec,
     OsrSpec,
     compile_rule,
-    csr_uniform_bound,
-    evaluate_rule,
 )
 import seqdec.analysis
 import seqdec.automaton
@@ -41,6 +39,7 @@ from seqdec.analysis import (
 from tests.conftest import (
     ABC, XY, minimal_words, oracle_decidedness, oracle_verify_stopping, window_table,
 )
+from tests.definitions import csr_uniform_bound, evaluate_rule
 
 
 class OracleFacts(NamedTuple):

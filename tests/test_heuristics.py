@@ -6,31 +6,35 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqdec.core import Alphabet, Segment, SeqSpec, concat, constant, enumerate_segments
-from seqdec.automaton import evaluate, isomorphic, minimize, run, stopping_bound
+from seqdec.core import Alphabet, Segment, SeqSpec, constant
+from seqdec.automaton import isomorphic, minimize, stopping_bound
 from seqdec.heuristics import (
     BUILTIN_COMPARATORS,
-    BitstreamCollection,
     Comparator,
     ConfigRuleSpec,
     CsrSpec,
     InvalidRuleError,
     OsrSpec,
-    bitstream_collection,
     config_compile,
-    config_encode,
-    config_evaluate,
     csr_compile,
     csr_critical_counts,
-    csr_evaluate,
-    csr_uniform_bound,
     osr_compile,
-    osr_evaluate,
     rule_from_json,
     rule_to_json,
     segment_tree_automaton,
 )
 from tests.conftest import ABC, XY, build_twosym_threshold2, oracle_verify_stopping
+from tests.definitions import (
+    concat,
+    config_encode,
+    config_evaluate,
+    csr_evaluate,
+    csr_uniform_bound,
+    enumerate_segments,
+    evaluate,
+    osr_evaluate,
+    run,
+)
 
 ONE = Fraction(1)
 
@@ -239,7 +243,7 @@ class TestOsrCompile:
 
         def max_of_prefix(seq):
             seen = [seq.symbol_at(i) for i in range(1, spec.span + 1)]
-            return spec.best(seen)
+            return min(seen, key=spec.order.index)
 
         for seq in closures(ABC, spec.span):
             assert evaluate(aut, seq)[0] == max_of_prefix(seq) == osr_evaluate(spec, seq)
@@ -266,13 +270,10 @@ class TestConfigEncode:
         st.integers(1, 8),
     )
     def test_encodings_form_feasible_collection(self, pre, cyc, window):
+        # the patterns of the alphabet carry exactly one 1 per position
         seq = SeqSpec(ABC, Segment(ABC, tuple(pre)), Segment(ABC, tuple(cyc)))
-        coll = bitstream_collection(seq, window)
-        assert isinstance(coll, BitstreamCollection)
-
-    def test_infeasible_collection_rejected(self):
-        with pytest.raises(InvalidRuleError):
-            BitstreamCollection({"x": (1, 0), "y": (1, 1)})
+        patterns = [config_encode(seq, name, window) for name in ABC]
+        assert [sum(column) for column in zip(*patterns)] == [1] * window
 
 
 class TestConfigEvaluate:

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from seqdec.core import Alphabet, concat, constant, enumerate_segments
-from seqdec.automaton import DecisionAutomaton, DivergenceError, absorbing_terminal_row, evaluate
+from seqdec.core import Alphabet, constant
+from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
 from seqdec.heuristics import CsrSpec, csr_compile
 from seqdec.machines import (
     BLANK,
@@ -19,6 +19,7 @@ from seqdec.machines import (
     to_json,
 )
 from tests.conftest import ABC, XY
+from tests.definitions import DivergenceError, concat, enumerate_segments, evaluate
 
 
 def echo_machine(alphabet):

@@ -24,13 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from seqdec.analysis import RuleHandle, stopping_time, tabulate_automaton
 from seqdec.automaton import (
-    DecisionAutomaton, DivergenceError, NonStoppingRuleError, absorbing_terminal_row, evaluate,
-    run, to_json,
+    DecisionAutomaton, NonStoppingRuleError, absorbing_terminal_row, to_json,
 )
 from seqdec.cli import main
 from seqdec.core import Alphabet, Segment, SeqSpec
 from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, compile_rule, rule_to_json
 from tests.conftest import XY, oracle_decidedness, oracle_least_bound
+from tests.definitions import DivergenceError, evaluate, run
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_automaton import random_automata, tail_into_loop

@@ -24,8 +24,6 @@ from seqdec.heuristics import (
     CsrSpec,
     OsrSpec,
     compile_rule,
-    csr_uniform_bound,
-    evaluate_rule,
     rule_to_dict,
     rule_to_json,
     segment_tree_automaton,
@@ -44,6 +42,7 @@ from seqdec.analysis import (
 )
 from seqdec.cli import main
 from tests.conftest import ABC, XY, window_table
+from tests.definitions import csr_uniform_bound, evaluate_rule
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_dominance import both_handles, tree_automata
