@@ -33,8 +33,8 @@ for text in ("|x", "|x y", "y|x"):
     print(f"  {text:<8} -> {decision} at position {stop}")
 
 print("\nper-state commitments:")
-for state in small.states:
-    print(f"  {state:<4} {facts.decision(state) or 'open'}")
+for index, state in enumerate(small.states):  # facts number states as the automaton does
+    print(f"  {state:<4} {facts.decision(index) or 'open'}")
 
 print("\nDOT rendering:\n")
 print(to_dot(small))

@@ -42,36 +42,17 @@ from functools import cached_property
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
-    Alphabet,
-    Relabeling,
-    ResourceLimit,
-    Segment,
-    SeqSpec,
-    SeqdecError,
-    ValidationError,
-    _require_same_alphabet,
-    constant,
-    relabel,
+    Alphabet, Relabeling, ResourceLimit, Segment, SeqSpec, SeqdecError, ValidationError,
+    _require_same_alphabet, constant, favorable_deletion, favorable_shift, relabel,
 )
+# NonStoppingRuleError is raised by the stopping verdict; analyses re-export it
 from .automaton import (
-    MINIMAL_SUFFICIENT,
-    NOT_SUFFICIENT,
-    SUFFICIENT,
-    DecisionAutomaton,
-    NonStoppingRuleError,  # raised by stopping_bound; analyses re-export it
+    MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, DecisionAutomaton, NonStoppingRuleError,
     Sufficiency,
-    _escaping_states,
-    absorbing_terminal_row,
-    stopping_bound,
 )
 from . import heuristics
 from .machines import TmRuns, TwoTapeTm
-from .heuristics import (
-    CsrSpec,
-    OsrSpec,
-    RuleSpec,
-    _require_states,
-)
+from .heuristics import CsrSpec, OsrSpec, RuleSpec, _require_states
 
 Word = tuple[int, ...]
 # a minimal sufficient segment's symbol set and decision
@@ -222,13 +203,14 @@ def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
     """
     runs, alphabet = rule.runs, rule.alphabet
     assert runs is not None
-    n, names, keyed = len(alphabet), alphabet.symbols, runs.keyed
-    memo: dict[Hashable, str] = {}
+    n, keyed = len(alphabet), runs.keyed
+    memo: dict[Hashable, int] = {}
     cells = 0
     path: list[int] = []  # the word of the top frame
     root, got = runs.read(None, path)
-    rows = {"s0": {} if got is None else dict.fromkeys(names, f"dec:{got}")}
-    frames = [(rows["s0"], root)]
+    # a row's targets: walked states' indices, and decisions as text, apart from them
+    rows: list[list[int | str]] = [[] if got is None else [f"{got}"] * n]
+    frames = [(rows[0], root)]
     while frames:
         row, node = frames[-1]
         if len(row) == n:
@@ -237,10 +219,11 @@ def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
             continue
         path.append(len(row))
         child, got = runs.read(node, path)
-        target = f"dec:{got}" if got is not None else memo.get(child)
+        target = memo.get(child) if got is None else f"{got}"
         if target is None:
-            target = f"s{len(rows)}"
-            frames.append((rows.setdefault(target, {}), child))
+            target = len(rows)
+            rows.append([])
+            frames.append((rows[-1], child))
             _require_states(len(rows))
             if child is not None:
                 cells += len(child[3])
@@ -248,25 +231,27 @@ def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
                     raise ResourceLimit(f"{cells} output cells of machine configurations", WINDOW_CAP)
             if keyed:
                 memo[child] = target
-        row[names[path[-1]]] = target
+        row.append(target)
         if len(path) == len(frames):
             path.pop()
-    targets = {t for row in rows.values() for t in row.values()}
-    terminal = {t: t.removeprefix("dec:") for t in sorted(targets - rows.keys())}
-    rows.update((t, absorbing_terminal_row(alphabet, t)) for t in terminal)
-    return DecisionAutomaton(alphabet, tuple(rows), "s0", rows, terminal)
+    decided = sorted({t for row in rows for t in row if isinstance(t, str)})
+    return DecisionAutomaton.with_decisions(alphabet, [f"s{i}" for i in range(len(rows))], rows, decided, 0)
 
 
 class OpenState(NamedTuple):
     """What is known of one reachable open state.
 
-    ``word`` is a shortest word reaching it, lexicographic among the
-    shortest; ``toward`` maps each decision some continuation can still
-    force to the least symbol that leads toward it; and ``segments`` counts
-    the words from it whose last symbol is the first to decide.
+    A shortest word reaching it, lexicographic among the shortest, is
+    ``depth`` symbols long and ends with ``symbol`` read in the open state
+    ``parent`` (both None at the start), so ``Facts.word_to`` rebuilds it;
+    ``toward`` maps each decision some continuation can still force to the
+    least symbol that leads toward it; and ``segments`` counts the words
+    from it whose last symbol is the first to decide.
     """
 
-    word: Word
+    parent: int | None
+    symbol: int | None
+    depth: int
     toward: dict[str, int]
     segments: int
 
@@ -275,39 +260,33 @@ class OpenState(NamedTuple):
 class Facts:
     """Stopping facts of one rule's decision automaton, each built on first use.
 
-    ``step(state, index)`` follows a transition and ``decision(state)`` is a
-    terminal's output or the decision the peel forces, None while the
-    outcome is still open.  ``peel`` maps each escaping state to its open
-    depth and forced decision, successors first; every reachable
-    non-terminal state is in it.  ``bound`` is the peel's stopping verdict,
-    the least K such that every length-K window forces the decision, so one
-    past the deepest open word and the length of the last minimal segment.
+    States are the automaton's integers.  ``step(state, index)`` follows a
+    transition and ``decision(state)`` is a terminal's output or the
+    decision the automaton's peel forces, None while the outcome is still
+    open; every reachable non-terminal state is in the peel.  ``bound`` is
+    the peel's stopping verdict, the least K such that every length-K window
+    forces the decision, so one past the deepest open word and the length of
+    the last minimal segment.
     """
 
     automaton: DecisionAutomaton
     alphabet: Alphabet
-    start: str
-    step: Callable[[str, int], str]
-    decision: Callable[[str], str | None]
-    peel: dict[str, tuple[int, str | None]]
+    start: int
+    step: Callable[[int, int], int]
+    decision: Callable[[int], str | None]
     bound: int
 
     @classmethod
     def of(cls, rule: RuleHandle) -> Facts:
         aut = rule.automaton or _tabulate_blackbox(rule)
-        peel = _escaping_states(aut)
-        bound = stopping_bound(aut, peel)
-        outcome = {q: out for q, (_, out) in peel.items()}
-        outcome.update(aut.terminal)
-        names, transitions = aut.alphabet.symbols, aut.transitions
-        facts = cls(
-            aut, aut.alphabet, aut.initial, lambda q, i: transitions[q][names[i]], outcome.get,
-            peel, bound,
-        )
+        bound, rows, outcome = aut.bound, aut.rows, list(aut.outputs)
+        for q, (_, out) in aut.peel.items():
+            outcome[q] = out
+        facts = cls(aut, aut.alphabet, aut.start, lambda q, i: rows[q][i], outcome.__getitem__, bound)
         if (h := rule.horizon) is not None and bound > h:
             # a tabulated state's words have one length, so this is the first open window
-            word = next(s.word for s in facts.open_states.values() if len(s.word) == h)
-            text = _word_text(aut.alphabet, word)
+            first = next(q for q, s in facts.open_states.items() if s.depth == h)
+            text = _word_text(aut.alphabet, facts.word_to(first))
             raise HorizonViolation(text, h, f"the decision after window {text!r} is still open")
         return facts
 
@@ -347,7 +326,7 @@ class Facts:
         if got is not None:
             return {(frozenset(), got): ()}
         outcomes: dict[Outcome, Word] = {}
-        order: list[tuple[str, frozenset[str]]] = [(self.start, frozenset())]
+        order: list[tuple[int, frozenset[str]]] = [(self.start, frozenset())]
         words = {order[0]: ()}
         for node in order:
             for i, name in enumerate(self.alphabet):
@@ -359,10 +338,8 @@ class Facts:
                     words[child] = words[node] + (i,)
                     order.append(child)
             if len(order) * len(self.alphabet) > WINDOW_CAP:
-                raise ResourceLimit(
-                    f"{len(order)} (state, symbol set) nodes times {len(self.alphabet)} symbols",
-                    WINDOW_CAP,
-                )
+                what = f"{len(order)} (state, symbol set) nodes times {len(self.alphabet)} symbols"
+                raise ResourceLimit(what, WINDOW_CAP)
         return outcomes
 
     @cached_property
@@ -400,7 +377,7 @@ class Facts:
             frontier = nxt
 
     @cached_property
-    def open_states(self) -> dict[str, OpenState]:
+    def open_states(self) -> dict[int, OpenState]:
         """Every reachable open state, breadth first, with what lies below it.
 
         After one breadth-first pass for shortest words, one pass in the
@@ -410,22 +387,23 @@ class Facts:
         n = len(self.alphabet)
         if self.decision(self.start) is not None:
             return {}
-        words: dict[str, Word] = {self.start: ()}
+        via: dict[int, tuple[int | None, int | None, int]] = {self.start: (None, None, 0)}
         order = [self.start]
         for q in order:
+            depth = via[q][2] + 1
             for i in range(n):
                 r = self.step(q, i)
-                if r not in words and self.decision(r) is None:
-                    words[r] = words[q] + (i,)
+                if r not in via and self.decision(r) is None:
+                    via[r] = (q, i, depth)
                     order.append(r)
-        below: dict[str, tuple[dict[str, int], int]] = {}
-        for q in self.peel:
-            if q not in words:
+        below: dict[int, tuple[dict[str, int], int]] = {}
+        for q in self.automaton.peel:
+            if q not in via:
                 continue
             toward, segments = {}, 0
             for i in range(n):
                 r = self.step(q, i)
-                if r in words:
+                if r in via:
                     for d in below[r][0]:
                         toward.setdefault(d, i)
                     segments += below[r][1]
@@ -433,14 +411,22 @@ class Facts:
                     toward.setdefault(self.decision(r), i)
                     segments += 1
             below[q] = (toward, segments)
-        return {q: OpenState(words[q], *below[q]) for q in order}
+        return {q: OpenState(*via[q], *below[q]) for q in order}
 
-    def reach(self, state: str) -> AbstractSet[str]:
+    def word_to(self, state: int) -> Word:
+        """The shortest word of a reachable open ``state``, from its parent pointers."""
+        word, opened = [], self.open_states
+        while (known := opened[state]).parent is not None:
+            word.append(known.symbol)
+            state = known.parent
+        return tuple(reversed(word))
+
+    def reach(self, state: int) -> AbstractSet[str]:
         """Decisions that some continuation from a reachable ``state`` forces."""
         got = self.decision(state)
         return {got} if got is not None else self.open_states[state].toward.keys()
 
-    def path_to(self, state: str, decision: str) -> Word:
+    def path_to(self, state: int, decision: str) -> Word:
         """Word from a reachable ``state`` that forces ``decision``, by ``toward`` symbols."""
         word: list[int] = []
         while self.decision(state) is None:
@@ -449,7 +435,7 @@ class Facts:
             state = self.step(state, i)
         return tuple(word)
 
-    def advance(self, state: str, word: Iterable[int]) -> str:
+    def advance(self, state: int, word: Iterable[int]) -> int:
         """State after ``word`` from ``state``, held still once it is decided."""
         for i in word:
             if self.decision(state) is not None:
@@ -644,7 +630,7 @@ def check_monotonicity(rule: RuleHandle) -> AxiomReport:
     if found is None:
         return AxiomReport("monotonicity", True, None, checked, facts.bound)
     (q, ours, theirs), common, (orig, copy, kind, _) = found
-    word = facts.open_states[q].word
+    word = facts.word_to(q)
     original = word + ours + common
     witness = {
         "sequence": _closure_text(rule.alphabet, original),
@@ -698,7 +684,7 @@ def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
         checked += count
         if found is not None:
             q, blocking, (composite_state, _) = found
-            cut_word = opened[q].word
+            cut_word = facts.word_to(q)
             witness = {
                 "minimal_sufficient": _word_text(rule.alphabet, cut_word + facts.path_to(q, d)),
                 "decision": d,
@@ -767,25 +753,31 @@ def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
     It compares the (set, decision) classes of ``Facts.outcomes`` pairwise,
     each by its first segment, in their order; past ``WINDOW_CAP`` pairs it
     raises ``ResourceLimit``.  ``checked`` counts the pairs whose second set
-    holds the first and whose second decision is in the first set.
+    holds the first and whose second decision is in the first set; each
+    first class looks only at the classes deciding inside its set.
     """
     k = rule.facts.bound
     _, pool = _non_decisive_outcomes(rule)
     if len(pool) ** 2 > WINDOW_CAP:
         raise ResourceLimit(f"{len(pool)}^2 pairs of (symbol set, decision) classes", WINDOW_CAP)
+    classes = list(pool)
+    deciding: dict[str, list[int]] = {}
+    for j, (_, dec) in enumerate(classes):
+        deciding.setdefault(dec, []).append(j)
     checked = 0
-    for m_set, m_dec in pool:
-        for p_set, p_dec in pool:
-            if m_set <= p_set and p_dec in m_set:
-                checked += 1
-                if p_dec != m_dec:
-                    witness = {
-                        "segment_m": _word_text(rule.alphabet, pool[m_set, m_dec]),
-                        "decision_m": m_dec,
-                        "segment_m_prime": _word_text(rule.alphabet, pool[p_set, p_dec]),
-                        "decision_m_prime": p_dec,
-                    }
-                    return AxiomReport("sequential-alpha", False, witness, checked, k)
+    for m_set, m_dec in classes:
+        # the second classes in pool order: each decides in m_set, and its set holds m_set
+        held = sorted(j for s in m_set for j in deciding.get(s, ()) if m_set <= classes[j][0])
+        for p_set, p_dec in map(classes.__getitem__, held):
+            checked += 1
+            if p_dec != m_dec:
+                witness = {
+                    "segment_m": _word_text(rule.alphabet, pool[m_set, m_dec]),
+                    "decision_m": m_dec,
+                    "segment_m_prime": _word_text(rule.alphabet, pool[p_set, p_dec]),
+                    "decision_m_prime": p_dec,
+                }
+                return AxiomReport("sequential-alpha", False, witness, checked, k)
     return AxiomReport("sequential-alpha", True, None, checked, k)
 
 
@@ -879,7 +871,7 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
     k, n = facts.bound, len(rule.alphabet)
     _require_windows(rule.alphabet, k)
     # every window of length k in lexicographic order, with its state
-    windows: list[tuple[Word, str]] = [((), facts.start)]
+    windows: list[tuple[Word, int]] = [((), facts.start)]
     for _ in range(k):
         windows = [(w + (i,), facts.step(q, i)) for w, q in windows for i in range(n)]
     edges: dict[tuple[str, str], dict] = {}
@@ -968,14 +960,8 @@ def identify_csr(rule: RuleHandle) -> Identification:
     sequence; unit threshold and reciprocal weights reproduce the rule.
     Agreement is verified by :func:`agreement_count` before returning.
     """
-    spec = CsrSpec(
-        rule.alphabet,
-        {
-            name: Fraction(1, max(stopping_time(rule, constant(rule.alphabet, name)), 1))
-            for name in rule.alphabet
-        },
-        Fraction(1),
-    )
+    counts = {name: stopping_time(rule, constant(rule.alphabet, name)) for name in rule.alphabet}
+    spec = CsrSpec(rule.alphabet, {s: Fraction(1, max(c, 1)) for s, c in counts.items()}, Fraction(1))
     return Identification(spec, agreement_count(rule, spec))
 
 
@@ -1051,10 +1037,8 @@ def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:
     if found is not None:
         word, mine, other = found
         seq = _closure(rule.alphabet, word, word[-1] if word else 0)
-        raise error_cls(
-            f"recovered rule disagrees on {seq.text()!r} ({mine!r} vs {other!r})",
-            sequence=seq,
-        )
+        why = f"recovered rule disagrees on {seq.text()!r} ({mine!r} vs {other!r})"
+        raise error_cls(why, sequence=seq)
     return checked
 
 
@@ -1068,13 +1052,9 @@ def replay_witness(rule: RuleHandle, report: AxiomReport) -> bool:
         seq = alphabet.sequence(w["sequence"])
         moved = alphabet.sequence(w["transformed"])
         if w["transform"] == "shift":
-            from .core import favorable_shift
-
             ok_shape = favorable_shift(seq, w["position"]) == moved
             ok_favorable = seq.symbol_at(w["position"] + 1) == w["decision"]
         else:
-            from .core import favorable_deletion
-
             ok_shape = favorable_deletion(seq, w["position"]) == moved
             ok_favorable = seq.symbol_at(w["position"]) != w["decision"]
         return (
@@ -1109,9 +1089,7 @@ def replay_witness(rule: RuleHandle, report: AxiomReport) -> bool:
         )
         ext_a = alphabet.sequence(w["extension_a"])
         ext_b = alphabet.sequence(w["extension_b"])
-        extends = ext_a.window(len(replaced)) == tuple(replaced.word) and ext_b.window(
-            len(replaced)
-        ) == tuple(replaced.word)
+        extends = ext_a.window(len(replaced)) == ext_b.window(len(replaced)) == replaced.word
         return (
             shape_ok
             and extends

@@ -2,13 +2,21 @@
 
 A decision automaton reads one symbol per position and moves through a
 finite state set.  Terminal states are absorbing and carry an output label;
-a run's decision is the output of the first terminal state it enters.  The
-analyses here are exact graph computations.  One peel of the states that
-must absorb gives each its forced decision and its open depth, and with
-them the one stopping verdict: the least K such that every length-K window
-forces the decision, or an input that never decides.  Minimization
-hash-conses the peel bottom up and refines only the looping states.  DOT
-export draws the reachable part.
+a run's decision is the output of the first terminal state it enters.
+
+One integer form is stored: state ``i`` is named ``states[i]``, ``rows[i]``
+holds its successors' indices in alphabet order, ``outputs[i]`` is its
+output if it is terminal, else None, and ``start`` is the initial state's
+index.  Names are read only at the JSON and DOT boundary; the name-keyed
+``initial``, ``transitions`` and ``terminal`` are views derived from the
+rows.  The analyses here are exact graph computations over the rows.  One
+peel of the states that must absorb, built once per automaton, gives each
+its forced decision and its open depth, and with them the one stopping
+verdict: the least K such that every length-K window forces the decision,
+or an input that never decides.  Minimization hash-conses the peel bottom
+up, refines only the looping states, and hands the verdict on to its
+output, which decides as its input does.  DOT export draws the reachable
+part.
 
 Automata are immutable after construction and every analysis is a pure
 function, so they are safe to share across concurrent workers.
@@ -24,9 +32,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from types import MappingProxyType
 from typing import Mapping
 
-from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
+from .core import Alphabet, Segment, SeqSpec, SeqdecError, ValidationError
 
 
 class InvalidAutomatonError(ValidationError):
@@ -64,76 +75,150 @@ class Sufficiency:
         return self.status != NOT_SUFFICIENT
 
 
-@dataclass(frozen=True)
+Peel = dict[int, tuple[int, str | None]]
+
+
+@dataclass(frozen=True, init=False)
 class DecisionAutomaton:
     alphabet: Alphabet
     states: tuple[str, ...]
-    initial: str
-    transitions: Mapping[str, Mapping[str, str]]
-    terminal: Mapping[str, str]
+    rows: tuple[tuple[int, ...], ...]
+    outputs: tuple[str | None, ...]
+    start: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(
-            self, "transitions", {q: dict(row) for q, row in self.transitions.items()}
-        )
-        object.__setattr__(self, "terminal", dict(self.terminal))
-        if len(set(self.states)) != len(self.states):
+    def __init__(self, alphabet: Alphabet, states: tuple[str, ...], initial: str,
+                 transitions: Mapping[str, Mapping[str, str]], terminal: Mapping[str, str]) -> None:
+        """The name-keyed form of documents and tests, checked, then converted once."""
+        states = tuple(states)
+        transitions = {q: dict(row) for q, row in transitions.items()}
+        terminal = dict(terminal)
+        if len(set(states)) != len(states):
             raise InvalidAutomatonError("duplicate state names")
-        state_set = set(self.states)
-        if self.initial not in state_set:
-            raise InvalidAutomatonError(f"initial state {self.initial!r} not in state set")
-        if self.initial in self.terminal:
+        state_set = set(states)
+        if initial not in state_set:
+            raise InvalidAutomatonError(f"initial state {initial!r} not in state set")
+        if initial in terminal:
             raise InvalidAutomatonError("initial state must not be terminal")
-        for q in self.terminal:
+        for q in terminal:
             if q not in state_set:
                 raise InvalidAutomatonError(f"terminal state {q!r} not in state set")
-        for q in self.transitions:
+        for q in transitions:
             if q not in state_set:
                 raise InvalidAutomatonError(f"transitions row {q!r} not in state set")
-        symbols = set(self.alphabet.symbols)
-        for q in self.states:
-            row = self.transitions.get(q)
+        symbols = set(alphabet.symbols)
+        for q in states:
+            row = transitions.get(q)
             if row is None:
                 raise InvalidAutomatonError(f"state {q!r} has no transitions")
-            for sym in self.alphabet:
+            for sym in alphabet:
                 tgt = row.get(sym)
                 if tgt is None:
                     raise InvalidAutomatonError(f"transition missing for ({q!r}, {sym!r})")
                 if tgt not in state_set:
                     raise InvalidAutomatonError(f"transition target {tgt!r} not in state set")
-                if q in self.terminal and tgt != q:
-                    raise InvalidAutomatonError(
-                        f"terminal state {q!r} is not absorbing on {sym!r}"
-                    )
+                if q in terminal and tgt != q:
+                    raise InvalidAutomatonError(f"terminal state {q!r} is not absorbing on {sym!r}")
             if extra := set(row) - symbols:
                 raise InvalidAutomatonError(f"transitions on unknown symbols {extra} from {q!r}")
+        index = {q: i for i, q in enumerate(states)}
+        rows = tuple(tuple([index[transitions[q][sym]] for sym in alphabet]) for q in states)
+        vars(self).update(alphabet=alphabet, states=states, rows=rows,
+                          outputs=tuple(map(terminal.get, states)), start=index[initial])
+
+    @classmethod
+    def from_rows(cls, alphabet: Alphabet, states, rows: tuple[tuple[int, ...], ...],
+                  outputs, start: int, bound: int | None = None) -> DecisionAutomaton:
+        """The integer form as compilers build it, under a structural check of the
+        rows alone: one tuple of in-range targets per state and symbol, absorbing
+        terminals and an open start.  A known ``bound`` is kept as the verdict."""
+        aut = cls.__new__(cls)
+        vars(aut).update(alphabet=alphabet, states=tuple(states), rows=tuple(rows),
+                         outputs=tuple(outputs), start=start)
+        rows, outputs, width = aut.rows, aut.outputs, len(alphabet)
+        terminals = [q for q, out in enumerate(outputs) if out is not None]
+        if not (len(rows) == len(outputs) == len(aut.states) > start >= 0
+                and set(map(len, rows)) == {width}
+                and min(map(min, rows)) >= 0 and max(map(max, rows)) < len(rows)
+                and all(rows[q] == (q,) * width for q in terminals) and outputs[start] is None):
+            raise InvalidAutomatonError("rows must hold one known target per state and symbol, "
+                                        "with terminals absorbing and the start open")
+        if bound is not None:
+            vars(aut)["bound"] = bound
+        return aut
+
+    @classmethod
+    def with_decisions(cls, alphabet: Alphabet, names: list[str], rows: list,
+                       labels: list[str], start: int) -> DecisionAutomaton:
+        """The open states ``names`` with their ``rows``, each target an open state's
+        index or a decision, then one absorbing state per decision of ``labels``, in
+        that order, named ``dec:`` and the decision."""
+        n, width = len(names), len(alphabet)
+        index = dict(zip(range(n), range(n)))
+        index.update((out, n + j) for j, out in enumerate(labels))
+        targets = [*map(index.__getitem__, chain.from_iterable(rows)),
+                   *(n + j for j in range(len(labels)) for _ in range(width))]
+        return cls.from_rows(alphabet, names + [f"dec:{out}" for out in labels],
+                             list(zip(*[iter(targets)] * width)), [None] * n + labels, start)
+
+    @property
+    def initial(self) -> str:
+        return self.states[self.start]
+
+    @cached_property
+    def transitions(self) -> Mapping[str, Mapping[str, str]]:
+        """Each state's row by name, derived from the rows for documents and tests."""
+        names, symbols = self.states, self.alphabet.symbols
+        return MappingProxyType({q: MappingProxyType(dict(zip(symbols, map(names.__getitem__, row))))
+                                 for q, row in zip(names, self.rows)})
+
+    @cached_property
+    def terminal(self) -> Mapping[str, str]:
+        """Each terminal state's output by name, in state order."""
+        return MappingProxyType({q: o for q, o in zip(self.states, self.outputs) if o is not None})
+
+    @cached_property
+    def peel(self) -> Peel:
+        """The peel of :func:`_escaping_states`, built once."""
+        return _escaping_states(self)
+
+    @cached_property
+    def bound(self) -> int:
+        """The one stopping verdict, read off the peel.
+
+        The bound is the least K such that every length-K window forces the
+        decision: 0 when the initial state is decided, else one more than its
+        open depth.  When a reachable state is outside the peel there is none,
+        and :class:`NonStoppingRuleError` carries an input that never decides.
+        """
+        peel = self.peel
+        # the walk finds the witness, so it is skipped when every state escapes
+        if len(peel) < self.outputs.count(None):
+            parent = _breadth_first(self)
+            looping = [q for q in parent if self.outputs[q] is None and q not in peel]
+            if looping:
+                raise NonStoppingRuleError(_loop_witness(self, parent, looping))
+        depth, out = peel[self.start]
+        return 0 if out is not None else 1 + depth
 
 
-def absorbing_terminal_row(alphabet: Alphabet, state: str) -> dict[str, str]:
-    """Self-loop transition row for an absorbing state."""
-    return {sym: state for sym in alphabet}
+def stopping_bound(aut: DecisionAutomaton) -> int:
+    """The automaton's stopping verdict, :attr:`DecisionAutomaton.bound`."""
+    return aut.bound
 
 
-def _breadth_first(aut: DecisionAutomaton) -> dict[str, tuple[str, str] | None]:
+def _breadth_first(aut: DecisionAutomaton) -> dict[int, tuple[int, int] | None]:
     """Reachable states in BFS order, each with the state and symbol it is first entered by."""
-    parent: dict[str, tuple[str, str] | None] = {aut.initial: None}
-    order = [aut.initial]
+    parent: dict[int, tuple[int, int] | None] = {aut.start: None}
+    order = [aut.start]
     for q in order:  # the list grows as it is read
-        for sym in aut.alphabet:
-            nxt = aut.transitions[q][sym]
+        for i, nxt in enumerate(aut.rows[q]):
             if nxt not in parent:
-                parent[nxt] = (q, sym)
+                parent[nxt] = (q, i)
                 order.append(nxt)
     return parent
 
 
-def reachable_states(aut: DecisionAutomaton) -> list[str]:
-    """States reachable from the initial state, in BFS order."""
-    return list(_breadth_first(aut))
-
-
-def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]]:
+def _escaping_states(aut: DecisionAutomaton) -> Peel:
     """The peel: non-terminal states from which every run must absorb.
 
     A state escapes once all its successors are terminal or have escaped,
@@ -147,30 +232,28 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]
     its successors agree on (a terminal's output, an escaping successor's
     own forced decision), else None.
     """
-    terminal, rows, symbols = aut.terminal, aut.transitions, aut.alphabet.symbols
-    # each non-terminal state's successors, resolved once, in state order
-    succ = {q: [rows[q][s] for s in symbols] for q in aut.states if q not in terminal}
-    preds: dict[str, list[str]] = {q: [] for q in succ}
-    pending = dict.fromkeys(succ, 0)
-    for q, targets in succ.items():
-        for tgt in targets:
-            if tgt not in terminal:
-                pending[q] += 1
-                preds[tgt].append(q)
-    peel: dict[str, tuple[int, str | None]] = {}
-    queue = deque(q for q, n in pending.items() if n == 0)
+    rows, outputs = aut.rows, aut.outputs
+    preds: list[list[int]] = [[] for _ in rows]
+    pending = [0] * len(rows)
+    for q, row in enumerate(rows):
+        if outputs[q] is None:
+            for tgt in row:
+                if outputs[tgt] is None:
+                    pending[q] += 1
+                    preds[tgt].append(q)
+    peel: Peel = {}
+    queue = deque(q for q, n in enumerate(pending) if n == 0 and outputs[q] is None)
     while queue:
         q = queue.popleft()
-        depth, outputs = 0, set()
-        for tgt in succ[q]:
-            if tgt in terminal:
-                outputs.add(terminal[tgt])
-            else:
+        depth, seen = 0, set()
+        for tgt in rows[q]:
+            out = outputs[tgt]
+            if out is None:
                 below, out = peel[tgt]
                 if out is None and below >= depth:
                     depth = below + 1
-                outputs.add(out)
-        peel[q] = (depth, outputs.pop() if len(outputs) == 1 else None)
+            seen.add(out)
+        peel[q] = (depth, seen.pop() if len(seen) == 1 else None)
         for p in preds[q]:
             pending[p] -= 1
             if pending[p] == 0:
@@ -178,45 +261,22 @@ def _escaping_states(aut: DecisionAutomaton) -> dict[str, tuple[int, str | None]
     return peel
 
 
-def stopping_bound(
-    aut: DecisionAutomaton, peel: dict[str, tuple[int, str | None]] | None = None
-) -> int:
-    """The one stopping verdict, read off the peel (built here unless given).
-
-    The bound is the least K such that every length-K window forces the
-    decision: 0 when the initial state is decided, else one more than its
-    open depth.  When a reachable state is outside the peel there is none,
-    and :class:`NonStoppingRuleError` carries an input that never decides.
-    """
-    peel = _escaping_states(aut) if peel is None else peel
-    # the walk finds the witness, so it is skipped when every state escapes
-    if len(peel) + len(aut.terminal) < len(aut.states):
-        parent = _breadth_first(aut)
-        looping = [q for q in parent if q not in aut.terminal and q not in peel]
-        if looping:
-            raise NonStoppingRuleError(_loop_witness(aut, parent, looping))
-    depth, out = peel[aut.initial]
-    return 0 if out is not None else 1 + depth
-
-
-def _loop_witness(
-    aut: DecisionAutomaton, parent: dict[str, tuple[str, str] | None], looping: list[str]
-) -> SeqSpec:
+def _loop_witness(aut: DecisionAutomaton, parent: dict, looping: list[int]) -> SeqSpec:
     """From the first looping state breadth first, follow the first symbol that
     stays among them until a state repeats: a shortest word to that state,
     lexicographic among the shortest, then the loop's symbols."""
-    rows, inside = aut.transitions, set(looping)
+    rows, inside = aut.rows, set(looping)
     state, symbols, walked = looping[0], [], {}
     while state not in walked:
         walked[state] = len(symbols)
-        symbols.append(next(s for s in aut.alphabet if rows[state][s] in inside))
+        symbols.append(next(i for i, tgt in enumerate(rows[state]) if tgt in inside))
         state = rows[state][symbols[-1]]
     word, via = [], parent[state]
     while via is not None:
         word.append(via[1])
         via = parent[via[0]]
-    cycle = aut.alphabet.segment(symbols[walked[state]:])
-    return SeqSpec(aut.alphabet, aut.alphabet.segment(word[::-1]), cycle)
+    cycle = Segment(aut.alphabet, tuple(symbols[walked[state]:]))
+    return SeqSpec(aut.alphabet, Segment(aut.alphabet, tuple(word[::-1])), cycle)
 
 
 def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
@@ -226,90 +286,84 @@ def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
     peel's order, successors first: a decided state joins its decision's
     class, an undecided one is hash-consed on its successors' classes.
     Looping states, which no peel state can match, are refined among
-    themselves Moore style.  Decisions are preserved on every input;
-    absorption positions may shrink, because a decided state can commit
-    before the original machine formally absorbs.
+    themselves Moore style.  Decisions are preserved on every input, so the
+    stopping verdict is too, and a known bound is handed on; absorption
+    positions may shrink, because a decided state can commit before the
+    original machine formally absorbs.
     """
-    peel = _escaping_states(aut)
-    if (out := peel.get(aut.initial, (0, None))[1]) is not None:
+    peel, rows, width = aut.peel, aut.rows, len(aut.alphabet)
+    if (out := peel.get(aut.start, (0, None))[1]) is not None:
         # constant rule: one read then absorb, the smallest legal machine
-        return DecisionAutomaton(
-            alphabet=aut.alphabet,
-            states=("q0", "q1"),
-            initial="q0",
-            transitions={
-                "q0": {sym: "q1" for sym in aut.alphabet},
-                "q1": absorbing_terminal_row(aut.alphabet, "q1"),
-            },
-            terminal={"q1": out},
+        return DecisionAutomaton.from_rows(
+            aut.alphabet, ("q0", "q1"), ((1,) * width, (1,) * width), (None, out), 0, bound=0
         )
-
-    def successors(q: str) -> tuple[int, ...]:
-        return tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet)
 
     # only the partition matters: blocks are renamed breadth first below;
     # a settled class is keyed by its output if decided, else by its successors
     classes: dict[object, int] = {}
-    block = {q: classes.setdefault(out, len(classes)) for q, out in aut.terminal.items()}
+    block = [-1] * len(rows)
+    for q, out in enumerate(aut.outputs):
+        if out is not None:
+            block[q] = classes.setdefault(out, len(classes))
     for q, (_, out) in peel.items():
-        block[q] = classes.setdefault(successors(q) if out is None else out, len(classes))
-    reach = reachable_states(aut)
-    looping = [q for q in reach if q not in block]
-    block.update(dict.fromkeys(looping, len(classes)))
+        key = tuple([block[t] for t in rows[q]]) if out is None else out
+        block[q] = classes.setdefault(key, len(classes))
+    # the walk finds the looping states, so it is skipped when every state is settled
+    looping = [q for q in _breadth_first(aut) if block[q] < 0] if -1 in block else []
+    for q in looping:
+        block[q] = len(classes)
     count = 1
     while looping:
-        keys = {q: (block[q], successors(q)) for q in looping}
+        keys = {q: (block[q], tuple([block[t] for t in rows[q]])) for q in looping}
         refined = {k: len(classes) + i for i, k in enumerate(dict.fromkeys(keys.values()))}
-        block.update({q: refined[k] for q, k in keys.items()})
+        for q, k in keys.items():
+            block[q] = refined[k]
         if len(refined) == count:
             break
         count = len(refined)
 
-    rep = {block[q]: q for q in reversed(reach)}
-    names = {block[aut.initial]: "q0"}
-    order = [block[aut.initial]]
+    # any state of a block stands for it: they all have one row of blocks
+    rep = {b: q for q, b in enumerate(block)}
+    number = {block[aut.start]: 0}
+    order, merged = [block[aut.start]], []
     for b in order:  # breadth first: the list grows as it is read
-        for sym in aut.alphabet:
-            nb = block[aut.transitions[rep[b]][sym]]
-            if nb not in names:
-                names[nb] = f"q{len(names)}"
-                order.append(nb)
+        targets = [block[t] for t in rows[rep[b]]]
+        for t in targets:
+            if t not in number:
+                number[t] = len(number)
+                order.append(t)
+        merged.append(tuple(map(number.__getitem__, targets)))
     decided = {b: key for key, b in classes.items() if isinstance(key, str)}
-    return DecisionAutomaton(
-        alphabet=aut.alphabet,
-        states=tuple(names.values()),
-        initial="q0",
-        transitions={
-            names[b]: {sym: names[block[aut.transitions[rep[b]][sym]]] for sym in aut.alphabet}
-            for b in order
-        },
-        terminal={names[b]: decided[b] for b in order if b in decided},
+    return DecisionAutomaton.from_rows(
+        aut.alphabet, [f"q{i}" for i in range(len(order))], merged, map(decided.get, order), 0,
+        bound=None if looping else stopping_bound(aut),
     )
 
 
 def isomorphic(a: DecisionAutomaton, b: DecisionAutomaton) -> bool:
-    """True when the reachable parts match up to a renaming of states."""
+    """True when the reachable parts match up to a renaming of states.
+
+    The pairing follows both automata breadth first; its image is closed
+    under ``b``'s transitions, so it covers ``b``'s reachable part."""
     if a.alphabet != b.alphabet:
         return False
-    pairing = {a.initial: b.initial}
-    queue = deque([(a.initial, b.initial)])
+    pairing, paired = [-1] * len(a.states), [False] * len(b.states)
+    pairing[a.start], paired[b.start] = b.start, True
+    queue = deque([(a.start, b.start)])
     while queue:
         p, q = queue.popleft()
-        if (p in a.terminal) != (q in b.terminal):
+        if a.outputs[p] != b.outputs[q]:
             return False
-        if p in a.terminal and a.terminal[p] != b.terminal[q]:
-            return False
-        for sym in a.alphabet:
-            np, nq = a.transitions[p][sym], b.transitions[q][sym]
-            if np in pairing:
+        for np, nq in zip(a.rows[p], b.rows[q]):
+            if pairing[np] >= 0:
                 if pairing[np] != nq:
                     return False
+            elif paired[nq]:
+                return False
             else:
-                if nq in pairing.values():
-                    return False
-                pairing[np] = nq
+                pairing[np], paired[nq] = nq, True
                 queue.append((np, nq))
-    return len(pairing) == len(set(reachable_states(b)))
+    return True
 
 
 def to_dot(aut: DecisionAutomaton) -> str:
@@ -324,32 +378,28 @@ def to_dot(aut: DecisionAutomaton) -> str:
         return '"' + s.replace('"', '\\"') + '"'
 
     lines = ["digraph decision_automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    reach = reachable_states(aut)
+    reach = list(_breadth_first(aut))
+    names = [quote(q) for q in aut.states]
     for q in reach:
-        if q in aut.terminal:
-            label = f"{q}\\n=> {aut.terminal[q]}"
-            lines.append(f"  {quote(q)} [shape=doublecircle, label={quote(label)}];")
+        if (out := aut.outputs[q]) is not None:
+            label = quote(f"{aut.states[q]}\\n=> {out}")
+            lines.append(f"  {names[q]} [shape=doublecircle, label={label}];")
         else:
-            lines.append(f"  {quote(q)} [shape=circle];")
-    lines.append(f"  __start -> {quote(aut.initial)};")
+            lines.append(f"  {names[q]} [shape=circle];")
+    lines.append(f"  __start -> {names[aut.start]};")
     for q in reach:
-        merged: dict[str, list[str]] = {}
-        for sym in aut.alphabet:
-            merged.setdefault(aut.transitions[q][sym], []).append(sym)
+        merged: dict[int, list[str]] = {}
+        for sym, tgt in zip(aut.alphabet, aut.rows[q]):
+            merged.setdefault(tgt, []).append(sym)
         for tgt, syms in merged.items():
-            lines.append(f"  {quote(q)} -> {quote(tgt)} [label={quote(', '.join(syms))}];")
+            lines.append(f"  {names[q]} -> {names[tgt]} [label={quote(', '.join(syms))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def to_json_dict(aut: DecisionAutomaton) -> dict:
-    return {
-        "alphabet": list(aut.alphabet.symbols),
-        "states": list(aut.states),
-        "initial": aut.initial,
-        "transitions": {q: dict(row) for q, row in aut.transitions.items()},
-        "terminal": dict(aut.terminal),
-    }
+    """The document of :func:`to_json`, parsed."""
+    return json.loads(to_json(aut))
 
 
 def _check_document_types(data: dict) -> None:
@@ -368,33 +418,33 @@ def _check_document_types(data: dict) -> None:
 def from_json_dict(data: dict) -> DecisionAutomaton:
     try:
         _check_document_types(data)
-        return DecisionAutomaton(
-            alphabet=Alphabet(tuple(data["alphabet"])),
-            states=tuple(data["states"]),
-            initial=data["initial"],
-            transitions=data["transitions"],
-            terminal=data["terminal"],
-        )
+        return DecisionAutomaton(Alphabet(tuple(data["alphabet"])), tuple(data["states"]),
+                                 data["initial"], data["transitions"], data["terminal"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidAutomatonError(f"malformed automaton document: {exc}") from exc
 
 
 def to_json(aut: DecisionAutomaton, indent: str = "") -> str:
-    """``json.dumps(to_json_dict(aut), indent=2, sort_keys=True)`` over the states' rows,
-    each line after the first prefixed by ``indent``: names escaped once, one template per row."""
+    """The document as ``json.dumps(..., indent=2, sort_keys=True)`` prints it, from
+    the states' rows, each line after the first prefixed by ``indent``: names escaped
+    once, one template per row, states and symbols put in name order once."""
     esc = json.encoder.encode_basestring_ascii
-    names = {q: esc(q) for q in aut.states}
-    symbols = sorted(aut.alphabet.symbols)
-    row = "{\n" + ",\n".join(f"      {esc(s).replace('%', '%%')}: %s" for s in symbols) + "\n    }"
-    rows = [f"{names[q]}: " + row % tuple([names[aut.transitions[q][s]] for s in symbols])
-            for q in sorted(aut.states)]
-    terminal = [f"{names[q]}: {esc(out)}" for q, out in sorted(aut.terminal.items())]
+    names, symbols = list(map(esc, aut.states)), aut.alphabet.symbols
+    by_name = sorted(range(len(symbols)), key=symbols.__getitem__)
+    row = "{\n" + ",\n".join(f"      {esc(symbols[i]).replace('%', '%%')}: %s" for i in by_name)
+    row += "\n    }"
+    rows, terminal = [], []
+    for q in sorted(range(len(names)), key=aut.states.__getitem__):
+        targets = aut.rows[q]
+        rows.append(f"{names[q]}: " + row % tuple([names[targets[i]] for i in by_name]))
+        if (out := aut.outputs[q]) is not None:
+            terminal.append(f"{names[q]}: {esc(out)}")
 
     def block(items: list[str], brackets: str) -> str:
         return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}" if items else brackets
 
-    text = (f'{{\n  "alphabet": {block([esc(s) for s in aut.alphabet], "[]")},'
-            f'\n  "initial": {names[aut.initial]},\n  "states": {block(list(names.values()), "[]")},'
+    text = (f'{{\n  "alphabet": {block([esc(s) for s in symbols], "[]")},'
+            f'\n  "initial": {names[aut.start]},\n  "states": {block(names, "[]")},'
             f'\n  "terminal": {block(terminal, "{}")},\n  "transitions": {block(rows, "{}")}\n}}')
     return text.replace("\n", "\n" + indent)
 

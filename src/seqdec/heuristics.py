@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from .core import Alphabet, ResourceLimit, ValidationError
-from .automaton import DecisionAutomaton, absorbing_terminal_row
+from .automaton import DecisionAutomaton
 
 
 class InvalidRuleError(ValidationError):
@@ -175,79 +175,59 @@ RuleSpec = Union[CsrSpec, OsrSpec, ConfigRuleSpec]
 
 def csr_critical_counts(spec: CsrSpec) -> dict[str, int]:
     """Occurrences of each symbol needed to reach the threshold alone."""
-    return {
-        name: math.ceil(spec.threshold / spec.weights[name]) for name in spec.alphabet
-    }
-
-
-def _vector_name(alphabet: Alphabet, vector: tuple[int, ...]) -> str:
-    return ",".join(f"{name}:{c}" for name, c in zip(alphabet.symbols, vector))
+    return {name: math.ceil(spec.threshold / spec.weights[name]) for name in spec.alphabet}
 
 
 def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
     """Automaton over occurrence-count vectors below the critical counts.
 
     Reading a symbol increments its count; hitting the critical count moves
-    to that symbol's absorbing output state.  Only vectors reachable from
-    zero are materialized.
+    to that symbol's absorbing output state.  Every vector below the counts
+    is reachable from zero, so the whole mixed-radix box is named at once,
+    from one ``name:k`` piece per symbol and count, and listed by name.
     """
-    counts = csr_critical_counts(spec)
     aut = spec.alphabet
-    _require_states(math.prod(counts.values()) + len(aut))
-    zero = tuple(0 for _ in aut)
-    names, todo = {zero: _vector_name(aut, zero)}, [zero]  # each vector named once, when reached
-    transitions: dict[str, dict[str, str]] = {}
-    while todo:
-        vec = todo.pop()
-        row = {}
-        for i, name in enumerate(aut):
-            if vec[i] + 1 == counts[name]:
-                row[name] = f"dec:{name}"
-            else:
-                nxt = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
-                if nxt not in names:
-                    names[nxt] = _vector_name(aut, nxt)
-                    todo.append(nxt)
-                row[name] = names[nxt]
-        transitions[names[vec]] = row
-    terminal = {f"dec:{name}": name for name in aut}
-    for t in terminal:
-        transitions[t] = absorbing_terminal_row(aut, t)
-    states = tuple(sorted(names.values())) + tuple(sorted(terminal))
-    return DecisionAutomaton(aut, states, names[zero], transitions, terminal)
+    counts = list(csr_critical_counts(spec).values())  # in alphabet order
+    _require_states(math.prod(counts) + len(aut))
+    pieces = [[f"{name}:{k}" for k in range(c)] for name, c in zip(aut, counts)]
+    names = list(map(",".join, itertools.product(*pieces)))  # the first symbol varies slowest
+    order = sorted(range(len(names)), key=names.__getitem__)
+    at = sorted(range(len(names)), key=order.__getitem__)  # each vector's place in that order
+    columns = []
+    for i, name in enumerate(aut):
+        stride, last = math.prod(counts[i + 1 :]), counts[i] - 1
+        columns.append([name if v // stride % counts[i] == last else at[v + stride] for v in order])
+    return DecisionAutomaton.with_decisions(
+        aut, [names[v] for v in order], list(zip(*columns)), sorted(aut.symbols), at[0]
+    )
 
 
 def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     """Automaton tracking (position, best below-threshold symbol so far).
 
     The strict order makes the running best a sufficient statistic for the
-    fallback choice, so no further history is needed.
+    fallback choice, so no further history is needed.  Every such pair is
+    reachable, by repeating its best symbol, so all are named at once and
+    listed by name.
     """
     aut, rank = spec.alphabet, spec._rank  # type: ignore[attr-defined]
     cut = rank[spec.threshold_alt]  # a symbol ranked before the threshold decides at once
+    below = [sym for sym in aut if rank[sym] >= cut]
     # (0, -), then (position, best) for every symbol not above the threshold
-    _require_states(1 + (spec.span - 1) * sum(rank[sym] >= cut for sym in aut) + len(aut))
-    names: dict[tuple[int, str | None], str] = {(0, None): "p0:-"}  # each state, named once
-    todo: list[tuple[int, str | None]] = [(0, None)]
-    transitions: dict[str, dict[str, str]] = {}
-    while todo:
-        pos, best = todo.pop()
-        row = {}
-        for sym in aut:
-            new_best = sym if best is None or rank[sym] < rank[best] else best
-            if rank[sym] < cut or pos + 1 == spec.span:  # sym is new_best if above the threshold
-                row[sym] = f"dec:{new_best}"
-            else:
-                if (pos + 1, new_best) not in names:
-                    names[pos + 1, new_best] = f"p{pos + 1}:{new_best or '-'}"
-                    todo.append((pos + 1, new_best))
-                row[sym] = names[pos + 1, new_best]
-        transitions[names[pos, best]] = row
-    terminal = {f"dec:{sym}": sym for sym in aut}
-    for t in terminal:
-        transitions[t] = absorbing_terminal_row(aut, t)
-    states = tuple(sorted(names.values())) + tuple(sorted(terminal))
-    return DecisionAutomaton(aut, states, "p0:-", transitions, terminal)
+    _require_states(1 + (spec.span - 1) * len(below) + len(aut))
+    keys = [(0, None)] + [(pos, best) for pos in range(1, spec.span) for best in below]
+    names = [f"p{pos}:{best or '-'}" for pos, best in keys]
+    order = sorted(range(len(keys)), key=names.__getitem__)
+    at = {keys[k]: p for p, k in enumerate(order)}
+    rows = []
+    for pos, best in map(keys.__getitem__, order):
+        bests = [sym if best is None or rank[sym] < rank[best] else best for sym in aut]
+        # a symbol above the threshold is its own new best, and decides at once
+        rows.append([new if rank[sym] < cut or pos + 1 == spec.span else at[pos + 1, new]
+                     for sym, new in zip(aut, bests)])
+    return DecisionAutomaton.with_decisions(
+        aut, [names[k] for k in order], rows, sorted(aut.symbols), at[0, None]
+    )
 
 
 def segment_tree_automaton(
@@ -256,37 +236,28 @@ def segment_tree_automaton(
     """Prefix-tree automaton absorbing at a fixed depth.
 
     Internal states are the words shorter than ``depth``, breadth first,
-    each named by its parent's text plus one symbol; reading the final
-    symbol of a full-depth word moves to the absorbing output state labeled
-    by ``decide(word)``, which is called once per word, in lexicographic
-    order, after the state count is checked.  The generic bridge from any
-    bounded-window evaluator to an automaton.
+    each named by its parent's text plus one symbol, so the children of
+    state q are q * n + 1 onwards; reading the final symbol of a full-depth
+    word moves to the absorbing output state labeled by ``decide(word)``,
+    which is called once per word, in lexicographic order, after the state
+    count is checked.  The generic bridge from any bounded-window evaluator
+    to an automaton.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     n = len(alphabet)
     # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
     _require_states(depth if n == 1 else (n ** min(depth, 65) - 1) // (n - 1))
-    transitions: dict[str, dict[str, str]] = {}
-    outputs = set()
-    nodes: list[tuple[tuple[int, ...], str]] = [((), "")]
-    for word, text in nodes:
-        row = {}
-        for i, sym in enumerate(alphabet.symbols):
-            if len(word) + 1 == depth:
-                out = decide(word + (i,))
-                outputs.add(out)
-                row[sym] = f"dec:{out}"
-            else:
-                child = f"{text} {sym}" if word else sym
-                row[sym] = f"<{child}>"
-                nodes.append((word + (i,), child))
-        transitions[f"<{text}>"] = row
-    states = tuple(transitions)
-    terminal = {f"dec:{out}": out for out in sorted(outputs)}
-    for t in terminal:
-        transitions[t] = absorbing_terminal_row(alphabet, t)
-    return DecisionAutomaton(alphabet, states + tuple(terminal), "<>", transitions, terminal)
+    texts = level = [""]
+    for _ in range(depth - 1):
+        level = [f"{text} {sym}" if text else sym for text in level for sym in alphabet]
+        texts = texts + level
+    leaves = [decide(word) for word in itertools.product(range(n), repeat=depth)]
+    rows = [range(q * n + 1, q * n + n + 1) for q in range(len(texts) - len(level))]
+    rows += [leaves[i : i + n] for i in range(0, len(leaves), n)]
+    return DecisionAutomaton.with_decisions(
+        alphabet, [f"<{text}>" for text in texts], rows, sorted(set(leaves)), 0
+    )
 
 
 def config_compile(spec: ConfigRuleSpec) -> DecisionAutomaton:

@@ -265,24 +265,24 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
             "so its embedding would not halt"
         ) from exc
     syms = tuple(aut.alphabet.symbols) + (START, BLANK)
-    outputs = sorted(set(aut.terminal.values()))
+    outputs = sorted(set(aut.outputs) - {None})
     if not set(outputs) <= set(syms):
         syms = syms + tuple(o for o in outputs if o not in syms)
-    nonterm = [q for q in aut.states if q not in aut.terminal]
-    states = tuple(f"q:{q}" for q in nonterm) + tuple(f"w:{o}" for o in outputs) + ("halt",)
+    nonterm = [q for q, out in enumerate(aut.outputs) if out is None]
+    names = [f"q:{q}" for q in aut.states]
+    states = tuple(names[q] for q in nonterm) + tuple(f"w:{o}" for o in outputs) + ("halt",)
     rules: list[tuple[str, str, str, str, str, str, str]] = []
     for q in nonterm:
-        rules.append((f"q:{q}", START, "*", f"q:{q}", "*", "R", "S"))
-        rules.append((f"q:{q}", "*", "*", f"q:{q}", "*", "S", "S"))
-        for sym in aut.alphabet:
-            tgt = aut.transitions[q][sym]
-            if tgt in aut.terminal:
-                rules.append((f"q:{q}", sym, "*", f"w:{aut.terminal[tgt]}", "*", "S", "S"))
+        rules.append((names[q], START, "*", names[q], "*", "R", "S"))
+        rules.append((names[q], "*", "*", names[q], "*", "S", "S"))
+        for sym, tgt in zip(aut.alphabet, aut.rows[q]):
+            if (out := aut.outputs[tgt]) is not None:
+                rules.append((names[q], sym, "*", f"w:{out}", "*", "S", "S"))
             else:
-                rules.append((f"q:{q}", sym, "*", f"q:{tgt}", "*", "R", "S"))
+                rules.append((names[q], sym, "*", names[tgt], "*", "R", "S"))
     for out in outputs:
         rules.append((f"w:{out}", "*", "*", "halt", out, "S", "S"))
-    return TwoTapeTm.build(states, f"q:{aut.initial}", ("halt",), syms, rules)
+    return TwoTapeTm.build(states, names[aut.start], ("halt",), syms, rules)
 
 
 def to_json_dict(tm: TwoTapeTm) -> dict:

@@ -11,9 +11,9 @@ from typing import NamedTuple
 import pytest
 
 from seqdec.core import Alphabet, Segment
-from seqdec.automaton import DecisionAutomaton, _breadth_first, absorbing_terminal_row
+from seqdec.automaton import DecisionAutomaton
 from seqdec.machines import InvalidMachineError, TwoTapeTm
-from tests.definitions import run
+from tests.definitions import absorbing_terminal_row, breadth_first_by_name, run
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c"))
@@ -92,7 +92,7 @@ def oracle_verify_stopping(aut: DecisionAutomaton) -> StopVerdict:
     """The absorption bound, or the loop met by walking from the first looping
     state breadth first by the first symbol that stays outside the peel."""
     peel = oracle_peel(aut)
-    parent = _breadth_first(aut)
+    parent = breadth_first_by_name(aut)
     looping = [q for q in parent if q not in aut.terminal and q not in peel]
     if not looping:
         return StopVerdict(bound=1 + peel[aut.initial][0])

@@ -1,11 +1,20 @@
 """The paper's definitions, read directly off a sequence: each family's
 choice, an automaton's run over a word and its decision on an infinite
 input, and the segment operations they use.  seqdec answers every question
-through the compiled automaton; the tests hold it to these."""
+through the compiled automaton; the tests hold it to these.
+
+After them, the automaton passes as they were written over state names,
+before the integer form replaced them: breadth-first order, the peel, the
+stopping verdict, minimization and the JSON text, each looking a state's
+row up by name.  They read the name-keyed views ``initial``,
+``transitions`` and ``terminal``."""
 
 import itertools
+import json
+from collections import deque
 from fractions import Fraction
 
+from seqdec.automaton import DecisionAutomaton, NonStoppingRuleError
 from seqdec.core import Segment, SeqSpec
 from seqdec.heuristics import CsrSpec, OsrSpec, csr_critical_counts
 
@@ -97,3 +106,192 @@ def evaluate_rule(spec, seq):
     if isinstance(spec, OsrSpec):
         return osr_evaluate(spec, seq)
     return config_evaluate(spec, seq)
+
+
+def absorbing_terminal_row(alphabet, state):
+    """Self-loop transition row for an absorbing state."""
+    return {sym: state for sym in alphabet}
+
+
+def breadth_first_by_name(aut):
+    """Reachable states in BFS order, each with the state and symbol it is first entered by."""
+    parent = {aut.initial: None}
+    order = [aut.initial]
+    for q in order:  # the list grows as it is read
+        for sym in aut.alphabet:
+            nxt = aut.transitions[q][sym]
+            if nxt not in parent:
+                parent[nxt] = (q, sym)
+                order.append(nxt)
+    return parent
+
+
+def reachable_states(aut):
+    """State names reachable from the initial state, in BFS order."""
+    return list(breadth_first_by_name(aut))
+
+
+def peel_by_name(aut):
+    """The peel: each escaping state's open depth and forced decision, in the
+    order the states escape, successors first."""
+    terminal, rows, symbols = aut.terminal, aut.transitions, aut.alphabet.symbols
+    succ = {q: [rows[q][s] for s in symbols] for q in aut.states if q not in terminal}
+    preds = {q: [] for q in succ}
+    pending = dict.fromkeys(succ, 0)
+    for q, targets in succ.items():
+        for tgt in targets:
+            if tgt not in terminal:
+                pending[q] += 1
+                preds[tgt].append(q)
+    peel = {}
+    queue = deque(q for q, n in pending.items() if n == 0)
+    while queue:
+        q = queue.popleft()
+        depth, outputs = 0, set()
+        for tgt in succ[q]:
+            if tgt in terminal:
+                outputs.add(terminal[tgt])
+            else:
+                below, out = peel[tgt]
+                if out is None and below >= depth:
+                    depth = below + 1
+                outputs.add(out)
+        peel[q] = (depth, outputs.pop() if len(outputs) == 1 else None)
+        for p in preds[q]:
+            pending[p] -= 1
+            if pending[p] == 0:
+                queue.append(p)
+    return peel
+
+
+def stopping_bound_by_name(aut):
+    """The bound read off the peel, or NonStoppingRuleError with the loop met by
+    following, from the first looping state breadth first, the first symbol
+    that stays among the looping states."""
+    peel = peel_by_name(aut)
+    parent = breadth_first_by_name(aut)
+    looping = [q for q in parent if q not in aut.terminal and q not in peel]
+    if looping:
+        rows, inside = aut.transitions, set(looping)
+        state, symbols, walked = looping[0], [], {}
+        while state not in walked:
+            walked[state] = len(symbols)
+            symbols.append(next(s for s in aut.alphabet if rows[state][s] in inside))
+            state = rows[state][symbols[-1]]
+        word, via = [], parent[state]
+        while via is not None:
+            word.append(via[1])
+            via = parent[via[0]]
+        cycle = aut.alphabet.segment(symbols[walked[state]:])
+        raise NonStoppingRuleError(SeqSpec(aut.alphabet, aut.alphabet.segment(word[::-1]), cycle))
+    depth, out = peel[aut.initial]
+    return 0 if out is not None else 1 + depth
+
+
+def minimize_by_name(aut):
+    """Minimization over names: terminals by output, the peel hash-consed in its
+    order, looping states refined Moore style, blocks renamed breadth first."""
+    peel = peel_by_name(aut)
+    if (out := peel.get(aut.initial, (0, None))[1]) is not None:
+        return DecisionAutomaton(
+            aut.alphabet, ("q0", "q1"), "q0",
+            {"q0": {sym: "q1" for sym in aut.alphabet},
+             "q1": absorbing_terminal_row(aut.alphabet, "q1")},
+            {"q1": out},
+        )
+
+    def successors(q):
+        return tuple(block[aut.transitions[q][sym]] for sym in aut.alphabet)
+
+    classes = {}
+    block = {q: classes.setdefault(out, len(classes)) for q, out in aut.terminal.items()}
+    for q, (_, out) in peel.items():
+        block[q] = classes.setdefault(successors(q) if out is None else out, len(classes))
+    reach = reachable_states(aut)
+    looping = [q for q in reach if q not in block]
+    block.update(dict.fromkeys(looping, len(classes)))
+    count = 1
+    while looping:
+        keys = {q: (block[q], successors(q)) for q in looping}
+        refined = {k: len(classes) + i for i, k in enumerate(dict.fromkeys(keys.values()))}
+        block.update({q: refined[k] for q, k in keys.items()})
+        if len(refined) == count:
+            break
+        count = len(refined)
+
+    rep = {block[q]: q for q in reversed(reach)}
+    names = {block[aut.initial]: "q0"}
+    order = [block[aut.initial]]
+    for b in order:  # breadth first: the list grows as it is read
+        for sym in aut.alphabet:
+            nb = block[aut.transitions[rep[b]][sym]]
+            if nb not in names:
+                names[nb] = f"q{len(names)}"
+                order.append(nb)
+    decided = {b: key for key, b in classes.items() if isinstance(key, str)}
+    return DecisionAutomaton(
+        aut.alphabet,
+        tuple(names.values()),
+        "q0",
+        {
+            names[b]: {sym: names[block[aut.transitions[rep[b]][sym]]] for sym in aut.alphabet}
+            for b in order
+        },
+        {names[b]: decided[b] for b in order if b in decided},
+    )
+
+
+def document_by_name(aut):
+    """The automaton document, from its name-keyed views."""
+    return {
+        "alphabet": list(aut.alphabet.symbols),
+        "states": list(aut.states),
+        "initial": aut.initial,
+        "transitions": {q: dict(row) for q, row in aut.transitions.items()},
+        "terminal": dict(aut.terminal),
+    }
+
+
+def to_json_by_name(aut, indent=""):
+    """The automaton JSON from its name-keyed views: one template per state row."""
+    esc = json.encoder.encode_basestring_ascii
+    names = {q: esc(q) for q in aut.states}
+    symbols = sorted(aut.alphabet.symbols)
+    row = "{\n" + ",\n".join(f"      {esc(s).replace('%', '%%')}: %s" for s in symbols) + "\n    }"
+    rows = [f"{names[q]}: " + row % tuple([names[aut.transitions[q][s]] for s in symbols])
+            for q in sorted(aut.states)]
+    terminal = [f"{names[q]}: {esc(out)}" for q, out in sorted(aut.terminal.items())]
+
+    def block(items, brackets):
+        return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}" if items else brackets
+
+    text = (f'{{\n  "alphabet": {block([esc(s) for s in aut.alphabet], "[]")},'
+            f'\n  "initial": {names[aut.initial]},\n  "states": {block(list(names.values()), "[]")},'
+            f'\n  "terminal": {block(terminal, "{}")},\n  "transitions": {block(rows, "{}")}\n}}')
+    return text.replace("\n", "\n" + indent)
+
+
+def isomorphic_by_name(a, b):
+    """The reachable parts match up to a renaming: paired breadth first by name,
+    each new target looked for among the paired ones."""
+    if a.alphabet != b.alphabet:
+        return False
+    pairing = {a.initial: b.initial}
+    queue = deque([(a.initial, b.initial)])
+    while queue:
+        p, q = queue.popleft()
+        if (p in a.terminal) != (q in b.terminal):
+            return False
+        if p in a.terminal and a.terminal[p] != b.terminal[q]:
+            return False
+        for sym in a.alphabet:
+            np, nq = a.transitions[p][sym], b.transitions[q][sym]
+            if np in pairing:
+                if pairing[np] != nq:
+                    return False
+            else:
+                if nq in pairing.values():
+                    return False
+                pairing[np] = nq
+                queue.append((np, nq))
+    return len(pairing) == len(set(reachable_states(b)))

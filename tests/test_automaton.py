@@ -14,12 +14,9 @@ from seqdec.automaton import (
     DecisionAutomaton,
     InvalidAutomatonError,
     NonStoppingRuleError,
-    _escaping_states,
-    absorbing_terminal_row,
     from_json,
     isomorphic,
     minimize,
-    reachable_states,
     to_dot,
     stopping_bound,
     to_json,
@@ -29,7 +26,10 @@ from seqdec.heuristics import compile_rule
 from tests.conftest import (
     XY, build_twosym_threshold2, oracle_decidedness, oracle_least_bound, oracle_verify_stopping,
 )
-from tests.definitions import DivergenceError, concat, enumerate_segments, evaluate, run
+from tests.definitions import (
+    DivergenceError, absorbing_terminal_row, concat, enumerate_segments, evaluate,
+    reachable_states, run,
+)
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 
@@ -74,9 +74,9 @@ def oracle_sufficiency(aut, seg, bound):
 def decisions(aut):
     """Each state's decision as the peel gives it: a terminal's output, else
     the forced one, else None."""
-    peel = _escaping_states(aut)
     return {
-        q: aut.terminal[q] if q in aut.terminal else peel.get(q, (0, None))[1] for q in aut.states
+        q: out if out is not None else aut.peel.get(i, (0, None))[1]
+        for i, (q, out) in enumerate(zip(aut.states, aut.outputs))
     }
 
 

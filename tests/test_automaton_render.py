@@ -6,7 +6,7 @@ escaped once, and ``compile``/``minimize`` splice it into their payload.
 The oracles are what they replaced: the peel that looked every successor
 up by symbol at each step, the CSR and OSR compilers that named a state
 at every transition into it and ranked symbols through ``OsrSpec``, and
-``json.dumps(to_json_dict(aut), indent=2, sort_keys=True)`` of the whole
+``json.dumps(document_by_name(aut), indent=2, sort_keys=True)`` of the whole
 payload, with the bound the least K over all windows (``conftest``'s
 ``oracle_least_bound``).  Peel items and their order (depths as open
 depths), compiled automata down to state and row order, the stopping
@@ -30,22 +30,20 @@ from seqdec.analysis import tabulate_automaton
 from seqdec.automaton import (
     DecisionAutomaton,
     NonStoppingRuleError,
-    _escaping_states,
-    absorbing_terminal_row,
     minimize,
     stopping_bound,
     to_json,
-    to_json_dict,
 )
 from seqdec.cli import _load, build_parser, main
 from seqdec.core import Alphabet, SeqSpec
 from seqdec.heuristics import (
-    CsrSpec, OsrSpec, _vector_name, compile_rule, csr_compile, csr_critical_counts, osr_compile,
+    CsrSpec, OsrSpec, compile_rule, csr_compile, csr_critical_counts, osr_compile,
     rule_to_json,
 )
 from tests.conftest import (
     oracle_decidedness, oracle_least_bound, oracle_peel, oracle_verify_stopping,
 )
+from tests.definitions import absorbing_terminal_row, document_by_name
 from tests.mutants import MUTANTS
 from tests.test_acceptance import build_corpus
 from tests.test_analyze_render import (
@@ -64,6 +62,10 @@ def with_terminals(alphabet, states, initial, transitions) -> DecisionAutomaton:
     for t in terminal:
         transitions[t] = absorbing_terminal_row(alphabet, t)
     return DecisionAutomaton(alphabet, states + tuple(sorted(terminal)), initial, transitions, terminal)
+
+
+def _vector_name(alphabet, vector: tuple[int, ...]) -> str:
+    return ",".join(f"{name}:{c}" for name, c in zip(alphabet.symbols, vector))
 
 
 def oracle_csr_compile(spec: CsrSpec) -> DecisionAutomaton:
@@ -117,14 +119,14 @@ def oracle_osr_compile(spec: OsrSpec) -> DecisionAutomaton:
 
 
 def oracle_text(aut: DecisionAutomaton) -> str:
-    return json.dumps(to_json_dict(aut), indent=2, sort_keys=True)
+    return json.dumps(document_by_name(aut), indent=2, sort_keys=True)
 
 
 def oracle_report(aut: DecisionAutomaton, written: bool) -> str:
     """What ``compile`` and ``minimize`` printed when the automaton was a dict."""
     payload = {"state_count": len(aut.states), "uniform_bound": oracle_least_bound(aut)}
     if not written:
-        payload["automaton"] = to_json_dict(aut)
+        payload["automaton"] = document_by_name(aut)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -157,7 +159,7 @@ def assert_model_matches_oracles(aut: DecisionAutomaton) -> None:
     order, and its depths are open depths.  The verdict is the least bound,
     or, where the absorption pass found a loop, an input that enters the
     same loop by the same shortest word."""
-    peel, oracle = _escaping_states(aut), oracle_peel(aut)
+    peel, oracle = {aut.states[q]: item for q, item in aut.peel.items()}, oracle_peel(aut)
     outputs = [(q, out) for q, (_, out) in oracle.items()]
     assert [(q, out) for q, (_, out) in peel.items()] == outputs
     assert {q: depth for q, (depth, _) in peel.items()} == oracle_open_depths(aut)
@@ -171,7 +173,7 @@ def assert_model_matches_oracles(aut: DecisionAutomaton) -> None:
         assert exc.sequence.text() == f"{verdict.reach.text()}|{cycle.text()}"
     want = oracle_text(aut)
     assert to_json(aut) == want
-    nested = json.dumps({"automaton": to_json_dict(aut), "k": 0}, indent=2, sort_keys=True)
+    nested = json.dumps({"automaton": document_by_name(aut), "k": 0}, indent=2, sort_keys=True)
     assert nested == '{\n  "automaton": ' + to_json(aut, "  ") + ',\n  "k": 0\n}'
 
 

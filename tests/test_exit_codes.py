@@ -32,11 +32,12 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row, from_json_dict
+from seqdec.automaton import DecisionAutomaton, from_json_dict
 from seqdec.cli import main
 from seqdec.core import Alphabet
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
 from tests.conftest import expanded_json_dict
+from tests.definitions import absorbing_terminal_row
 from tests.test_analyze_render import ESCAPED_NAMES
 from tests.test_run_tree import total_machines
 

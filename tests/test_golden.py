@@ -2,10 +2,16 @@
 
 Every subcommand runs on a small fixed corpus in ``tests/golden/docs``: a
 CSR, an OSR and a config rule, each rule's compiled automaton and its
-embedded machine, and an automaton with a reachable undecided loop.  Each
-recording in ``tests/golden`` holds one command line, its exit code and its
-stdout and stderr, split into lines so that a change to the contract shows
-as a line in the diff.  Paths are relative to ``tests/golden``.
+embedded machine, and an automaton with a reachable undecided loop.  A
+second set of documents is at the scale the benchmark compiles: the CSR
+over three symbols with weights 1/8, the chain ``{a: 1/300, b: 1}``, the
+16-symbol span-6 OSR ranked in reverse, a window-6 table rule over three
+symbols, the machine of the CSR with weights 1/4, and a 40-state tail into
+a two-state undecided loop.  Each recording in ``tests/golden`` holds one
+command line, its exit code and its stdout and stderr, split into lines so
+that a change to the contract shows as a line in the diff; a stdout over
+64 KB is kept as its SHA-256, its byte count and its first 20 lines.
+Paths are relative to ``tests/golden``.
 
 Record the corpus and its outputs again, from the repository root::
 
@@ -13,7 +19,9 @@ Record the corpus and its outputs again, from the repository root::
 """
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -28,6 +36,7 @@ from seqdec.heuristics import (
     Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, compile_rule, rule_to_json,
 )
 from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
+from tests.test_automaton import tail_into_loop
 
 GOLDEN = Path(__file__).parent / "golden"
 AB, ABC, XY = Alphabet(("a", "b")), Alphabet(("a", "b", "c")), Alphabet(("x", "y"))
@@ -39,6 +48,22 @@ RULES = {
 # two literals per document: the first also runs with --format text and --seq
 LITERALS = {"csr": ("|a b", "b|a"), "osr": ("|b c a", "c b|a"), "config": ("a|b", "|b a")}
 MACHINE_FLAGS = ["--budget", "40"]
+LARGE_STDOUT = 64 * 1024
+SIXTEEN = Alphabet(tuple("abcdefghijklmnop"))
+WORDS6 = ["".join(bits) for bits in itertools.product("01", repeat=6)]
+# at the benchmark's scale, each with one literal and its extra command lines
+SCALE = {
+    "csr3-8": (CsrSpec(ABC, dict.fromkeys(ABC, Fraction(1, 8)), Fraction(1)), "|a b c",
+               {"axioms-csr": ["axioms", "--suite", "csr"]}),
+    "chain300": (CsrSpec(AB, {"a": Fraction(1, 300), "b": Fraction(1)}, Fraction(1)), "|a",
+                 {"axioms-csr": ["axioms", "--suite", "csr"]}),
+    "osr16-6": (OsrSpec(SIXTEEN, SIXTEEN.symbols[::-1], "j", 6), "|p o n",
+                {"axioms-osr": ["axioms", "--suite", "osr"]}),
+    # a table ranking each word by 37 times its value, modulo 64
+    "config6": (ConfigRuleSpec(ABC, 6, Comparator(
+        6, table={w: 37 * int(w, 2) % 64 for w in WORDS6})), "a b|c", {}),
+}
+CSR3_4 = CsrSpec(ABC, dict.fromkeys(ABC, Fraction(1, 4)), Fraction(1))
 
 
 def looping_automaton() -> DecisionAutomaton:
@@ -64,7 +89,42 @@ def corpus() -> dict[str, str]:
         docs[f"{name}.aut.json"] = automaton_to_json(aut)
         docs[f"{name}.tm.json"] = json.dumps(machine, indent=2, sort_keys=True)
     docs["loop.aut.json"] = automaton_to_json(looping_automaton())
+    for name, (spec, _, _) in SCALE.items():
+        docs[f"{name}.json"] = rule_to_json(spec)
+    machine = tm_to_json_dict(automaton_to_tm(compile_rule(CSR3_4)))
+    machine["input_alphabet"] = list(ABC.symbols)
+    docs["csr3-4.tm.json"] = json.dumps(machine, indent=2, sort_keys=True)
+    docs["tail40.aut.json"] = automaton_to_json(tail_into_loop(40, 2))
     return docs
+
+
+def scale_command_lines() -> dict[str, list[str]]:
+    """Every subcommand once on each document at the benchmark's scale."""
+    documents = [(name, literal, extra) for name, (_, literal, extra) in SCALE.items()]
+    documents += [("csr3-4.tm", "|a b c", {}), ("tail40.aut", "|a", {})]
+    lines = {}
+    for doc, literal, extra in documents:
+        path = f"docs/{doc}.json"
+        flags = MACHINE_FLAGS if doc.endswith(".tm") else []
+        commands = {
+            "eval": ["eval", path, literal],
+            "eval-text": ["eval", path, literal, "--format", "text"],
+            "compile": ["compile", path],
+            "compile-minimize": ["compile", path, "--minimize"],
+            "minimize-text": ["minimize", path, "--format", "text"],
+            "dot": ["dot", path],
+            "analyze": ["analyze", path],
+            "analyze-seq": ["analyze", path, "--seq", literal],
+            "axioms": ["axioms", path],
+            "identify-csr": ["identify", path, "--as", "csr"],
+            "identify-osr": ["identify", path, "--as", "osr"],
+        }
+        for case, (command, *rest) in extra.items():
+            commands[case] = [command, path, *rest]
+        for case, argv in commands.items():
+            lines[f"{doc}.{case}"] = argv + flags
+        lines[f"{doc}.tm-run"] = ["tm-run", path, literal, *MACHINE_FLAGS]
+    return lines
 
 
 def command_lines() -> dict[str, list[str]]:
@@ -101,7 +161,7 @@ def command_lines() -> dict[str, list[str]]:
     lines["csr.tm.eval-no-budget"] = ["eval", "docs/csr.tm.json", "|a b"]
     lines["csr.tm.eval-alphabet"] = ["eval", "docs/csr.tm.json", "|a b", "--alphabet", "a b"]
     lines["csr.tm.eval-alphabet"] += MACHINE_FLAGS
-    return lines
+    return {**lines, **scale_command_lines()}
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -111,12 +171,16 @@ def run_cli(argv: list[str]) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing an option
             code = exc.code
-    return {
-        "argv": argv,
-        "exit": code,
-        "stdout": out.getvalue().split("\n"),
-        "stderr": err.getvalue().split("\n"),
-    }
+    stdout = out.getvalue()
+    if len(data := stdout.encode()) > LARGE_STDOUT:
+        stdout = {
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+            "head": stdout.split("\n")[:20],
+        }
+    else:
+        stdout = stdout.split("\n")
+    return {"argv": argv, "exit": code, "stdout": stdout, "stderr": err.getvalue().split("\n")}
 
 
 def recording_text(record: dict) -> str:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from seqdec.core import Alphabet, constant
-from seqdec.automaton import DecisionAutomaton, absorbing_terminal_row
+from seqdec.automaton import DecisionAutomaton
 from seqdec.heuristics import CsrSpec, csr_compile
 from seqdec.machines import (
     BLANK,
@@ -19,7 +19,9 @@ from seqdec.machines import (
     to_json,
 )
 from tests.conftest import ABC, XY
-from tests.definitions import DivergenceError, concat, enumerate_segments, evaluate
+from tests.definitions import (
+    DivergenceError, absorbing_terminal_row, concat, enumerate_segments, evaluate,
+)
 
 
 def echo_machine(alphabet):
