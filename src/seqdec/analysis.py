@@ -15,11 +15,11 @@ open states, or an input on which the rule never decides.
 Stopping questions walk at most K states along the input.  One pass over
 the reachable open states in the peel's order gives each state's
 reachable decisions and the number of minimal sufficient segments, which
-only ``analyze`` lists, under ``WINDOW_CAP``.  The decisive set, two of
-the OSR axioms and ``identify_osr``'s ranking ask only which symbol sets
-occur with which decision: one search over (open state, symbols read),
-under ``WINDOW_CAP`` nodes times symbols.
-Monotonicity, informational dominance, replacement, neutrality and the
+only ``analyze`` lists, under ``WINDOW_CAP``, one open word at a time, each
+open state's children found once.  The decisive set, two of the OSR axioms
+and ``identify_osr``'s ranking ask only which symbol sets occur with which
+decision: one search over (open state, symbols read), under ``WINDOW_CAP``
+nodes times symbols, keeping parent pointers, not words.  Monotonicity, informational dominance, replacement, neutrality and the
 agreement check of identification search products of states; the last two
 share one search over a pair of automata, the second reading a relabeled
 input.  The choice-rule check reads ``outcomes`` too.  Only acyclicity
@@ -57,6 +57,8 @@ from .heuristics import CsrSpec, OsrSpec, RuleSpec, _require_states
 Word = tuple[int, ...]
 # a minimal sufficient segment's symbol set and decision
 Outcome = tuple[frozenset[str], str]
+# a word by parent pointers: None if empty, else (its prefix's link, last symbol)
+Link = tuple["Link", int] | None
 
 # Most windows any table here may hold: 16 times the largest table that the
 # test suite or the benchmark workloads build (65,536 windows).
@@ -312,30 +314,31 @@ class Facts:
         return last
 
     @cached_property
-    def outcomes(self) -> dict[Outcome, Word]:
+    def outcomes(self) -> dict[Outcome, Link]:
         """First minimal sufficient segment of each (symbol set, decision) pair.
 
         One breadth-first search over (open state, set of the symbols read)
         visits each node once, by its first word in length-then-
         lexicographic order, so each pair's segment is its first in
-        ``segments``' order, and the pairs come in that order.  Each pair is
-        found at a child of a node, so past ``WINDOW_CAP`` nodes times symbols
-        it raises ``ResourceLimit``.
+        ``open_words``' order, and the pairs come in that order.  Nodes and
+        pairs keep their words as links, which ``_link_text`` renders.  Each
+        pair is found at a child of a node, so past ``WINDOW_CAP`` nodes times
+        symbols it raises ``ResourceLimit``.
         """
         got = self.decision(self.start)
         if got is not None:
-            return {(frozenset(), got): ()}
-        outcomes: dict[Outcome, Word] = {}
+            return {(frozenset(), got): None}
+        outcomes: dict[Outcome, Link] = {}
         order: list[tuple[int, frozenset[str]]] = [(self.start, frozenset())]
-        words = {order[0]: ()}
+        links: dict[tuple[int, frozenset[str]], Link] = {order[0]: None}
         for node in order:
             for i, name in enumerate(self.alphabet):
                 child = (self.step(node[0], i), node[1] | {name})
                 got = self.decision(child[0])
                 if got is not None:
-                    outcomes.setdefault((child[1], got), words[node] + (i,))
-                elif child not in words:
-                    words[child] = words[node] + (i,)
+                    outcomes.setdefault((child[1], got), (links[node], i))
+                elif child not in links:
+                    links[child] = (links[node], i)
                     order.append(child)
             if len(order) * len(self.alphabet) > WINDOW_CAP:
                 what = f"{len(order)} (state, symbol set) nodes times {len(self.alphabet)} symbols"
@@ -347,33 +350,37 @@ class Facts:
         """Read off ``outcomes``: each witness is the first minimal sufficient
         segment that holds its symbol and decides otherwise."""
         witnesses: dict[str, tuple[str, str]] = {}
-        for (sset, dec), word in self.outcomes.items():
+        for (sset, dec), link in self.outcomes.items():
             for name in sset - witnesses.keys() - {dec}:
-                witnesses[name] = (_word_text(self.alphabet, word), dec)
+                witnesses[name] = (_link_text(self.alphabet, link), dec)
         complement = tuple(s for s in self.alphabet if s in witnesses)
         decisive = tuple(s for s in self.alphabet if s not in witnesses)
         return DecisiveSet(decisive, complement, {s: witnesses[s] for s in complement})
 
-    def segments(self, root, pieces: Iterable) -> Iterator[tuple[Word | str, str]]:
-        """Label and decision of each minimal sufficient segment, breadth first,
-        lexicographic within a length; they are counted first, and past
-        ``WINDOW_CAP`` none is listed.  A label is ``root`` plus the piece of
-        each symbol read (``(i,)`` pieces give the word, escaped names its JSON
-        text), one concatenation onto its open parent's, which carries its state."""
+    def open_words(self, root, pieces, plan) -> Iterator[tuple]:
+        """Each open word with a decided child, breadth first, lexicographic
+        within a length: its label, ``root`` plus ``pieces[i]`` per symbol i
+        read, and its state's plan, ``plan`` of the state's decided children
+        as (symbol, decision) pairs, built once per state with its open
+        children.  The minimal sufficient segments are these children, or the
+        empty word at a decided start; past ``WINDOW_CAP`` none is listed."""
         opened = self.open_states
         count = opened[self.start].segments if opened else 1
         if count > WINDOW_CAP:
             raise ResourceLimit(f"{count} minimal sufficient segments", WINDOW_CAP)
-        step, decision, indexed = self.step, self.decision, list(enumerate(pieces))
-        frontier = [(root, self.start)]
+        step, decision, n, plans = self.step, self.decision, len(self.alphabet), {}
+        frontier = [(root, self.start)] if opened else []
         while frontier:
             nxt = []
             for label, state in frontier:
-                got = decision(state)
-                if got is None:
-                    nxt += [(label + piece, step(state, i)) for i, piece in indexed]
-                else:
-                    yield label, got
+                if (known := plans.get(state)) is None:
+                    children = [(i, step(state, i)) for i in range(n)]
+                    decided = [(i, d) for i, r in children if (d := decision(r)) is not None]
+                    more = [(pieces[i], r) for i, r in children if decision(r) is None]
+                    known = plans[state] = (plan(decided) if decided else None, more)
+                if known[0] is not None:
+                    yield label, known[0]
+                nxt += [(label + piece, r) for piece, r in known[1]]
             frontier = nxt
 
     @cached_property
@@ -456,14 +463,15 @@ def stopping_time(rule: RuleHandle, seq: SeqSpec) -> int:
 
 
 def enumerate_minimal_sufficient(rule: RuleHandle) -> Iterator[tuple[Segment, str]]:
-    """Segments where sufficiency first becomes true, with their decisions.
-
-    Exactly the minimal sufficient segments: the parent of each emitted
-    segment was open, and sufficiency is monotone under extension.
-    Breadth-first, lexicographic within a length.
-    """
-    for word, dec in rule.facts.segments((), [(i,) for i in range(len(rule.alphabet))]):
-        yield Segment(rule.alphabet, word), dec
+    """Segments where sufficiency first becomes true, with their decisions,
+    breadth first, lexicographic within a length: exactly the minimal
+    sufficient segments, as sufficiency is monotone under extension."""
+    facts, alphabet = rule.facts, rule.alphabet
+    if (got := facts.decision(facts.start)) is not None:
+        yield Segment(alphabet, ()), got
+    for word, decided in facts.open_words((), [(i,) for i in range(len(alphabet))], list):
+        for i, dec in decided:
+            yield Segment(alphabet, word + (i,)), dec
 
 
 def sufficiency_of(rule: RuleHandle, seg: Segment) -> Sufficiency:
@@ -505,7 +513,7 @@ def decisive_set(rule: RuleHandle) -> DecisiveSet:
     return rule.facts.decisive
 
 
-def _non_decisive_outcomes(rule: RuleHandle) -> tuple[DecisiveSet, dict[Outcome, Word]]:
+def _non_decisive_outcomes(rule: RuleHandle) -> tuple[DecisiveSet, dict[Outcome, Link]]:
     """The decisive set, and the ``outcomes`` whose symbols are all non-decisive."""
     dset = rule.facts.decisive
     return dset, {o: w for o, w in rule.facts.outcomes.items() if o[0].isdisjoint(dset.decisive)}
@@ -527,20 +535,21 @@ class AxiomReport:
         return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "axiom": self.axiom,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "checked": self.checked,
-            "horizon": self.horizon,
-        }
-        if self.details is not None:
-            doc["details"] = self.details
-        return doc
+        doc = {"axiom": self.axiom, "verdict": self.verdict, "witness": self.witness,
+               "checked": self.checked, "horizon": self.horizon}
+        return doc if self.details is None else {**doc, "details": self.details}
 
 
 def _word_text(alphabet: Alphabet, word: Word) -> str:
     return " ".join(map(alphabet.symbols.__getitem__, word))
+
+
+def _link_text(alphabet: Alphabet, link: Link) -> str:
+    names = []
+    while link is not None:
+        link, i = link
+        names.append(alphabet.symbols[i])
+    return " ".join(reversed(names))
 
 
 def _closure_text(alphabet: Alphabet, word: Word, cyc: int | None = None) -> str:
@@ -772,9 +781,9 @@ def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
             checked += 1
             if p_dec != m_dec:
                 witness = {
-                    "segment_m": _word_text(rule.alphabet, pool[m_set, m_dec]),
+                    "segment_m": _link_text(rule.alphabet, pool[m_set, m_dec]),
                     "decision_m": m_dec,
-                    "segment_m_prime": _word_text(rule.alphabet, pool[p_set, p_dec]),
+                    "segment_m_prime": _link_text(rule.alphabet, pool[p_set, p_dec]),
                     "decision_m_prime": p_dec,
                 }
                 return AxiomReport("sequential-alpha", False, witness, checked, k)
@@ -793,16 +802,16 @@ def check_snbc(rule: RuleHandle) -> AxiomReport:
     dset, pool = _non_decisive_outcomes(rule)
     checked = 0
     for x, y, z in itertools.permutations(sorted(dset.complement), 3):
-        xy, yz, xz = (pool.get((frozenset(pair), pair[0])) for pair in ((x, y), (y, z), (z, x)))
-        if xy is None or yz is None:
+        xy, yz, xz = ((frozenset(pair), pair[0]) for pair in ((x, y), (y, z), (z, x)))
+        if xy not in pool or yz not in pool:
             continue
         checked += 1
-        if xz is not None:
+        if xz in pool:
             witness = {
                 "x": x, "y": y, "z": z,
-                "segment_xy": _word_text(rule.alphabet, xy),
-                "segment_yz": _word_text(rule.alphabet, yz),
-                "segment_xz": _word_text(rule.alphabet, xz),
+                "segment_xy": _link_text(rule.alphabet, pool[xy]),
+                "segment_yz": _link_text(rule.alphabet, pool[yz]),
+                "segment_xz": _link_text(rule.alphabet, pool[xz]),
                 "decisions": [x, y, z],
             }
             return AxiomReport("sequential-nbc", False, witness, checked, k)
@@ -813,12 +822,13 @@ def _require_choice_rule(rule: RuleHandle, *, in_window: bool) -> None:
     """Every decision must be an alternative and, with ``in_window``, occur in
     its nonempty window.  A window extends a minimal segment with its
     decision, and a segment without it extends to a window without it, so
-    ``Facts.outcomes`` is read, and its first offending segment named."""
-    for (sset, dec), word in rule.facts.outcomes.items():
-        text = _word_text(rule.alphabet, word)
+    ``Facts.outcomes`` is read, and only its first offending segment named."""
+    for (sset, dec), link in rule.facts.outcomes.items():
         if dec not in rule.alphabet:
+            text = _link_text(rule.alphabet, link)
             raise NotAChoiceRule(f"decision {dec!r} after {text!r} is not an alternative")
-        if in_window and word and dec not in sset:
+        if in_window and sset and dec not in sset:
+            text = _link_text(rule.alphabet, link)
             raise NotAChoiceRule(f"decision {dec!r} does not occur in its segment {text!r}")
 
 

@@ -31,18 +31,8 @@ from . import machines as machines_mod
 from .machines import BLANK, START, BudgetExhausted, TapeBoundsError, tm_run
 from . import heuristics
 from .analysis import (
-    SUITES,
-    HorizonViolation,
-    NotAChoiceRule,
-    NotCsr,
-    NotOsr,
-    RuleHandle,
-    decisive_set,
-    identify_csr,
-    identify_osr,
-    run_suite,
-    tabulate_automaton,
-    uniform_bound_search,
+    SUITES, HorizonViolation, NotAChoiceRule, NotCsr, NotOsr, RuleHandle, decisive_set,
+    identify_csr, identify_osr, run_suite, tabulate_automaton, uniform_bound_search,
 )
 
 EXIT_OK = 0
@@ -150,16 +140,21 @@ def cmd_dot(args) -> int:
 def cmd_analyze(args) -> int:
     """Uniform bound, minimal sufficient segments and decisive set.
 
-    One template renders each segment from its ``Facts.segments`` label, its JSON
-    text joined from escaped names, spliced into the dumped payload: one dump's bytes."""
+    Segments are rendered per open word of ``Facts.open_words``, labelled by
+    its segment text and a space: an open state's plan is its decided
+    children's JSON records, split where "\\0" holds the label's place (no
+    escaped text holds one).  The list is spliced into the dumped payload."""
     rule = _load(args.rule_file, args)
-    escape = json.encoder.encode_basestring_ascii
-    pieces = [" " + escape(name)[1:-1] for name in rule.alphabet]
+    escape, facts = json.encoder.encode_basestring_ascii, rule.facts
+    names = [escape(name)[1:-1] for name in rule.alphabet]
+    record = '    {{\n      "decision": {},\n      "segment": "\0{}"\n    }}'.format
     payload = {"uniform_bound": uniform_bound_search(rule)}
-    segments = ",\n".join([
-        f'    {{\n      "decision": {escape(dec)},\n      "segment": "{label[1:]}"\n    }}'
-        for label, dec in rule.facts.segments("", pieces)
-    ])
+    if (got := facts.decision(facts.start)) is not None:
+        segments = record(escape(got), "").replace("\0", "")
+    else:
+        walk = facts.open_words("", [name + " " for name in names], lambda decided: ",\n".join(
+            record(escape(dec), names[i]) for i, dec in decided).split("\0"))
+        segments = ",\n".join([label.join(parts) for label, parts in walk])
     dset = decisive_set(rule)
     payload["decisive"] = list(dset.decisive)
     payload["non_decisive"] = list(dset.complement)
@@ -277,13 +272,7 @@ def main(argv=None) -> int:
     except (ValidationError, NotAChoiceRule, json.JSONDecodeError, OSError) as exc:
         print(f"seqdec: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        BudgetExhausted,
-        HorizonViolation,
-        NonStoppingRuleError,
-        ResourceLimit,
-        TapeBoundsError,
-    ) as exc:
+    except (BudgetExhausted, HorizonViolation, NonStoppingRuleError, ResourceLimit, TapeBoundsError) as exc:
         print(f"seqdec: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the two-alternative score-threshold automaton and friends,
-the window table and minimal segments the test oracles read, the stopping
+the window table and minimal segments the test oracles read (the segments
+by the walk one segment at a time that ``Facts.open_words`` replaced), the stopping
 passes that the peel's one verdict replaced and the machine table's
 bucket search that the layered expansion replaced, kept as oracles, and
 the expanded machine document."""
@@ -35,8 +36,19 @@ def window_table(facts) -> dict[tuple[int, ...], str]:
 
 
 def minimal_words(facts) -> list[tuple[tuple[int, ...], str]]:
-    """Every minimal sufficient segment as a word, with its decision."""
-    return list(facts.segments((), [(i,) for i in range(len(facts.alphabet))]))
+    """Every minimal sufficient segment as a word, with its decision: the
+    level-order walk one segment at a time, each word with its state."""
+    minimal, frontier = [], [((), facts.start)]
+    while frontier:
+        nxt = []
+        for word, state in frontier:
+            got = facts.decision(state)
+            if got is not None:
+                minimal.append((word, got))
+            else:
+                nxt += [(word + (i,), facts.step(state, i)) for i in range(len(facts.alphabet))]
+        frontier = nxt
+    return minimal
 
 
 class StopVerdict(NamedTuple):

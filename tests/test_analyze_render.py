@@ -1,24 +1,32 @@
 """The bytes ``seqdec analyze`` prints and writes.
 
-``analyze`` renders its minimal-segment list from segment texts escaped per
-symbol and splices it into the dumped rest of the payload.
+``analyze`` renders its minimal-segment list one open word at a time, from
+one plan of record text per open state, and splices it into the dumped rest
+of the payload.
 ``oracle_analyze_text`` is the rendering it replaced: one dict per segment,
 words walked breadth first from the automaton, and the whole payload dumped
 with ``json.dumps(indent=2, sort_keys=True)``.  Stdout and ``--out`` bytes
 must equal the oracle's on the acceptance corpus, the mutants' tabulated
-automata, a machine document and random rules whose symbol names need
-escaping, and SHA-256 prefixes of stdout are pinned for fixed documents.
+automata, a machine document, random rules whose symbol names need
+escaping, the benchmark's largest query shapes, a rule decided before any
+symbol and an automaton with no decided word of length one, and SHA-256
+prefixes of stdout are pinned for fixed documents.  Rendering steps each
+open state's successors once.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
+import string
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqdec.cli
 from seqdec.analysis import RuleHandle, decisive_set, stopping_time, tabulate_automaton
 from seqdec.automaton import to_json as automaton_to_json
 from seqdec.cli import _load, build_parser, main
@@ -118,6 +126,74 @@ escaped_alphabets = st.lists(
 @given(spec=rule_specs(escaped_alphabets))
 def test_escaped_symbol_names_render_as_the_oracle(tmp_path_factory, spec):
     assert_renders_as_oracle(tmp_path_factory.mktemp("doc"), rule_to_json(spec))
+
+
+TWO_LETTERS = ["".join(p) for p in itertools.product(string.ascii_lowercase, repeat=2)]
+
+
+def query_document(family: str, shape, seed: int) -> str:
+    """A rule of one of the benchmark's query shapes, drawn from ``seed``:
+    CSR critical counts, OSR (symbols, span, symbols above the threshold)
+    or a config window with a random rank table."""
+    rng = random.Random(seed)
+    if family == "csr":
+        names = rng.sample(TWO_LETTERS, len(shape))
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        counts = rng.sample(shape, len(shape))
+        return rule_to_json(CsrSpec(Alphabet(tuple(names)), {s: t / c for s, c in zip(names, counts)}, t))
+    if family == "osr":
+        size, span, above = shape
+        order = tuple(rng.sample(TWO_LETTERS, size))
+        return rule_to_json(OsrSpec(Alphabet(tuple(sorted(order))), order, order[above], span))
+    words = [format(i, f"0{shape}b") for i in range(2 ** shape)]
+    table = dict(zip(words, rng.sample(range(len(words)), len(words))))
+    alphabet = Alphabet(tuple(rng.sample(TWO_LETTERS, 3)))
+    return rule_to_json(ConfigRuleSpec(alphabet, shape, Comparator(shape, table=table)))
+
+
+QUERY_SHAPES = [("csr", (4, 4, 4)), ("csr", (2, 3, 3, 3)), ("osr", (6, 6, 3)), ("config", 6)]
+
+
+@pytest.mark.parametrize("family, shape", QUERY_SHAPES)
+def test_query_shapes_render_as_the_oracle(tmp_path, family, shape):
+    for seed in (1, 2):
+        assert_renders_as_oracle(tmp_path, query_document(family, shape, seed))
+
+
+def late_automaton() -> dict:
+    # no word of length one decides, so the start's state lists no segment
+    absorbing = {"x": "tx", "y": "tx"}, {"x": "ty", "y": "ty"}
+    return {
+        "alphabet": ["x", "y"], "states": ["q0", "q1", "q2", "tx", "ty"], "initial": "q0",
+        "transitions": {
+            "q0": {"x": "q1", "y": "q2"}, "q1": {"x": "tx", "y": "q2"},
+            "q2": {"x": "ty", "y": "tx"}, "tx": absorbing[0], "ty": absorbing[1],
+        },
+        "terminal": {"tx": "x", "ty": "y"},
+    }
+
+
+def test_edge_shapes_render_as_the_oracle(tmp_path):
+    assert_renders_as_oracle(tmp_path, json.dumps(constant_automaton()))
+    assert_renders_as_oracle(tmp_path, json.dumps(late_automaton()))
+    # 26 symbols, every name escaped but the three that end in a slash, which JSON keeps
+    names = tuple(c + ESCAPED_NAMES[k % len(ESCAPED_NAMES)] for k, c in enumerate(string.ascii_lowercase))
+    assert_renders_as_oracle(tmp_path, rule_to_json(OsrSpec(Alphabet(names), names[::-1], names[20], 2)))
+
+
+def test_rendering_steps_once_per_open_state_and_symbol(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(query_document("csr", (4, 4, 4), 1), encoding="utf-8")
+    argv = ["analyze", str(path)]
+    rule = _load(str(path), build_parser().parse_args(argv))
+    want, facts = oracle_analyze_text(rule), rule.facts
+    # built before counting: the count check reads the open states
+    opened, step, steps = facts.open_states, facts.step, []
+    facts.step = lambda q, i: steps.append(q) or step(q, i)
+    monkeypatch.setattr(seqdec.cli, "_load", lambda *_: rule)
+    assert run(argv) == (0, want)
+    assert len(opened) == 64 and want.count('"segment"') == 10497
+    assert 0 < len(steps) <= len(opened) * len(rule.alphabet)
 
 
 def constant_automaton() -> dict:

@@ -31,7 +31,10 @@ from seqdec.heuristics import (
 import seqdec.analysis
 import seqdec.automaton
 from seqdec.analysis import (
+    WINDOW_CAP,
     RuleHandle,
+    _link_text,
+    _word_text,
     enumerate_minimal_sufficient,
     stopping_time,
     sufficiency_of,
@@ -229,6 +232,63 @@ def test_open_states_hold_memory_linear_in_their_number():
     assert held < 1000 * len(opened) and held < 6 * held_small
     deepest = next(q for q, state in opened.items() if state.depth == 3999)
     assert facts.word_to(deepest) == (0,) * 3999 and facts.word_to(facts.start) == ()
+
+
+def first_segments(facts) -> list:
+    """Each (symbol set, decision) pair with the text of its first minimal
+    segment, in the order the segments are listed."""
+    names, firsts = facts.alphabet.symbols, {}
+    for word, dec in minimal_words(facts):
+        firsts.setdefault((frozenset(names[i] for i in word), dec), _word_text(facts.alphabet, word))
+    return list(firsts.items())
+
+
+def search_nodes(facts) -> int:
+    """The (open state, symbols read) nodes that ``Facts.outcomes`` searches."""
+    seen = {(facts.start, frozenset())} if facts.decision(facts.start) is None else set()
+    order = list(seen)
+    for state, read in order:
+        for i, name in enumerate(facts.alphabet):
+            child = (facts.step(state, i), read | {name})
+            if facts.decision(child[0]) is None and child not in seen:
+                seen.add(child)
+                order.append(child)
+    return len(order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=rule_specs())
+def test_outcomes_link_the_first_segment_of_each_pair(spec):
+    facts = RuleHandle.from_rule(spec).facts
+    got = [(pair, _link_text(facts.alphabet, link)) for pair, link in facts.outcomes.items()]
+    assert got == first_segments(facts)
+
+
+def outcomes_peak(spec) -> tuple[int, int]:
+    """Nodes plus pairs of the outcomes search, and the peak bytes it traced."""
+    facts = RuleHandle.from_rule(spec).facts
+    facts.open_states
+    tracemalloc.start()
+    try:
+        outcomes = facts.outcomes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return search_nodes(facts) + len(outcomes), peak
+
+
+def test_outcomes_hold_memory_linear_in_nodes_plus_pairs():
+    # a node keeps its parent's link, not its word: a word per node peaked at
+    # 16.6 MB on the 2,000-link chain, about 8.3 KB per node
+    wide = Alphabet(tuple(f"s{i}" for i in range(20)))
+    entries, peak = outcomes_peak(OsrSpec(wide, wide.symbols, "s0", 4))
+    assert entries * len(wide) < WINDOW_CAP and entries > 6000
+    assert peak < 1000 * entries
+    ab = Alphabet(("a", "b"))
+    chains = [CsrSpec(ab, {"a": Fraction(1, k), "b": Fraction(1)}, Fraction(1)) for k in (500, 2000)]
+    (short, short_peak), (entries, peak) = map(outcomes_peak, chains)
+    assert short > 500 and entries > 2000
+    assert peak < 1000 * entries and peak < 6 * short_peak
 
 
 def test_csr3_5_lists_every_minimal_segment():

@@ -16,14 +16,21 @@ Paths are relative to ``tests/golden``.
 Record the corpus and its outputs again, from the repository root::
 
     PYTHONPATH=src python -m tests.test_golden
+
+With ``--check`` it writes nothing: it lists the documents and recordings
+that differ from a fresh run, or are missing or stale, and exits 1 if any
+does.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import shutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,6 +213,24 @@ def test_recorded_output(in_golden, name):
     assert recording_text(run_cli(command_lines()[name])) == want
 
 
+def test_check_lists_what_drifted_and_writes_nothing(tmp_path, monkeypatch):
+    lines = {name: argv for name, argv in command_lines().items() if name.startswith("csr.eval")}
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN / "docs", golden / "docs")
+    for name in lines:
+        shutil.copy(GOLDEN / f"{name}.json", golden)
+    monkeypatch.setitem(globals(), "GOLDEN", golden)
+    monkeypatch.setitem(globals(), "command_lines", lambda: lines)
+    monkeypatch.chdir(tmp_path)
+    assert len(lines) == 3 and drifted() == []
+    (golden / "csr.eval.json").write_text("{}\n")
+    (golden / "csr.eval-text.json").unlink()
+    (golden / "stale.json").write_text("{}\n")
+    assert drifted() == ["csr.eval-text.json", "csr.eval.json", "stale.json"]
+    assert (golden / "csr.eval.json").read_text() == "{}\n"
+    assert not (golden / "csr.eval-text.json").exists()
+
+
 def record() -> None:
     """Write the corpus and every recording afresh."""
     docs_dir = GOLDEN / "docs"
@@ -219,5 +244,23 @@ def record() -> None:
         Path(f"{name}.json").write_text(recording_text(run_cli(argv)), encoding="utf-8")
 
 
+def drifted() -> list[str]:
+    """Every document and recording, by its path in ``tests/golden``, that a
+    fresh run would write otherwise, add or remove."""
+    os.chdir(GOLDEN)
+    fresh = {f"docs/{name}": text for name, text in corpus().items()}
+    for name, argv in command_lines().items():
+        fresh[f"{name}.json"] = recording_text(run_cli(argv))
+    held = {p.relative_to(GOLDEN).as_posix() for p in [*GOLDEN.glob("*.json"), *GOLDEN.glob("docs/*.json")]}
+    changed = {path for path in held & fresh.keys() if Path(path).read_text(encoding="utf-8") != fresh[path]}
+    return sorted(changed | (held ^ fresh.keys()))
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the golden corpus and outputs.")
+    parser.add_argument("--check", action="store_true", help="list drifted recordings, write nothing")
+    if parser.parse_args().check:
+        changed = drifted()
+        print("\n".join(changed) if changed else "no recording drifted")
+        sys.exit(1 if changed else 0)
     record()

@@ -31,6 +31,7 @@ from seqdec.analysis import (
     HorizonViolation,
     RuleHandle,
     _closure,
+    _link_text,
     _require_windows,
     _tabulate_blackbox,
     tabulate_automaton,
@@ -95,7 +96,8 @@ def outcome(tabulate, horizon=None) -> tuple:
             f"the rule reads past the declared horizon {horizon}"
         )
         return "HorizonViolation", message, text, horizon
-    payload = facts.bound, minimal_words(facts), list(facts.outcomes.items()), facts.decisive
+    firsts = [(pair, _link_text(aut.alphabet, link)) for pair, link in facts.outcomes.items()]
+    payload = facts.bound, minimal_words(facts), firsts, facts.decisive
     return "automaton", payload, minimize(aut)
 
 
