@@ -1,16 +1,14 @@
 """Rule-agnostic stopping analysis, axiom checking, and identification.
 
 Everything here works against a :class:`RuleHandle`, either an automaton or
-a black box: a pure evaluator with a declared horizon H, or a budgeted
-machine, read as a tree of runs over the words read so far.  Both are
-analysed as one decision automaton, built for a black box by one
-depth-first walk of its run tree until every run decides: one state per
-distinct configuration of a machine that never moves its input head left,
-else one per word.  A declared horizon is checked against the uniform
-bound the walk finds.  One peel of the automaton gives every state's
-decision, a terminal's output or the one the peel forces, and the one
-stopping verdict: the uniform bound K, one past the longest run through
-open states, or an input on which the rule never decides.
+a black box that tabulates itself into one: a pure evaluator with a
+declared horizon H as the prefix tree of its windows, a budgeted machine by
+one walk of its run tree (``TmRuns.tabulate``).  A declared horizon is
+checked against the automaton's uniform bound.  One peel of the automaton
+gives every state's decision, a terminal's output or the one the peel
+forces, and the one stopping verdict: the uniform bound K, one past the
+longest run through open states, or an input on which the rule never
+decides.
 
 Stopping questions walk at most K states along the input.  One pass over
 the reachable open states in the peel's order gives each state's
@@ -42,8 +40,9 @@ from functools import cached_property
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
-    Alphabet, Relabeling, ResourceLimit, Segment, SeqSpec, SeqdecError, ValidationError,
-    _require_same_alphabet, constant, favorable_deletion, favorable_shift, relabel,
+    WINDOW_CAP, Alphabet, Relabeling, ResourceLimit, Segment, SeqSpec, SeqdecError,
+    ValidationError, _require_same_alphabet, _require_windows, constant, favorable_deletion,
+    favorable_shift, relabel,
 )
 # NonStoppingRuleError is raised by the stopping verdict; analyses re-export it
 from .automaton import (
@@ -52,18 +51,13 @@ from .automaton import (
 )
 from . import heuristics
 from .machines import TmRuns, TwoTapeTm
-from .heuristics import CsrSpec, OsrSpec, RuleSpec, _require_states
+from .heuristics import CsrSpec, OsrSpec, RuleSpec
 
 Word = tuple[int, ...]
 # a minimal sufficient segment's symbol set and decision
 Outcome = tuple[frozenset[str], str]
 # a word by parent pointers: None if empty, else (its prefix's link, last symbol)
 Link = tuple["Link", int] | None
-
-# Most windows any table here may hold: 16 times the largest table that the
-# test suite or the benchmark workloads build (65,536 windows).
-WINDOW_CAP = 1 << 20
-
 
 class HorizonViolation(SeqdecError):
     """Black-box decisions depend on positions beyond the declared horizon.
@@ -99,38 +93,32 @@ class NotOsr(SeqdecError):
 
 @dataclass(frozen=True)
 class EvaluatorRuns:
-    """A plain evaluator with a declared horizon H as the degenerate run tree.
+    """A plain evaluator with a declared horizon H, as the black box of its windows.
 
-    A run tree's ``read(node, word)`` gives the node of ``word`` from its
-    parent's (None at the root), with the decision if the run ends there,
-    else None; ``close(seq)`` gives a root node's run on ``seq``.  In a
-    ``keyed`` tree equal nodes have equal subtrees, whatever their words.
-    An evaluator cannot pause, so its caps are met at the root, and it
-    decides at depth H if the word's single-symbol closures agree.
+    ``close(seq)`` gives the decision on ``seq``.  The evaluator decides at
+    depth H if a window's single-symbol closures agree, so it tabulates as
+    the prefix tree of its windows, as a config rule does.
     """
 
     decide: Callable[[SeqSpec], str]
     alphabet: Alphabet
     horizon: int
-    keyed = False
-
-    def read(self, node: None, word: list[int]) -> tuple[None, str | None]:
-        alphabet, h, n = self.alphabet, self.horizon, len(self.alphabet)
-        if not word:
-            _require_windows(alphabet, h)
-            # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
-            _require_states(h if n == 1 else (n ** min(h, 65) - 1) // (n - 1))
-        if len(word) < h:
-            return None, None
-        closed = {self.decide(_closure(alphabet, tuple(word), c)) for c in range(n)}
-        if len(closed) > 1:
-            text = _word_text(alphabet, tuple(word))
-            why = f"decisions after window {text!r} differ across closures {sorted(closed)}"
-            raise HorizonViolation(text, h, why)
-        return None, closed.pop()
 
     def close(self, seq: SeqSpec) -> tuple[None, str]:
         return None, self.decide(seq)
+
+    def tabulate(self) -> DecisionAutomaton:
+        alphabet, h = self.alphabet, self.horizon
+
+        def closed(word: Word) -> str:
+            got = {self.decide(_closure(alphabet, word, c)) for c in range(len(alphabet))}
+            if len(got) > 1:
+                text = _word_text(alphabet, word)
+                why = f"decisions after window {text!r} differ across closures {sorted(got)}"
+                raise HorizonViolation(text, h, why)
+            return got.pop()
+
+        return heuristics.segment_tree_automaton(alphabet, h, closed)
 
 
 @dataclass
@@ -188,58 +176,6 @@ def _closure(alphabet: Alphabet, word: Word, cycle_idx: int) -> SeqSpec:
     return SeqSpec(alphabet, Segment(alphabet, word), Segment(alphabet, (cycle_idx,)))
 
 
-def _require_windows(alphabet: Alphabet, length: int) -> None:
-    # n^65 is past the cap for every n >= 2, so a larger exponent is never computed
-    if len(alphabet) ** min(length, 65) > WINDOW_CAP:
-        raise ResourceLimit(f"{len(alphabet)}^{length} windows of length {length}", WINDOW_CAP)
-
-
-def _tabulate_blackbox(rule: RuleHandle) -> DecisionAutomaton:
-    """The decision automaton of a black box, from one walk of its run tree.
-
-    The walk is depth first and lexicographic, so the first error raised is
-    the first that the windows' order meets; it ends when every read has
-    decided.  In a keyed tree a node equal to one walked before links to its
-    state.  New states count against ``STATE_CAP``, and the output cells of
-    the machine configurations they hold against ``WINDOW_CAP``.
-    """
-    runs, alphabet = rule.runs, rule.alphabet
-    assert runs is not None
-    n, keyed = len(alphabet), runs.keyed
-    memo: dict[Hashable, int] = {}
-    cells = 0
-    path: list[int] = []  # the word of the top frame
-    root, got = runs.read(None, path)
-    # a row's targets: walked states' indices, and decisions as text, apart from them
-    rows: list[list[int | str]] = [[] if got is None else [f"{got}"] * n]
-    frames = [(rows[0], root)]
-    while frames:
-        row, node = frames[-1]
-        if len(row) == n:
-            frames.pop()
-            del path[-1:]  # the symbol of the frame, if it is not the root
-            continue
-        path.append(len(row))
-        child, got = runs.read(node, path)
-        target = memo.get(child) if got is None else f"{got}"
-        if target is None:
-            target = len(rows)
-            rows.append([])
-            frames.append((rows[-1], child))
-            _require_states(len(rows))
-            if child is not None:
-                cells += len(child[3])
-                if cells > WINDOW_CAP:
-                    raise ResourceLimit(f"{cells} output cells of machine configurations", WINDOW_CAP)
-            if keyed:
-                memo[child] = target
-        row.append(target)
-        if len(path) == len(frames):
-            path.pop()
-    decided = sorted({t for row in rows for t in row if isinstance(t, str)})
-    return DecisionAutomaton.with_decisions(alphabet, [f"s{i}" for i in range(len(rows))], rows, decided, 0)
-
-
 class OpenState(NamedTuple):
     """What is known of one reachable open state.
 
@@ -280,7 +216,7 @@ class Facts:
 
     @classmethod
     def of(cls, rule: RuleHandle) -> Facts:
-        aut = rule.automaton or _tabulate_blackbox(rule)
+        aut = rule.automaton or rule.runs.tabulate()  # type: ignore[union-attr]
         bound, rows, outcome = aut.bound, aut.rows, list(aut.outputs)
         for q, (_, out) in aut.peel.items():
             outcome[q] = out

@@ -201,11 +201,6 @@ class DecisionAutomaton:
         return 0 if out is not None else 1 + depth
 
 
-def stopping_bound(aut: DecisionAutomaton) -> int:
-    """The automaton's stopping verdict, :attr:`DecisionAutomaton.bound`."""
-    return aut.bound
-
-
 def _breadth_first(aut: DecisionAutomaton) -> dict[int, tuple[int, int] | None]:
     """Reachable states in BFS order, each with the state and symbol it is first entered by."""
     parent: dict[int, tuple[int, int] | None] = {aut.start: None}
@@ -336,7 +331,7 @@ def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
     decided = {b: key for key, b in classes.items() if isinstance(key, str)}
     return DecisionAutomaton.from_rows(
         aut.alphabet, [f"q{i}" for i in range(len(order))], merged, map(decided.get, order), 0,
-        bound=None if looping else stopping_bound(aut),
+        bound=None if looping else aut.bound,
     )
 
 

@@ -26,7 +26,7 @@ import sys
 
 from .core import Alphabet, ResourceLimit, ValidationError, prefix_of
 from . import automaton as automaton_mod
-from .automaton import NonStoppingRuleError, minimize, stopping_bound, to_dot
+from .automaton import NonStoppingRuleError, minimize, to_dot
 from . import machines as machines_mod
 from .machines import BLANK, START, BudgetExhausted, TapeBoundsError, tm_run
 from . import heuristics
@@ -114,7 +114,7 @@ def _report_automaton(aut: automaton_mod.DecisionAutomaton, args) -> int:
     """Summary (text) or payload (JSON) of an automaton, its DOT and JSON files;
     the bound is None when some input never decides."""
     try:
-        bound = stopping_bound(aut)
+        bound = aut.bound
     except NonStoppingRuleError:
         bound = None
     if args.dot:

@@ -34,12 +34,23 @@ class AlphabetMismatchError(SeqdecError):
 class ResourceLimit(SeqdecError):
     """A window table or an automaton would exceed ``cap``; raised before building it.
 
-    ``what`` names the size asked for, in windows or in states.
+    ``what`` names the size asked for, in windows, states or transitions.
     """
 
     def __init__(self, what: str, cap: int):
         super().__init__(f"{what} exceed the cap of {cap}")
         self.what, self.cap = what, cap
+
+
+# Most windows any table here may hold: 16 times the largest table that the
+# test suite or the benchmark workloads build (65,536 windows).
+WINDOW_CAP = 1 << 20
+
+
+def _require_windows(alphabet: Alphabet, length: int) -> None:
+    # n^65 is past the cap for every n >= 2, so a larger exponent is never computed
+    if len(alphabet) ** min(length, 65) > WINDOW_CAP:
+        raise ResourceLimit(f"{len(alphabet)}^{length} windows of length {length}", WINDOW_CAP)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ Three parameterized families of choice rules over sequences:
 Weights and thresholds are exact rationals: the stopping position depends on
 equality at the crossing boundary, which floating point would corrupt.
 Each compiler counts its states first and raises :class:`ResourceLimit`
-past ``STATE_CAP`` of them instead of building the automaton.
+past ``STATE_CAP`` of them, or past ``TRANSITION_CAP`` states times
+symbols, instead of building the automaton.
 
 Rule JSON formats (rationals as ``"p/q"`` or integer strings)::
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .core import Alphabet, ResourceLimit, ValidationError
+from .core import Alphabet, ResourceLimit, ValidationError, _require_windows
 from .automaton import DecisionAutomaton
 
 
@@ -47,13 +48,19 @@ class InvalidRuleError(ValidationError):
 # test suite or the benchmark workloads compile (4,099 states).  A CSR
 # automaton this size takes about 250 MB and 8 s to compile and verify.
 STATE_CAP = 1 << 18
+# Most transitions, states times symbols: over 500 times the most that the
+# test suite (8,004) or the benchmark workloads (6,120) build.
+TRANSITION_CAP = 16 * STATE_CAP
 
 
-def _require_states(count: int) -> None:
-    """Refuse to compile ``count`` states past the cap, before building any."""
+def _require_states(count: int, width: int) -> None:
+    """Refuse to compile ``count`` states over ``width`` symbols past the
+    caps, before building any; the state count is checked first."""
     if count > STATE_CAP:
         shown = count if count < 1 << 64 else "more than 2^64"
         raise ResourceLimit(f"{shown} states", STATE_CAP)
+    if count * width > TRANSITION_CAP:
+        raise ResourceLimit(f"{count * width} transitions of {count} states", TRANSITION_CAP)
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
     """
     aut = spec.alphabet
     counts = list(csr_critical_counts(spec).values())  # in alphabet order
-    _require_states(math.prod(counts) + len(aut))
+    _require_states(math.prod(counts) + len(aut), len(aut))
     pieces = [[f"{name}:{k}" for k in range(c)] for name, c in zip(aut, counts)]
     names = list(map(",".join, itertools.product(*pieces)))  # the first symbol varies slowest
     order = sorted(range(len(names)), key=names.__getitem__)
@@ -214,7 +221,7 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     cut = rank[spec.threshold_alt]  # a symbol ranked before the threshold decides at once
     below = [sym for sym in aut if rank[sym] >= cut]
     # (0, -), then (position, best) for every symbol not above the threshold
-    _require_states(1 + (spec.span - 1) * len(below) + len(aut))
+    _require_states(1 + (spec.span - 1) * len(below) + len(aut), len(aut))
     keys = [(0, None)] + [(pos, best) for pos in range(1, spec.span) for best in below]
     names = [f"p{pos}:{best or '-'}" for pos, best in keys]
     order = sorted(range(len(keys)), key=names.__getitem__)
@@ -240,14 +247,15 @@ def segment_tree_automaton(
     state q are q * n + 1 onwards; reading the final symbol of a full-depth
     word moves to the absorbing output state labeled by ``decide(word)``,
     which is called once per word, in lexicographic order, after the state
-    count is checked.  The generic bridge from any bounded-window evaluator
-    to an automaton.
+    count and then the word count, against ``WINDOW_CAP``, are checked.  The
+    generic bridge from any bounded-window evaluator to an automaton.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     n = len(alphabet)
     # the count is shown only up to 2^64, so 65 levels stand for any deeper tree
-    _require_states(depth if n == 1 else (n ** min(depth, 65) - 1) // (n - 1))
+    _require_states(depth if n == 1 else (n ** min(depth, 65) - 1) // (n - 1), n)
+    _require_windows(alphabet, depth)
     texts = level = [""]
     for _ in range(depth - 1):
         level = [f"{text} {sym}" if text else sym for text in level for sym in alphabet]

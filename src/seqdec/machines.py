@@ -1,4 +1,4 @@
-"""Two-tape Turing machine interpreter and the automaton embedding.
+"""Two-tape Turing machine interpreter, its tabulation and the automaton embedding.
 
 The machine owns two one-directional tapes with independent heads: a
 read-only input tape holding the start marker followed by the sequence, and
@@ -11,7 +11,11 @@ runs of one machine are safe.  One interpreter loop runs a machine until it
 halts or its input head first reaches a cell it was not given: ``tm_run``
 gives it the whole sequence, ``TmRuns`` a word at a time.  A machine that
 never moves its input head left carries only its paused configuration on.
-A run within B steps reads at most B - 1 symbols, so run trees are finite.
+A run within B steps reads at most B - 1 symbols, so run trees are finite,
+and ``TmRuns.tabulate`` walks one into a decision automaton: one state per
+distinct paused configuration of a machine that never moves its input head
+left, else one per word.  ``automaton_to_tm`` goes the other way, so both
+directions of "computable rules are finite automata" live here.
 
 JSON wire format::
 
@@ -39,8 +43,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Alphabet, SeqSpec, SeqdecError, ValidationError
-from .automaton import DecisionAutomaton, NonStoppingRuleError, stopping_bound
+from .core import WINDOW_CAP, Alphabet, ResourceLimit, SeqSpec, SeqdecError, ValidationError
+from .automaton import DecisionAutomaton, NonStoppingRuleError
+from .heuristics import _require_states
 
 START = "◁"
 BLANK = "_"
@@ -214,6 +219,50 @@ class TmRuns:
     def close(self, seq: SeqSpec) -> tuple[TmConfig, str | None]:
         return self.run(None, lambda pos: START if pos == 1 else seq.symbol_at(pos - 1))
 
+    def tabulate(self) -> DecisionAutomaton:
+        """The machine's decision automaton, from one walk of its run tree.
+
+        The walk is depth first and lexicographic, so the first error raised
+        is the first that the windows' order meets; it ends when every read
+        has decided.  In a ``keyed`` tree a paused configuration equal to one
+        walked before links to its state.  New states count against the
+        state and transition caps, and the output cells of the
+        configurations they hold against ``WINDOW_CAP``.
+        """
+        n, keyed = len(self.alphabet), self.keyed
+        memo: dict[TmConfig, int] = {}
+        cells = 0
+        path: list[int] = []  # the word of the top frame
+        root, got = self.read(None, path)
+        # a row's targets: walked states' indices, and decisions as text, apart from them
+        rows: list[list[int | str]] = [[] if got is None else [got] * n]
+        frames = [(rows[0], root)]
+        while frames:
+            row, config = frames[-1]
+            if len(row) == n:
+                frames.pop()
+                del path[-1:]  # the symbol of the frame, if it is not the root
+                continue
+            path.append(len(row))
+            child, got = self.read(config, path)
+            target = memo.get(child) if got is None else got
+            if target is None:
+                target = len(rows)
+                rows.append([])
+                frames.append((rows[-1], child))
+                _require_states(len(rows), n)
+                cells += len(child[3])
+                if cells > WINDOW_CAP:
+                    raise ResourceLimit(f"{cells} output cells of machine configurations", WINDOW_CAP)
+                if keyed:
+                    memo[child] = target
+            row.append(target)
+            if len(path) == len(frames):
+                path.pop()
+        decided = sorted({t for row in rows for t in row if isinstance(t, str)})
+        names = [f"s{i}" for i in range(len(rows))]
+        return DecisionAutomaton.with_decisions(self.alphabet, names, rows, decided, 0)
+
     def run(
         self, config: TmConfig | None, input_at: Callable[[int], str | None]
     ) -> tuple[TmConfig, str | None]:
@@ -258,7 +307,7 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
     position, and the decision equals the automaton's on every sequence.
     """
     try:
-        stopping_bound(aut)
+        aut.bound
     except NonStoppingRuleError as exc:
         raise InvalidMachineError(
             f"automaton is not a stopping rule: it never decides on {exc.sequence.text()!r}, "

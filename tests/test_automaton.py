@@ -18,7 +18,6 @@ from seqdec.automaton import (
     isomorphic,
     minimize,
     to_dot,
-    stopping_bound,
     to_json,
 )
 from seqdec.analysis import RuleHandle, sufficiency_of, tabulate_automaton
@@ -248,7 +247,7 @@ class TestOnePeel:
         assert verdict.stops == (not looping)
         if verdict.stops:
             assert verdict.bound == 1 + longest_open_path(aut, aut.initial)
-            assert stopping_bound(aut) == oracle_least_bound(aut) <= verdict.bound
+            assert aut.bound == oracle_least_bound(aut) <= verdict.bound
         else:
             state = run(aut, verdict.reach)
             assert state == verdict.cycle_states[0]
@@ -257,7 +256,7 @@ class TestOnePeel:
                 state = aut.transitions[state][sym]
             assert state == verdict.cycle_states[0]
             with pytest.raises(NonStoppingRuleError) as info:
-                stopping_bound(aut)
+                aut.bound
             assert run(aut, info.value.sequence.prefix) == verdict.cycle_states[0]
             with pytest.raises(DivergenceError):
                 evaluate(aut, info.value.sequence)
@@ -374,7 +373,7 @@ class TestDecidedness:
         assert dec == oracle_decidedness(aut)
         assert dec["A"] == "y" and dec["B"] == "y"
         # decided before any symbol, though every run absorbs only at the second
-        assert stopping_bound(aut) == 0 and oracle_verify_stopping(aut).bound == 2
+        assert aut.bound == 0 and oracle_verify_stopping(aut).bound == 2
 
     def test_avoidable_terminal_leaves_state_undecided(self):
         # same unique output, but a self-loop makes absorption avoidable
@@ -422,7 +421,7 @@ class TestSufficiency:
 class TestVerifyStopping:
     def test_bound_three(self, twosym_threshold2):
         assert oracle_verify_stopping(twosym_threshold2).bound == 3
-        assert stopping_bound(twosym_threshold2) == 3
+        assert twosym_threshold2.bound == 3
 
     def test_bound_is_tight(self, twosym_threshold2):
         aut = twosym_threshold2
@@ -435,7 +434,7 @@ class TestVerifyStopping:
 
     def test_one_step_machine(self):
         assert oracle_verify_stopping(one_step_chooser(XY)).bound == 1
-        assert stopping_bound(one_step_chooser(XY)) == 1
+        assert one_step_chooser(XY).bound == 1
 
     def test_long_chain_needs_no_recursion(self):
         # 1499 undecided states in a row: deeper than the recursion limit
@@ -445,7 +444,7 @@ class TestVerifyStopping:
 
         spec = CsrSpec(XY, {"x": Fraction(1, 1500), "y": Fraction(1)}, Fraction(1))
         aut = csr_compile(spec)
-        assert oracle_verify_stopping(aut).bound == stopping_bound(aut) == 1500
+        assert oracle_verify_stopping(aut).bound == aut.bound == 1500
 
     def test_nonterminal_cycle_witnessed(self):
         aut = DecisionAutomaton(
@@ -471,7 +470,7 @@ class TestVerifyStopping:
         assert state == verdict.cycle_states[0]
         # the one verdict names the same loop, entered by the same word
         with pytest.raises(NonStoppingRuleError, match=r"never decides on 'x\|x x'") as info:
-            stopping_bound(aut)
+            aut.bound
         assert info.value.sequence == XY.sequence("x|x x")
         with pytest.raises(DivergenceError):
             evaluate(aut, info.value.sequence)
@@ -559,7 +558,7 @@ class TestMinimizeAgainstRefinement:
         aut = tail_into_loop(300, period)
         assert not oracle_verify_stopping(aut).stops
         with pytest.raises(NonStoppingRuleError):
-            stopping_bound(aut)
+            aut.bound
         small = minimize(aut)
         assert to_json(small) == to_json(oracle_minimize(aut))
         assert len(small.states) == states

@@ -31,7 +31,6 @@ from seqdec.automaton import (
     DecisionAutomaton,
     NonStoppingRuleError,
     minimize,
-    stopping_bound,
     to_json,
 )
 from seqdec.cli import _load, build_parser, main
@@ -165,7 +164,7 @@ def assert_model_matches_oracles(aut: DecisionAutomaton) -> None:
     assert {q: depth for q, (depth, _) in peel.items()} == oracle_open_depths(aut)
     verdict = oracle_verify_stopping(aut)
     try:
-        assert stopping_bound(aut) == oracle_least_bound(aut)
+        assert aut.bound == oracle_least_bound(aut)
         assert verdict.stops
     except NonStoppingRuleError as exc:
         cycle = aut.alphabet.segment(verdict.cycle_symbols)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from seqdec.cli import main
-from seqdec.core import Alphabet
+from seqdec.core import Alphabet, ResourceLimit
 from seqdec.analysis import (
     SUITES, AxiomReport, RuleHandle, enumerate_minimal_sufficient, replay_witness,
     tabulate_automaton,
@@ -240,6 +240,23 @@ def test_compile_past_the_state_cap_exits_3(capsys, tmp_path, kind, command):
     err = capsys.readouterr().err
     assert err.startswith("seqdec: ") and "states exceed the cap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["eval", "|s0"], ["compile"]])
+def test_config_rule_past_the_window_cap_exits_3(capsys, tmp_path, monkeypatch, command):
+    # 2,001 states, 4,002,000 transitions, under their caps, and 2000^2 windows
+    path = tmp_path / "config2000_2.json"
+    path.write_text(json.dumps({
+        "kind": "config", "alphabet": [f"s{i}" for i in range(2000)], "window": 2,
+        "comparator": {"builtin": "numeric-value"},
+    }))
+    ranks, rank = [], Comparator.rank
+    monkeypatch.setattr(Comparator, "rank", lambda *a: ranks.append(1) or rank(*a))
+    begin = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert time.perf_counter() - begin < 1.0
+    assert capsys.readouterr() == ("", "seqdec: 2000^2 windows of length 2 exceed the cap of 1048576\n")
+    assert ranks == []
 
 
 UNLISTED_ROW = {
@@ -644,7 +661,7 @@ class TestIdentify:
         walked = sum(transitions)
         assert code == 0 and payload["checked"] > 0 and walked == 37 and len(decisions) == 0
         transitions.clear()
-        analysis._tabulate_blackbox(RuleHandle.from_machine(tm, ABC, 100))
+        RuleHandle.from_machine(tm, ABC, 100).runs.tabulate()
         assert sum(transitions) == walked
         assert RuleHandle.from_automaton(aut).decide(ABC.sequence("|a")) == "a"
         assert len(decisions) == 1  # the count sees a decision when one is asked for
@@ -738,6 +755,20 @@ class TestTmRun:
         assert main(["analyze", str(path), *limits]) == 3
         assert time.perf_counter() - begin < 10.0
         assert capsys.readouterr().err == "seqdec: 262145 states exceed the cap of 262144\n"
+
+    def test_copier_stops_at_the_output_cell_cap(self, capsys, tmp_path):
+        # the walk goes down x x x ...; the configuration after k symbols holds
+        # k cells, so the 1,448th passes the cap long before the state cap
+        tm, cells = copier_machine(XY), 1448 * 1449 // 2
+        message = f"{cells} output cells of machine configurations exceed the cap of {1 << 20}"
+        with pytest.raises(ResourceLimit, match=message):
+            RuleHandle.from_machine(tm, XY, 10**10).runs.tabulate()
+        path = tmp_path / "copier.json"
+        path.write_text(tm_to_json(tm))
+        begin = time.perf_counter()
+        assert main(["analyze", str(path), "--budget", "10000000000", "--alphabet", "x y"]) == 3
+        assert time.perf_counter() - begin < 1.0
+        assert capsys.readouterr() == ("", f"seqdec: {message}\n")
 
     def test_machine_flags_given_as_zero(self, capsys, tmp_path):
         path = tmp_path / "echo.json"

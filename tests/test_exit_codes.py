@@ -20,7 +20,8 @@ string for a list.  Whatever the input, the command must exit 0, 1, 2 or 3
 and never print a traceback.  ``analyze``, and ``compile`` and ``minimize``
 in JSON, exiting 0 must print one JSON document ending in ``}`` and one
 newline, and the automaton ``compile`` or ``minimize`` prints must load
-again.
+again.  A wide CSR and a wide OSR, whose few states times their symbols
+pass the transition cap, exit 3 at once.
 """
 
 import contextlib
@@ -28,7 +29,10 @@ import io
 import itertools
 import json
 import tempfile
+import time
 from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -266,3 +270,29 @@ def test_machine_deciding_outside_the_alphabet_exits_2(capsys, tmp_path):
     limits = ["--horizon", "1", "--budget", "100"]
     assert main(["axioms", str(path), "--suite", "config", *limits]) == 2
     assert "decision 'none' after 'y' is not an alternative" in capsys.readouterr().err
+
+
+def wide_rule(kind: str, size: int) -> dict:
+    """Unit weights and threshold 1, or span 2 ranked in alphabet order with
+    the best symbol the threshold: size + 1 or 2 * size + 1 states of size symbols."""
+    alphabet = [f"s{i}" for i in range(size)]
+    if kind == "csr":
+        return {"kind": "csr", "alphabet": alphabet, "weights": dict.fromkeys(alphabet, "1"),
+                "threshold": "1"}
+    return {"kind": "osr", "alphabet": alphabet, "order": alphabet, "threshold_alt": alphabet[0],
+            "span": 2}
+
+
+@pytest.mark.parametrize("command", [["eval", "|s0"], ["compile"]])
+@pytest.mark.parametrize("kind, size, what", [
+    ("csr", 4000, "16004000 transitions of 4001 states"),
+    ("osr", 2000, "8002000 transitions of 4001 states"),
+])
+def test_wide_rules_past_the_transition_cap_exit_3(capsys, tmp_path, kind, size, what, command):
+    # few states, but states times symbols past the cap of 2^22
+    path = tmp_path / f"{kind}{size}.json"
+    path.write_text(json.dumps(wide_rule(kind, size)))
+    begin = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert time.perf_counter() - begin < 1.0
+    assert capsys.readouterr() == ("", f"seqdec: {what} exceed the cap of {1 << 22}\n")

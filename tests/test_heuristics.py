@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Alphabet, Segment, SeqSpec, constant
-from seqdec.automaton import isomorphic, minimize, stopping_bound
+from seqdec.automaton import isomorphic, minimize
 from seqdec.heuristics import (
     BUILTIN_COMPARATORS,
     Comparator,
@@ -317,7 +317,7 @@ class TestConfigCompile:
         spec = ConfigRuleSpec(XY, 3, Comparator(3, builtin="first-position-priority"))
         aut = config_compile(spec)
         assert oracle_verify_stopping(aut).bound == 3
-        assert stopping_bound(aut) == stopping_bound(minimize(aut)) == 1
+        assert aut.bound == minimize(aut).bound == 1
 
     def test_segment_tree_shape(self):
         aut = segment_tree_automaton(XY, 2, lambda w: XY.name(w[0]))

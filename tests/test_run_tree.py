@@ -16,7 +16,8 @@ oracle's bound passes H, naming the first open window of length H.
 evaluator with a declared horizon H: it calls the evaluator on every
 single-symbol closure of every length-H window, in lexicographic window
 order, and raises ``HorizonViolation`` where a window's closures disagree.
-The walk of an evaluator must make the same calls in the same order.
+An evaluator's own tabulation must make the same calls in the same order
+and give the same automaton, state names and rows included.
 """
 
 import itertools
@@ -33,7 +34,6 @@ from seqdec.analysis import (
     _closure,
     _link_text,
     _require_windows,
-    _tabulate_blackbox,
     tabulate_automaton,
 )
 from tests.conftest import ABC, XY, minimal_words, oracle_verify_stopping
@@ -242,7 +242,7 @@ def test_a_one_way_machine_is_capped_as_it_is_walked():
     # no window count is checked up front, so the start checks come first
     for budget, alphabet, error in ((0, XY, "ValidationError"), (10, ABC, "InvalidMachineError")):
         box = RuleHandle.from_machine(echo_machine(XY), alphabet, budget, 19)
-        assert outcome(lambda: _tabulate_blackbox(box))[0] == error
+        assert outcome(box.runs.tabulate)[0] == error
     # the echo machine decides on its first symbol, with any horizon or none
     for horizon in (None, 10**10):
         box = RuleHandle.from_machine(echo_machine(XY), XY, 50, horizon)
@@ -259,14 +259,33 @@ def test_a_plain_evaluator_is_called_as_before(spec, horizon):
     def recording(log):
         return lambda seq: log.append(seq.text()) or rule.decide(seq)
 
-    walked = outcome(lambda: _tabulate_blackbox(RuleHandle.from_callable(spec.alphabet, recording(calls), horizon)))
+    walked = outcome(lambda: RuleHandle.from_callable(spec.alphabet, recording(calls), horizon).runs.tabulate())
     assert walked == outcome(lambda: oracle_tabulate_blackbox(spec.alphabet, recording(expected), horizon))
     assert calls == expected
 
 
+def rows_or_violation(tabulate):
+    """The automaton's state names and integer form, or the violation's message."""
+    try:
+        aut = tabulate()
+    except HorizonViolation as exc:
+        return str(exc)
+    return aut.states, aut.rows, aut.outputs, aut.start
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=rule_specs(), horizon=st.integers(1, 3))
+def test_a_callable_tabulates_as_the_prefix_tree_of_its_windows(spec, horizon):
+    # the same state names and rows, breadth first, as segment_tree_automaton's
+    decide = RuleHandle.from_rule(spec).decide
+    box = RuleHandle.from_callable(spec.alphabet, decide, horizon)
+    got = rows_or_violation(lambda: tabulate_automaton(box))
+    assert got == rows_or_violation(lambda: oracle_tabulate_blackbox(spec.alphabet, decide, horizon))
+
+
 def test_a_callable_reading_past_its_horizon():
     box = RuleHandle.from_callable(XY, lambda s: s.symbol_at(3), horizon=2)
-    got = outcome(lambda: _tabulate_blackbox(box))
+    got = outcome(box.runs.tabulate)
     assert got == outcome(lambda: oracle_tabulate_blackbox(XY, lambda s: s.symbol_at(3), 2))
     assert got == (
         "HorizonViolation",
