@@ -6,7 +6,8 @@ an output tape it may write.  One transition application is one step, so
 step budgets are unambiguous.  The input tape is materialized lazily from
 the sequence, keeping memory proportional to the steps taken.
 
-Machines are immutable; each run carries its own tape state, so concurrent
+A machine caches a cell's action when a run first reaches it; filling the
+cache is idempotent and each run carries its own tape state, so concurrent
 runs of one machine are safe.  One interpreter loop runs a machine until it
 halts or its input head first reaches a cell it was not given: ``tm_run``
 gives it the whole sequence, ``TmRuns`` a word at a time.  A machine that
@@ -28,20 +29,23 @@ JSON wire format::
 ``read`` (input symbol) and ``peek`` (output symbol) accept ``"*"`` as a
 wildcard, and ``"write": "*"`` writes back the peeked symbol.  The most
 specific rule wins: explicit > ``(q, a, *)`` > ``(q, *, b)`` > ``(q, *, *)``.
-Documents are written in that wildcard form, a rule per row of cells that
-share the next state and both moves and a default per state for its most
-common row, so they cost the machine's rules, not its table; expanded
-tables still load.  Rules naming an unknown state or symbol, and repeated
-tape symbols, are refused.
+A machine checks each rule once and files it under its key, so loading
+costs the rules, not the |states| × |tape|² table, and memory follows the
+rules and the cells runs reach.  Documents are written in that form, a rule
+per row of cells that share the next state and both moves and a default per
+state for its most common row; expanded tables still load.  Rules naming an
+unknown state or symbol, and repeated tape symbols, are refused.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from operator import attrgetter, itemgetter
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .core import WINDOW_CAP, Alphabet, ResourceLimit, SeqSpec, SeqdecError, ValidationError
 from .automaton import DecisionAutomaton, NonStoppingRuleError
@@ -55,6 +59,7 @@ RULE_FIELDS = ("state", "read", "peek", "next", "write", "move_in", "move_out")
 
 TmKey = tuple[str, str, str]
 TmAction = tuple[str, str, str, str]
+TmRule = tuple[str, str, str, str, str, str, str]
 
 
 class InvalidMachineError(ValidationError):
@@ -73,98 +78,102 @@ class TapeBoundsError(SeqdecError):
     """A head tried to move left of the start cell."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoTapeTm:
-    """States, tape alphabet, and a total transition table.
-
-    The transition maps (state, input symbol, output symbol) to a new state,
-    a symbol written at the output head, and one move per head.  Terminal
-    states have no outgoing transitions; non-terminal states must cover
-    every symbol pair.
-    """
+    """States, tape alphabet and rules filed under their keys, a later rule
+    replacing an earlier one.  A cell (state, input symbol, output symbol)
+    takes its most specific rule's next state, write and head moves.
+    Terminal states have no outgoing transitions; the rules of a live state
+    must cover every symbol pair.  ``transitions``, every cell, is built
+    when first read; machines with the same cells are equal."""
 
     states: tuple[str, ...]
     initial: str
     terminal: frozenset[str]
     tape_alphabet: tuple[str, ...]
-    transitions: Mapping[TmKey, TmAction]
+    rules: InitVar[Sequence[TmRule]]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rules: Sequence[TmRule]) -> None:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "terminal", frozenset(self.terminal))
         object.__setattr__(self, "tape_alphabet", tuple(self.tape_alphabet))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
-            raise InvalidMachineError("duplicate state names")
-        if self.initial not in state_set:
-            raise InvalidMachineError(f"initial state {self.initial!r} not in state set")
-        if not self.terminal <= state_set:
-            raise InvalidMachineError("terminal states must be states")
-        syms = set(self.tape_alphabet)
-        if len(syms) != len(self.tape_alphabet):
-            raise InvalidMachineError(f"duplicate tape symbols: {self.tape_alphabet}")
-        if START not in syms or BLANK not in syms:
-            raise InvalidMachineError(f"tape alphabet must contain {START!r} and {BLANK!r}")
-        one_way = True  # no transition moves the input head left: TmRuns.keyed
-        for (q, a, b), (nq, w, mi, mo) in self.transitions.items():
-            if q in self.terminal:
-                raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
-            if q not in state_set or nq not in state_set:
-                raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
-            if a not in syms or b not in syms or w not in syms:
-                raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {a!r}, {b!r})")
-            if mi not in MOVES or mo not in MOVES:
-                raise InvalidMachineError(f"moves must be L, S or R, got ({mi!r}, {mo!r})")
-            # the input tape is read-only, so reading the start marker pins
-            # the input head to cell 1 and a left move can be refused here;
-            # the output head is guarded at runtime since the marker cell
-            # may be overwritten
-            if mi == "L":
-                if a == START:
-                    raise InvalidMachineError("input head cannot move left of the start cell")
-                one_way = False
-        # every key is a live state and two tape symbols, so the count decides totality
-        live = [q for q in self.states if q not in self.terminal]
-        if len(self.transitions) != len(live) * len(syms) ** 2:
-            cells = ((q, a, b) for q in live for a in self.tape_alphabet for b in self.tape_alphabet)
-            missing = next(cell for cell in cells if cell not in self.transitions)
-            raise InvalidMachineError(f"transition table not total: missing {missing!r}")
-        object.__setattr__(self, "_one_way", one_way)
-
-    @classmethod
-    def build(
-        cls,
-        states: Iterable[str],
-        initial: str,
-        terminal: Iterable[str],
-        tape_alphabet: Iterable[str],
-        rules: Iterable[tuple[str, str, str, str, str, str, str]],
-    ) -> TwoTapeTm:
-        """Construct from (state, read, peek, next, write, move_in, move_out)
-        rules in the wildcard form above, each expanded into its cells once.
-        Each rule's action is checked as it is filed, since more specific
-        rules may override every cell it has."""
-        states, syms = tuple(states), tuple(tape_alphabet)
-        state_set = set(states)
-        # least specific first, so each layer overwrites the cells it shares with the last
-        layers: tuple[list, ...] = ([], [], [], [])
-        for rule in rules:
-            q, read, peek, nq, w, mi, mo = rule
+        state_set, syms = set(self.states), self.tape_alphabet
+        # each action is checked on its rule, since more specific rules may override every cell it has
+        for q, read, peek, nq, w, mi, mo in rules:
             if nq not in state_set:
                 raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
             if w != "*" and w not in syms:
                 raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {read!r}, {peek!r})")
             if mi not in MOVES or mo not in MOVES:
                 raise InvalidMachineError(f"moves must be L, S or R, got ({mi!r}, {mo!r})")
-            layers[(read != "*") * 2 + (peek != "*")].append(rule)
-        table: dict[TmKey, TmAction] = {}
-        for layer in layers:
-            for q, read, peek, nq, w, mi, mo in layer:
-                for a in syms if read == "*" else (read,):
-                    for b in syms if peek == "*" else (peek,):
-                        table[q, a, b] = (nq, b if w == "*" else w, mi, mo)
-        return cls(states, initial, terminal, syms, table)
+        filed = {(q, r, p): (nq, w, mi, mo) for q, r, p, nq, w, mi, mo in rules}
+        object.__setattr__(self, "_filed", filed)
+        object.__setattr__(self, "_cells", {})
+        if len(state_set) != len(self.states):
+            raise InvalidMachineError("duplicate state names")
+        if self.initial not in state_set:
+            raise InvalidMachineError(f"initial state {self.initial!r} not in state set")
+        if not self.terminal <= state_set:
+            raise InvalidMachineError("terminal states must be states")
+        if len(set(syms)) != len(syms):
+            raise InvalidMachineError(f"duplicate tape symbols: {syms}")
+        if START not in syms or BLANK not in syms:
+            raise InvalidMachineError(f"tape alphabet must contain {START!r} and {BLANK!r}")
+        live = [q for q in self.states if q not in self.terminal]
+        object.__setattr__(self, "_one_way", self._check_cells(set(live)))
+        for q in (q for q in live if (q, "*", "*") not in filed):
+            cells = ((q, a, b) for a in syms if (q, a, "*") not in filed for b in syms)
+            if missing := next((c for c in cells if c not in filed and (q, "*", c[2]) not in filed), None):
+                raise InvalidMachineError(f"transition table not total: missing {missing!r}")
+
+    def __eq__(self, other: object) -> bool:
+        key = attrgetter("states", "initial", "terminal", "tape_alphabet", "transitions")
+        return isinstance(other, TwoTapeTm) and key(self) == key(other)
+
+    @cached_property
+    def transitions(self) -> Mapping[TmKey, TmAction]:
+        """Every cell of a live state, with its action."""
+        syms, live = self.tape_alphabet, (q for q in self.states if q not in self.terminal)
+        return MappingProxyType({(q, a, b): self._cell(q, a, b) for q in live for a in syms for b in syms})
+
+    def _cell(self, q: str, a: str, b: str) -> TmAction:
+        """The action of the most specific rule for a cell of tape symbols."""
+        f = self._filed
+        nq, w, mi, mo = f.get((q, a, b)) or f.get((q, a, "*")) or f.get((q, "*", b)) or f[q, "*", "*"]
+        return nq, b if w == "*" else w, mi, mo
+
+    def _check_cells(self, live: set[str]) -> bool:
+        """Whether no cell moves the input head left, resolving only the cells
+        of left-moving rules.  Refuses the expanded table's first cell whose
+        state is not live, whose symbols are not tape symbols, or that moves
+        the input head left from the start marker: the input tape is
+        read-only, so the marker pins its head to cell 1 (the output head is
+        guarded at run time, since the marker cell may be overwritten)."""
+        filed, syms, known = self._filed, self.tape_alphabet, set(self.tape_alphabet)
+        one_way, slots, first = True, known | {"*"}, syms[0]
+        for (q, r, p), (_, _, mi, _) in filed.items():
+            if mi == "L":
+                reads, peeks = syms if r == "*" else (r,), syms if p == "*" else (p,)
+                one_way = one_way and not any(self._cell(q, a, b)[2] == "L" for a in reads for b in peeks)
+        if one_way and all(q in live and r in slots and p in slots for q, r, p in filed):
+            return True
+        # the expanded table's order: keys least specific first, each listing the cells no key before held
+        for q, r, p in sorted(filed, key=lambda key: (key[1] != "*") * 2 + (key[2] != "*")):
+            a, b = first if r == "*" else r, first if p == "*" else p
+            if q in self.terminal:
+                raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
+            if q not in live:
+                # named by the cell's most specific rule, where a "*" peek holds tape symbols only
+                keys = ((q, a, b), (q, a, "*"), (q, "*", b), (q, "*", "*"))
+                nq = next(filed[k][0] for k in keys if k in filed and (k[2] != "*" or b in known))
+                raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
+            if r not in slots or p not in slots:
+                raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {a!r}, {b!r})")
+            for peek in (syms if p == "*" else (p,)) if r in (START, "*") else ():
+                keys = ((q, "*", "*"), (q, "*", peek), (q, START, "*"), (q, START, peek))
+                if next(k for k in keys if k in filed) == (q, r, p) and self._cell(q, START, peek)[2] == "L":
+                    raise InvalidMachineError("input head cannot move left of the start cell")
+        return one_way
 
 
 @dataclass(frozen=True)
@@ -273,24 +282,29 @@ class TmRuns:
         if config is None:
             if budget < 1:
                 raise ValidationError(f"budget must be >= 1, got {budget}")
+            syms = set(tm.tape_alphabet)
             for name in self.alphabet:
-                if name not in tm.tape_alphabet:
+                if name not in syms:
                     raise InvalidMachineError(f"sequence symbol {name!r} not in the tape alphabet")
             config = tm.initial, 1, 1, (START,), 0
+        cells, terminal = tm._cells, tm.terminal  # type: ignore[attr-defined]
         state, in_pos, out_pos, tape, steps = config
         # the output head writes every step and moves one cell, so the values run from cell 1
         out_tape = dict(enumerate(tape, 1))
-        while state not in tm.terminal:
+        while state not in terminal:
             if steps >= budget:
                 raise BudgetExhausted(steps)
             read = input_at(in_pos)
             if read is None:
                 return (state, in_pos, out_pos, tuple(out_tape.values()), steps), None
             key = (state, read, out_tape.get(out_pos, BLANK))
-            state, written, move_in, move_out = tm.transitions[key]
-            out_tape[out_pos] = written
-            in_pos += MOVES[move_in]
-            out_pos += MOVES[move_out]
+            action = cells.get(key)
+            if action is None:
+                nq, w, mi, mo = tm._cell(*key)
+                action = cells[key] = (nq, w, MOVES[mi], MOVES[mo])
+            state, out_tape[out_pos], move_in, move_out = action
+            in_pos += move_in
+            out_pos += move_out
             if in_pos < 1 or out_pos < 1:
                 raise TapeBoundsError("a head moved left of the start cell")
             steps += 1
@@ -320,7 +334,7 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
     nonterm = [q for q, out in enumerate(aut.outputs) if out is None]
     names = [f"q:{q}" for q in aut.states]
     states = tuple(names[q] for q in nonterm) + tuple(f"w:{o}" for o in outputs) + ("halt",)
-    rules: list[tuple[str, str, str, str, str, str, str]] = []
+    rules: list[TmRule] = []
     for q in nonterm:
         rules.append((names[q], START, "*", names[q], "*", "R", "S"))
         rules.append((names[q], "*", "*", names[q], "*", "S", "S"))
@@ -331,17 +345,21 @@ def automaton_to_tm(aut: DecisionAutomaton) -> TwoTapeTm:
                 rules.append((names[q], sym, "*", names[tgt], "*", "R", "S"))
     for out in outputs:
         rules.append((f"w:{out}", "*", "*", "halt", out, "S", "S"))
-    return TwoTapeTm.build(states, names[aut.start], ("halt",), syms, rules)
+    return TwoTapeTm(states, names[aut.start], ("halt",), syms, rules)
 
 
 def to_json_dict(tm: TwoTapeTm) -> dict:
     """The document in wildcard form: each live state's rows that keep one
     action become its ``(q, *, *)`` default and ``(q, a, *)`` rules."""
-    syms, table, rules = tm.tape_alphabet, tm.transitions, []
+    syms, filed, rules = tm.tape_alphabet, tm._filed, []  # type: ignore[attr-defined]
+    peeked = {q for q, _, p in filed if p != "*"}
     for q in (q for q in tm.states if q not in tm.terminal):
         rows, cells = {}, []
         for a in syms:
-            row = [table[q, a, b] for b in syms]
+            if q in peeked:
+                row = [tm._cell(q, a, b) for b in syms]
+            else:  # one rule decides the row, and its write stands as filed
+                row = [filed.get((q, a, "*")) or filed[q, "*", "*"]]
             writes = tuple(w for _, w, _, _ in row)
             if len({(nq, mi, mo) for nq, _, mi, mo in row}) == 1 and (
                 writes == syms or len(set(writes)) == 1
@@ -378,13 +396,9 @@ def from_json_dict(data: dict) -> TwoTapeTm:
         if not isinstance(data["transitions"], list):
             raise InvalidMachineError("transitions must be a list of objects")
         rules = list(map(itemgetter(*RULE_FIELDS), data["transitions"]))
-        return TwoTapeTm.build(
-            string_list(data, "states"),
-            data["initial"],
-            string_list(data, "terminal"),
-            string_list(data, "tape_alphabet"),
-            rules,
-        )
+        states, initial = string_list(data, "states"), data["initial"]
+        terminal, tape = string_list(data, "terminal"), string_list(data, "tape_alphabet")
+        return TwoTapeTm(states, initial, terminal, tape, rules)
     except (KeyError, TypeError) as exc:
         raise InvalidMachineError(f"malformed machine document: {exc}") from exc
 

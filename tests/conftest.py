@@ -1,9 +1,8 @@
 """Shared fixtures: the two-alternative score-threshold automaton and friends,
 the window table and minimal segments the test oracles read (the segments
 by the walk one segment at a time that ``Facts.open_words`` replaced), the stopping
-passes that the peel's one verdict replaced and the machine table's
-bucket search that the layered expansion replaced, kept as oracles, and
-the expanded machine document."""
+passes that the peel's one verdict replaced and the machine table's eager
+bucket search, kept as oracles, and the expanded machine document."""
 
 import itertools
 from collections import deque
@@ -206,11 +205,12 @@ def twosym_threshold2():
 
 
 def oracle_build(states, initial, terminal, tape_alphabet, rules) -> TwoTapeTm:
-    """``TwoTapeTm.build`` by the bucket search: each rule goes to the bucket
+    """``TwoTapeTm`` by the eager bucket search: each rule goes to the bucket
     of its specificity, a later rule with the same key replacing an earlier
-    one, and each cell of each live state takes the most specific of four
-    lookups.  Rules for unknown states or read/peek symbols are never looked
-    up, so they drop out."""
+    one, each cell of each live state takes the most specific of four
+    lookups, and the machine is built from the full table, one explicit
+    rule per cell.  Rules for unknown states or read/peek symbols are never
+    looked up, so they drop out."""
     syms = tuple(tape_alphabet)
     terminal = frozenset(terminal)
     buckets: dict[int, dict] = {0: {}, 1: {}, 2: {}, 3: {}}
@@ -230,7 +230,7 @@ def oracle_build(states, initial, terminal, tape_alphabet, rules) -> TwoTapeTm:
                         w = b if action[1] == "*" else action[1]
                         table[(q, a, b)] = (action[0], w, action[2], action[3])
                         break
-    return TwoTapeTm(tuple(states), initial, terminal, syms, table)
+    return TwoTapeTm(tuple(states), initial, terminal, syms, [(*cell, *action) for cell, action in table.items()])
 
 
 def expanded_json_dict(tm: TwoTapeTm) -> dict:

@@ -296,7 +296,7 @@ MALFORMED_DOCUMENTS = {
     },
     # read character by character, these would describe another machine
     "machine-fields-strings": {
-        **tm_to_json_dict(TwoTapeTm.build(
+        **tm_to_json_dict(TwoTapeTm(
             ["q", "h"], "q", ["h"], ["◁", "_", "x", "y"], [("q", "*", "*", "h", "x", "S", "S")]
         )),
         "states": "qh", "terminal": "h", "tape_alphabet": "◁_xy",

@@ -39,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from seqdec.automaton import DecisionAutomaton, from_json_dict
 from seqdec.cli import main
 from seqdec.core import Alphabet
-from seqdec.machines import automaton_to_tm, to_json_dict as tm_to_json_dict
+from seqdec.machines import RULE_FIELDS, automaton_to_tm, to_json_dict as tm_to_json_dict
 from tests.conftest import expanded_json_dict
 from tests.definitions import absorbing_terminal_row
 from tests.test_analyze_render import ESCAPED_NAMES
@@ -296,3 +296,21 @@ def test_wide_rules_past_the_transition_cap_exit_3(capsys, tmp_path, kind, size,
     assert main([command[0], str(path), *command[1:]]) == 3
     assert time.perf_counter() - begin < 1.0
     assert capsys.readouterr() == ("", f"seqdec: {what} exceed the cap of {1 << 22}\n")
+
+
+def test_a_machine_over_a_wide_tape_costs_its_rules(capsys, tmp_path):
+    # two rules over 1,502 tape symbols: loading resolves no cell of the
+    # 2.25M-cell table until a run reaches it
+    rules = [("q0", "*", "*", "q0", "*", "R", "S"), ("q0", "s0", "*", "halt", "s0", "S", "S")]
+    path = tmp_path / "wide-tm.json"
+    path.write_text(json.dumps({
+        "kind": "tm", "states": ["q0", "halt"], "initial": "q0", "terminal": ["halt"],
+        "tape_alphabet": [f"s{i}" for i in range(1500)] + ["◁", "_"],
+        "transitions": [dict(zip(RULE_FIELDS, rule)) for rule in rules],
+    }))
+    begin = time.perf_counter()
+    assert main(["tm-run", str(path), "|s7 s0", "--budget", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["decision"] == "s0"
+    assert main(["eval", str(path), "|s7 s0", "--budget", "10", "--alphabet", "s0 s7"]) == 3
+    assert time.perf_counter() - begin < 0.5
+    assert capsys.readouterr() == ("", "seqdec: no terminal state within 10 steps\n")

@@ -1,15 +1,17 @@
-"""Machine documents in wildcard form, and the layered expansion that loads them.
+"""Machine documents in wildcard form, and the filed rules that load them.
 
-``oracle_build`` is the bucket search the layered ``TwoTapeTm.build``
-replaced: four lookups per cell, most specific first.  On well-formed rule
-lists, whose rules name live states and tape symbols only, the two must
-give the same machine, or refuse the same missing cell.  Where a rule names
-an unknown state, read or peek symbol, the bucket search dropped it, and
-``build`` refuses it, as it refuses a rule whose next state, write symbol
-or moves are unknown even where other rules override all its cells.
-``to_json_dict`` writes the wildcard form, ``expanded_json_dict``
-one rule per cell; both load back to the machine they came from, and the
-written rules mean the same machine under the bucket search too.
+``oracle_build`` is the eager bucket search: four lookups per cell, most
+specific first, into a full table.  On well-formed rule lists, whose
+rules name live states and tape symbols only, it and ``TwoTapeTm``, which
+files the rules and resolves a cell when a run first reaches it, must give
+the same machine, or refuse the same missing cell, and their runs must
+agree.  Where a rule names an unknown state, read or peek symbol, the
+bucket search dropped it, and ``TwoTapeTm`` refuses it, as it refuses a
+rule whose next state, write symbol or moves are unknown even where other
+rules override all its cells.  ``to_json_dict`` writes the wildcard form,
+``expanded_json_dict`` one rule per cell; both load back to the machine
+they came from, and the written rules mean the same machine under the
+bucket search too.
 """
 
 import json
@@ -18,16 +20,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdec.analysis import tabulate_automaton
+from seqdec.core import Alphabet, SeqdecError
 from seqdec.heuristics import compile_rule
 from seqdec.machines import (
     BLANK,
     RULE_FIELDS,
     START,
     InvalidMachineError,
+    TmRuns,
     TwoTapeTm,
     automaton_to_tm,
     from_json,
     from_json_dict,
+    tm_run,
     to_json,
     to_json_dict,
 )
@@ -73,11 +78,37 @@ def outcome(build, machine):
 
 @settings(max_examples=300, deadline=None)
 @given(machine=rule_lists())
-def test_layered_build_matches_the_bucket_search(machine):
-    got = outcome(TwoTapeTm.build, machine)
+def test_filed_rules_match_the_bucket_search(machine):
+    got = outcome(TwoTapeTm, machine)
     assert got == outcome(oracle_build, machine)
     if isinstance(got, TwoTapeTm):
         assert from_json_dict(to_json_dict(got)) == got
+
+
+def run_outcome(thunk):
+    try:
+        return thunk()
+    except SeqdecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine=rule_lists(), data=st.data())
+def test_runs_agree_with_the_eager_oracle(machine, data):
+    held = outcome(TwoTapeTm, machine)
+    if not isinstance(held, TwoTapeTm):
+        return
+    eager = oracle_build(*machine)
+    alphabet = Alphabet(tuple(s for s in held.tape_alphabet if s not in (START, BLANK)))
+    names = st.sampled_from(alphabet.symbols)
+    prefix, cycle = data.draw(st.lists(names, max_size=3)), data.draw(st.lists(names, min_size=1, max_size=2))
+    seq = alphabet.sequence(" ".join(prefix) + "|" + " ".join(cycle))
+    budget = data.draw(st.integers(1, 8))
+    got, want = (
+        (run_outcome(lambda: tm_run(tm, seq, budget)), run_outcome(TmRuns(tm, alphabet, budget).tabulate))
+        for tm in (held, eager)
+    )
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -94,9 +125,34 @@ def test_rules_naming_unknown_names_are_refused(extra, message):
     machine = (("q0", "halt"), "q0", ("halt",), ("x", START, BLANK), [
         ("q0", "*", "*", "halt", "*", "S", "S"), extra,
     ])
-    assert outcome(TwoTapeTm.build, machine) == message
+    assert outcome(TwoTapeTm, machine) == message
     # the bucket search never looked up an unknown state, read or peek
     assert isinstance(outcome(oracle_build, machine), TwoTapeTm) == (extra[4] != "z")
+
+
+@pytest.mark.parametrize(
+    "extras, message",
+    [
+        # the expanded table listed the least specific rules' cells first
+        ([("q0", "z", "*", "q0", "*", "S", "S"), ("nosuch", "*", "*", "q0", "*", "S", "S")],
+         "unknown state in transition ('nosuch' -> 'q0')"),
+        ([("q0", "x", "*", "halt", "*", "S", "S"), ("halt", "*", "*", "q0", "*", "S", "S")],
+         "terminal state 'halt' has an outgoing transition"),
+        # a left move from the start marker is listed under the default it overrides
+        ([("q0", START, "*", "halt", "*", "L", "S"), ("halt", "*", "*", "q0", "*", "S", "S")],
+         "input head cannot move left of the start cell"),
+        # then by rule, in document order
+        ([("q0", "*", "z", "q0", "*", "S", "S"), ("nosuch", "*", "x", "q0", "*", "S", "S")],
+         "unknown tape symbol in transition ('q0', 'x', 'z')"),
+        # a cell names the action of its most specific rule
+        ([("nosuch", "*", "*", "q0", "*", "S", "S"), ("nosuch", "x", "*", "halt", "*", "S", "S")],
+         "unknown state in transition ('nosuch' -> 'halt')"),
+    ],
+)
+def test_the_first_refused_cell_of_the_table_is_named(extras, message):
+    rules = [("q0", "*", "*", "halt", "*", "S", "S"), *extras]
+    machine = (("q0", "halt"), "q0", ("halt",), ("x", START, BLANK), rules)
+    assert outcome(TwoTapeTm, machine) == message
 
 
 @pytest.mark.parametrize(
@@ -113,13 +169,13 @@ def test_rules_overridden_everywhere_are_refused(action, message):
     rules = [("q0", "*", "*", *action)]
     rules += [("q0", a, "*", "halt", "*", "S", "S") for a in ("x", START, BLANK)]
     machine = (("q0", "halt"), "q0", ("halt",), ("x", START, BLANK), rules)
-    assert outcome(TwoTapeTm.build, machine) == message
+    assert outcome(TwoTapeTm, machine) == message
 
 
 def test_totality_names_the_first_missing_cell():
     rules = [("q0", "*", "*", "halt", "*", "S", "S"), ("q1", "x", "*", "halt", "*", "S", "S")]
     with pytest.raises(InvalidMachineError) as err:
-        TwoTapeTm.build(("q0", "q1", "halt"), "q0", ("halt",), ("x", START, BLANK), rules)
+        TwoTapeTm(("q0", "q1", "halt"), "q0", ("halt",), ("x", START, BLANK), rules)
     assert str(err.value) == "transition table not total: missing ('q1', '◁', 'x')"
 
 
@@ -172,7 +228,7 @@ def test_a_row_that_writes_back_or_writes_one_symbol_is_one_rule():
         ("w_y", "*", "*", "halt", "y", "S", "S"),
     ]
     # a row that is neither stays explicit, cell by cell
-    copier = TwoTapeTm.build(("q0",), "q0", (), ("x", START, BLANK), [
+    copier = TwoTapeTm(("q0",), "q0", (), ("x", START, BLANK), [
         ("q0", "*", "*", "q0", "*", "S", "S"), ("q0", "x", BLANK, "q0", "x", "R", "R"),
     ])
     rules = [tuple(rule[k] for k in RULE_FIELDS) for rule in to_json_dict(copier)["transitions"]]

@@ -1,5 +1,7 @@
 """Tests for the two-tape machine interpreter and the automaton embedding."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from seqdec.machines import (
     START,
     BudgetExhausted,
     InvalidMachineError,
+    TmRuns,
     TwoTapeTm,
     automaton_to_tm,
     from_json,
@@ -34,14 +37,14 @@ def echo_machine(alphabet):
         rules.append(("q0", name, "*", f"w_{name}", "*", "S", "S"))
         rules.append((f"w_{name}", "*", "*", "halt", name, "S", "S"))
     rules.append(("q0", BLANK, "*", "q0", "*", "S", "S"))
-    return TwoTapeTm.build(states, "q0", ("halt",), syms, rules)
+    return TwoTapeTm(states, "q0", ("halt",), syms, rules)
 
 
 def spinner_machine(alphabet):
     """Two states bouncing with stay moves: never halts."""
     syms = tuple(alphabet.symbols) + (START, BLANK)
     rules = [("p", "*", "*", "q", "*", "S", "S"), ("q", "*", "*", "p", "*", "S", "S")]
-    return TwoTapeTm.build(("p", "q"), "p", (), syms, rules)
+    return TwoTapeTm(("p", "q"), "p", (), syms, rules)
 
 
 def peek_back_machine(alphabet):
@@ -57,13 +60,13 @@ def peek_back_machine(alphabet):
         rules.append(("back", name, "*", f"w_{name}", "*", "S", "S"))
         rules.append((f"w_{name}", "*", "*", "halt", name, "S", "S"))
     rules.append(("q0", "*", "*", "q0", "*", "S", "S"))
-    return TwoTapeTm.build(states, "q0", ("halt",), syms, rules)
+    return TwoTapeTm(states, "q0", ("halt",), syms, rules)
 
 
 def scanner_machine(alphabet):
     """Move the input head right forever, never halting."""
     syms = tuple(alphabet.symbols) + (START, BLANK)
-    return TwoTapeTm.build(("q0",), "q0", (), syms, [("q0", "*", "*", "q0", "*", "R", "S")])
+    return TwoTapeTm(("q0",), "q0", (), syms, [("q0", "*", "*", "q0", "*", "R", "S")])
 
 
 def zigzag_machine(alphabet, move_out="S"):
@@ -74,7 +77,7 @@ def zigzag_machine(alphabet, move_out="S"):
     rules = [("a", "*", "*", "b", "*", "R", move_out), ("b", "*", "*", "c", "*", "R", move_out)]
     # the input head never reads the start marker in state c; the rule keeps the table total
     rules += [("c", "*", "*", "a", "*", "L", move_out), ("c", START, "*", "a", "*", "R", move_out)]
-    return TwoTapeTm.build(("a", "b", "c"), "a", (), syms, rules)
+    return TwoTapeTm(("a", "b", "c"), "a", (), syms, rules)
 
 
 def copier_machine(alphabet):
@@ -82,7 +85,7 @@ def copier_machine(alphabet):
     syms = tuple(alphabet.symbols) + (START, BLANK)
     rules = [("q0", "*", "*", "q0", "*", "R", "S")]
     rules += [("q0", name, "*", "q0", name, "R", "R") for name in alphabet]
-    return TwoTapeTm.build(("q0",), "q0", (), syms, rules)
+    return TwoTapeTm(("q0",), "q0", (), syms, rules)
 
 
 class TestConstruction:
@@ -93,20 +96,34 @@ class TestConstruction:
                 initial="p",
                 terminal=frozenset(["h"]),
                 tape_alphabet=("x", START, BLANK),
-                transitions={("p", "x", BLANK): ("h", "x", "S", "S")},
+                rules=[("p", "x", BLANK, "h", "x", "S", "S")],
             )
 
     def test_left_from_start_marker_rejected(self):
         syms = ("x", START, BLANK)
         with pytest.raises(InvalidMachineError):
-            TwoTapeTm.build(
+            TwoTapeTm(
                 ("p", "h"), "p", ("h",), syms, [("p", START, "*", "h", "*", "L", "S")]
             )
+
+    def test_left_moves_are_judged_on_resolved_cells(self):
+        syms = ("x", START, BLANK)
+
+        def machine(*overrides):
+            return TwoTapeTm(("p", "h"), "p", ("h",), syms, [("p", "*", "*", "h", "*", "L", "S"), *overrides])
+
+        # overridden on every read, the left default survives on no cell
+        assert TmRuns(machine(*[("p", a, "*", "h", "*", "R", "S") for a in syms]), XY, 5).keyed
+        # overridden on the start marker only, it survives on the other reads
+        assert not TmRuns(machine(("p", START, "*", "h", "*", "R", "S")), XY, 5).keyed
+        # overridden on one start cell, it survives on the other start cells
+        with pytest.raises(InvalidMachineError, match="input head cannot move left of the start cell"):
+            machine(("p", START, BLANK, "h", "*", "R", "S"))
 
     def test_terminal_outgoing_rejected(self):
         syms = ("x", START, BLANK)
         with pytest.raises(InvalidMachineError):
-            TwoTapeTm.build(
+            TwoTapeTm(
                 ("p", "h"), "p", ("h",), syms,
                 [("p", "*", "*", "h", "*", "S", "S"), ("h", "*", "*", "h", "*", "S", "S")],
             )
@@ -136,6 +153,32 @@ class TestTmRun:
     def test_alphabet_must_embed_in_tape_alphabet(self):
         with pytest.raises(InvalidMachineError):
             tm_run(echo_machine(XY), constant(ABC, "a"), 10)
+
+    def test_threads_share_the_cell_cache(self):
+        # more threads than cores, switching every microsecond, fill one fresh
+        # machine's cell cache: each must get every result a lone run gets
+        def machine():
+            return automaton_to_tm(csr_compile(CsrSpec(ABC, {s: Fraction(1) for s in ABC}, Fraction(3))))
+
+        seqs = [concat(seg, constant(ABC, "a")) for seg in enumerate_segments(ABC, 4)]
+        lone = machine()
+        want = [tm_run(lone, seq, 100) for seq in seqs]
+        shared, got = machine(), {}
+        threads = [
+            threading.Thread(target=lambda i=i: got.__setitem__(i, [tm_run(shared, seq, 100) for seq in seqs]))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got[i] for i in range(8)] == [want] * 8
 
 
 class TestAutomatonEmbedding:
@@ -231,7 +274,7 @@ class TestBalancedWordFixture:
             ("no_w", "*", "*", "halt", "N", "S", "S"),
         ]
         states = ("q0", "count", "match", "yes_w", "no_w", "halt")
-        return TwoTapeTm.build(states, "q0", ("halt",), syms, rules)
+        return TwoTapeTm(states, "q0", ("halt",), syms, rules)
 
     @staticmethod
     def word_input(text):

@@ -129,13 +129,13 @@ def total_machines(draw, moves_in="LSR", moves_out="LSR", layered=False):
     nexts = [st.sampled_from((opened[i + 1:] if layered else opened) + halts) for i in range(len(opened))]
     writes, outs = st.sampled_from(syms), st.sampled_from(moves_out)
     ins = {a: st.sampled_from("SR" if a == START else moves_in) for a in syms}
-    transitions = {
-        (q, a, b): (draw(nexts[i]), draw(writes), draw(ins[a]), draw(outs))
+    rules = [
+        (q, a, b, draw(nexts[i]), draw(writes), draw(ins[a]), draw(outs))
         for i, q in enumerate(opened)
         for a in syms
         for b in syms
-    }
-    return alphabet, TwoTapeTm(tuple(opened + halts), "q0", halts, syms, transitions)
+    ]
+    return alphabet, TwoTapeTm(tuple(opened + halts), "q0", halts, syms, rules)
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,7 +208,7 @@ def test_reading_one_cell_past_the_horizon():
         rules += [("q1", name, "*", f"w_{name}", "*", "S", "S"), (f"w_{name}", "*", "*", "halt", name, "S", "S")]
     rules += [("q0", "*", "*", "q0", "*", "S", "S"), ("q1", "*", "*", "q1", "*", "S", "S")]
     states = ["q0", "skip", "q1", "halt"] + [f"w_{name}" for name in ABC]
-    second = TwoTapeTm.build(states, "q0", ("halt",), syms, rules)
+    second = TwoTapeTm(states, "q0", ("halt",), syms, rules)
     assert assert_walk_matches(second, ABC, 5, 1) == (
         "HorizonViolation",
         "the decision after window 'a' is still open; the rule reads past the declared horizon 1",
