@@ -10,19 +10,25 @@ forces, and the one stopping verdict: the uniform bound K, one past the
 longest run through open states, or an input on which the rule never
 decides.
 
-Stopping questions walk at most K states along the input.  One pass over
-the reachable open states in the peel's order gives each state's
-reachable decisions and the number of minimal sufficient segments, which
-only ``analyze`` lists, under ``WINDOW_CAP``, one open word at a time, each
-open state's children found once.  The decisive set, two of the OSR axioms
-and ``identify_osr``'s ranking ask only which symbol sets occur with which
-decision: one search over (open state, symbols read), under ``WINDOW_CAP``
-nodes times symbols, keeping parent pointers, not words.  Monotonicity, informational dominance, replacement, neutrality and the
-agreement check of identification search products of states; the last two
-share one search over a pair of automata, the second reading a relabeled
-input.  The choice-rule check reads ``outcomes`` too.  Only acyclicity
-lists all |alphabet|^K windows, as its graph over occupancy patterns is as
-large, and past ``WINDOW_CAP`` windows it raises :class:`ResourceLimit`.
+Every walk reads the automaton's rows, and every walk for shortest words
+is one breadth-first :func:`~seqdec.automaton.search`, whose parent map
+gives each node's word by :func:`~seqdec.automaton.path`, so nodes keep
+pointers, not words.  Stopping questions walk at most K states along the
+input.  The open states' shortest words are the automaton's ``reach``; one
+pass over them in the peel's order gives each state's reachable decisions
+and the number of minimal sufficient segments, which only ``analyze``
+lists, under ``WINDOW_CAP``, one open word at a time, each open state's
+children found once.  The decisive set, two of the OSR axioms, the
+choice-rule check and ``identify_osr``'s ranking ask only which symbol sets
+occur with which decision: one search over (state, symbols read), under
+``WINDOW_CAP`` open nodes times symbols.  Monotonicity, informational
+dominance, replacement, neutrality and the agreement check of
+identification search products of states; the last two share one search
+over a pair of automata, each held still once decided, the second reading a
+relabeled input.  Only acyclicity lists all |alphabet|^K windows, as its
+graph over occupancy patterns is as large, and past ``WINDOW_CAP`` windows
+it raises :class:`ResourceLimit`; its shortest cycle is one search per
+start.
 
 Checkers report a first counterexample in a fixed order, so reports are
 deterministic: windows in lexicographic order for acyclicity, the search
@@ -37,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     WINDOW_CAP, Alphabet, Relabeling, ResourceLimit, Segment, SeqSpec, SeqdecError,
@@ -47,7 +53,7 @@ from .core import (
 # NonStoppingRuleError is raised by the stopping verdict; analyses re-export it
 from .automaton import (
     MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, DecisionAutomaton, NonStoppingRuleError,
-    Sufficiency,
+    Sufficiency, path, search,
 )
 from . import heuristics
 from .machines import TmRuns, TwoTapeTm
@@ -56,8 +62,6 @@ from .heuristics import CsrSpec, OsrSpec, RuleSpec
 Word = tuple[int, ...]
 # a minimal sufficient segment's symbol set and decision
 Outcome = tuple[frozenset[str], str]
-# a word by parent pointers: None if empty, else (its prefix's link, last symbol)
-Link = tuple["Link", int] | None
 
 class HorizonViolation(SeqdecError):
     """Black-box decisions depend on positions beyond the declared horizon.
@@ -180,15 +184,13 @@ class OpenState(NamedTuple):
     """What is known of one reachable open state.
 
     A shortest word reaching it, lexicographic among the shortest, is
-    ``depth`` symbols long and ends with ``symbol`` read in the open state
-    ``parent`` (both None at the start), so ``Facts.word_to`` rebuilds it;
-    ``toward`` maps each decision some continuation can still force to the
-    least symbol that leads toward it; and ``segments`` counts the words
-    from it whose last symbol is the first to decide.
+    ``depth`` symbols long, and ``Facts.word_to`` rebuilds it from the
+    automaton's ``reach``; ``toward`` maps each decision some continuation
+    can still force to the least symbol that leads toward it; and
+    ``segments`` counts the words from it whose last symbol is the first to
+    decide.
     """
 
-    parent: int | None
-    symbol: int | None
     depth: int
     toward: dict[str, int]
     segments: int
@@ -198,29 +200,28 @@ class OpenState(NamedTuple):
 class Facts:
     """Stopping facts of one rule's decision automaton, each built on first use.
 
-    States are the automaton's integers.  ``step(state, index)`` follows a
-    transition and ``decision(state)`` is a terminal's output or the
-    decision the automaton's peel forces, None while the outcome is still
-    open; every reachable non-terminal state is in the peel.  ``bound`` is
-    the peel's stopping verdict, the least K such that every length-K window
-    forces the decision, so one past the deepest open word and the length of
-    the last minimal segment.
+    States are the automaton's integers, and walks follow its ``rows``.
+    ``decision(state)`` is a terminal's output or the decision the
+    automaton's peel forces, None while the outcome is still open; every
+    reachable non-terminal state is in the peel, and a decided state's
+    successors are all decided.  ``bound`` is the peel's stopping verdict,
+    the least K such that every length-K window forces the decision, so one
+    past the deepest open word and the length of the last minimal segment.
     """
 
     automaton: DecisionAutomaton
     alphabet: Alphabet
     start: int
-    step: Callable[[int, int], int]
     decision: Callable[[int], str | None]
     bound: int
 
     @classmethod
     def of(cls, rule: RuleHandle) -> Facts:
         aut = rule.automaton or rule.runs.tabulate()  # type: ignore[union-attr]
-        bound, rows, outcome = aut.bound, aut.rows, list(aut.outputs)
+        bound, outcome = aut.bound, list(aut.outputs)
         for q, (_, out) in aut.peel.items():
             outcome[q] = out
-        facts = cls(aut, aut.alphabet, aut.start, lambda q, i: rows[q][i], outcome.__getitem__, bound)
+        facts = cls(aut, aut.alphabet, aut.start, outcome.__getitem__, bound)
         if (h := rule.horizon) is not None and bound > h:
             # a tabulated state's words have one length, so this is the first open window
             first = next(q for q, s in facts.open_states.items() if s.depth == h)
@@ -230,10 +231,10 @@ class Facts:
 
     def decisions(self, word: Iterable[int]) -> Iterator[str | None]:
         """Decision after each prefix of ``word``, the empty prefix first."""
-        state = self.start
+        rows, state = self.automaton.rows, self.start
         yield self.decision(state)
         for idx in word:
-            state = self.step(state, idx)
+            state = rows[state][idx]
             yield self.decision(state)
 
     def stop(self, seq: SeqSpec) -> tuple[int, str]:
@@ -250,45 +251,56 @@ class Facts:
         return last
 
     @cached_property
-    def outcomes(self) -> dict[Outcome, Link]:
+    def _outcome_search(self) -> tuple[dict[Outcome, tuple[int, frozenset[str]]], dict]:
+        """``outcomes`` with the parent map of its search."""
+        rows, decision, names = self.automaton.rows, self.decision, self.alphabet.symbols
+        found: dict[Outcome, tuple[int, frozenset[str]]] = {}
+        opened = 0
+
+        def successors(node: tuple[int, frozenset[str]]) -> list:
+            if opened * len(names) > WINDOW_CAP:
+                what = f"{opened} (state, symbol set) nodes times {len(names)} symbols"
+                raise ResourceLimit(what, WINDOW_CAP)
+            state, read = node
+            return [(i, (r, read | {name})) for i, (r, name) in enumerate(zip(rows[state], names))]
+
+        def verdict(node: tuple[int, frozenset[str]]) -> bool | None:
+            nonlocal opened
+            if (got := decision(node[0])) is None:
+                opened += 1
+                return None
+            found.setdefault((node[1], got), node)
+            return False
+
+        return found, search([(None, (self.start, frozenset()))], successors, verdict)[1]
+
+    @property
+    def outcomes(self) -> dict[Outcome, tuple[int, frozenset[str]]]:
         """First minimal sufficient segment of each (symbol set, decision) pair.
 
-        One breadth-first search over (open state, set of the symbols read)
-        visits each node once, by its first word in length-then-
-        lexicographic order, so each pair's segment is its first in
-        ``open_words``' order, and the pairs come in that order.  Nodes and
-        pairs keep their words as links, which ``_link_text`` renders.  Each
-        pair is found at a child of a node, so past ``WINDOW_CAP`` nodes times
-        symbols it raises ``ResourceLimit``.
+        One search over (state, set of the symbols read) reaches each node
+        once, by its first word in length-then-lexicographic order, and goes
+        on from the open ones, so each pair's segment is its first in
+        ``open_words``' order, and the pairs come in that order.  Each pair
+        maps to the decided node its segment reaches, which ``first_segment``
+        spells out.  Past ``WINDOW_CAP`` open nodes times symbols it raises
+        ``ResourceLimit``, before going on from one more node.
         """
-        got = self.decision(self.start)
-        if got is not None:
-            return {(frozenset(), got): None}
-        outcomes: dict[Outcome, Link] = {}
-        order: list[tuple[int, frozenset[str]]] = [(self.start, frozenset())]
-        links: dict[tuple[int, frozenset[str]], Link] = {order[0]: None}
-        for node in order:
-            for i, name in enumerate(self.alphabet):
-                child = (self.step(node[0], i), node[1] | {name})
-                got = self.decision(child[0])
-                if got is not None:
-                    outcomes.setdefault((child[1], got), (links[node], i))
-                elif child not in links:
-                    links[child] = (links[node], i)
-                    order.append(child)
-            if len(order) * len(self.alphabet) > WINDOW_CAP:
-                what = f"{len(order)} (state, symbol set) nodes times {len(self.alphabet)} symbols"
-                raise ResourceLimit(what, WINDOW_CAP)
-        return outcomes
+        return self._outcome_search[0]
+
+    def first_segment(self, outcome: Outcome) -> str:
+        """The text of the first minimal sufficient segment of an ``outcomes`` pair."""
+        found, parent = self._outcome_search
+        return _word_text(self.alphabet, path(parent, found[outcome])[1:])
 
     @cached_property
     def decisive(self) -> DecisiveSet:
         """Read off ``outcomes``: each witness is the first minimal sufficient
         segment that holds its symbol and decides otherwise."""
         witnesses: dict[str, tuple[str, str]] = {}
-        for (sset, dec), link in self.outcomes.items():
+        for sset, dec in self.outcomes:
             for name in sset - witnesses.keys() - {dec}:
-                witnesses[name] = (_link_text(self.alphabet, link), dec)
+                witnesses[name] = (self.first_segment((sset, dec)), dec)
         complement = tuple(s for s in self.alphabet if s in witnesses)
         decisive = tuple(s for s in self.alphabet if s not in witnesses)
         return DecisiveSet(decisive, complement, {s: witnesses[s] for s in complement})
@@ -304,15 +316,15 @@ class Facts:
         count = opened[self.start].segments if opened else 1
         if count > WINDOW_CAP:
             raise ResourceLimit(f"{count} minimal sufficient segments", WINDOW_CAP)
-        step, decision, n, plans = self.step, self.decision, len(self.alphabet), {}
+        rows, decision, plans = self.automaton.rows, self.decision, {}
         frontier = [(root, self.start)] if opened else []
         while frontier:
             nxt = []
             for label, state in frontier:
                 if (known := plans.get(state)) is None:
-                    children = [(i, step(state, i)) for i in range(n)]
-                    decided = [(i, d) for i, r in children if (d := decision(r)) is not None]
-                    more = [(pieces[i], r) for i, r in children if decision(r) is None]
+                    row = rows[state]
+                    decided = [(i, d) for i, r in enumerate(row) if (d := decision(r)) is not None]
+                    more = [(pieces[i], r) for i, r in enumerate(row) if decision(r) is None]
                     known = plans[state] = (plan(decided) if decided else None, more)
                 if known[0] is not None:
                     yield label, known[0]
@@ -323,46 +335,36 @@ class Facts:
     def open_states(self) -> dict[int, OpenState]:
         """Every reachable open state, breadth first, with what lies below it.
 
-        After one breadth-first pass for shortest words, one pass in the
-        peel's order, successors first, gives each its decisions and its
-        count of minimal sufficient continuations.
+        A decided state's successors are all decided, so the automaton's
+        ``reach`` enters each open state first from an open one: its parent
+        map gives the open states' order and depths.  One pass in the peel's
+        order, successors first, gives each its decisions and its count of
+        minimal sufficient continuations.
         """
-        n = len(self.alphabet)
-        if self.decision(self.start) is not None:
-            return {}
-        via: dict[int, tuple[int | None, int | None, int]] = {self.start: (None, None, 0)}
-        order = [self.start]
-        for q in order:
-            depth = via[q][2] + 1
-            for i in range(n):
-                r = self.step(q, i)
-                if r not in via and self.decision(r) is None:
-                    via[r] = (q, i, depth)
-                    order.append(r)
+        rows, decision = self.automaton.rows, self.decision
+        depth: dict[int, int] = {}
+        for q, (p, _) in self.automaton.reach.items():
+            if decision(q) is None:
+                depth[q] = 0 if p is None else depth[p] + 1
         below: dict[int, tuple[dict[str, int], int]] = {}
         for q in self.automaton.peel:
-            if q not in via:
+            if q not in depth:
                 continue
             toward, segments = {}, 0
-            for i in range(n):
-                r = self.step(q, i)
-                if r in via:
+            for i, r in enumerate(rows[q]):
+                if r in depth:
                     for d in below[r][0]:
                         toward.setdefault(d, i)
                     segments += below[r][1]
                 else:
-                    toward.setdefault(self.decision(r), i)
+                    toward.setdefault(decision(r), i)
                     segments += 1
             below[q] = (toward, segments)
-        return {q: OpenState(*via[q], *below[q]) for q in order}
+        return {q: OpenState(d, *below[q]) for q, d in depth.items()}
 
     def word_to(self, state: int) -> Word:
-        """The shortest word of a reachable open ``state``, from its parent pointers."""
-        word, opened = [], self.open_states
-        while (known := opened[state]).parent is not None:
-            word.append(known.symbol)
-            state = known.parent
-        return tuple(reversed(word))
+        """The shortest word of a reachable ``state``, from the automaton's ``reach``."""
+        return path(self.automaton.reach, state)[1:]
 
     def reach(self, state: int) -> AbstractSet[str]:
         """Decisions that some continuation from a reachable ``state`` forces."""
@@ -375,16 +377,16 @@ class Facts:
         while self.decision(state) is None:
             i = self.open_states[state].toward[decision]
             word.append(i)
-            state = self.step(state, i)
+            state = self.automaton.rows[state][i]
         return tuple(word)
 
-    def advance(self, state: int, word: Iterable[int]) -> int:
-        """State after ``word`` from ``state``, held still once it is decided."""
-        for i in word:
-            if self.decision(state) is not None:
-                break
-            state = self.step(state, i)
-        return state
+    @cached_property
+    def held(self) -> tuple[tuple[int, ...], ...]:
+        """The rows with each decided state held still: a run read on them stays
+        where it first decides."""
+        n = len(self.alphabet)
+        return tuple(row if self.decision(q) is None else (q,) * n
+                     for q, row in enumerate(self.automaton.rows))
 
 
 def uniform_bound_search(rule: RuleHandle) -> int:
@@ -449,7 +451,7 @@ def decisive_set(rule: RuleHandle) -> DecisiveSet:
     return rule.facts.decisive
 
 
-def _non_decisive_outcomes(rule: RuleHandle) -> tuple[DecisiveSet, dict[Outcome, Link]]:
+def _non_decisive_outcomes(rule: RuleHandle) -> tuple[DecisiveSet, dict[Outcome, tuple]]:
     """The decisive set, and the ``outcomes`` whose symbols are all non-decisive."""
     dset = rule.facts.decisive
     return dset, {o: w for o, w in rule.facts.outcomes.items() if o[0].isdisjoint(dset.decisive)}
@@ -480,57 +482,11 @@ def _word_text(alphabet: Alphabet, word: Word) -> str:
     return " ".join(map(alphabet.symbols.__getitem__, word))
 
 
-def _link_text(alphabet: Alphabet, link: Link) -> str:
-    names = []
-    while link is not None:
-        link, i = link
-        names.append(alphabet.symbols[i])
-    return " ".join(reversed(names))
-
-
 def _closure_text(alphabet: Alphabet, word: Word, cyc: int | None = None) -> str:
     """``word`` closed by repeating ``cyc``, by default its last symbol."""
     if cyc is None:
         cyc = word[-1] if word else 0
     return f"{_word_text(alphabet, word)}|{alphabet.name(cyc)}"
-
-
-def _search(
-    sources: Iterable[tuple[Hashable, tuple]],
-    successors: Callable[[tuple], Iterable[tuple[Hashable, tuple]]],
-    verdict: Callable[[tuple], bool | None],
-) -> tuple[tuple[Hashable, tuple, tuple] | None, int]:
-    """Breadth-first search from labelled ``sources`` for a failing node.
-
-    ``sources`` are (label, node) pairs and ``successors`` gives (step,
-    child) pairs, a step being the symbol or symbols read.  ``verdict`` is
-    True where the search fails, False where it drops a node and None where
-    it goes on.  Returns the failing node's source label, the steps taken
-    since and the node, or None; and the number of transitions taken.
-    """
-    parent: dict[tuple, tuple] = {}
-    checked = 0
-    # None stands for a root whose children are the sources
-    layer: list[tuple | None] = [None]
-    while layer:
-        frontier = []
-        for node in layer:
-            for step, child in sources if node is None else successors(node):
-                checked += node is not None
-                if child in parent:
-                    continue
-                parent[child] = (node, step)
-                got = verdict(child)
-                if got:
-                    word = []
-                    while node is not None:
-                        word.append(step)
-                        node, step = parent[node]
-                    return (step, tuple(reversed(word)), child), checked
-                if got is None:
-                    frontier.append(child)
-        layer = frontier
-    return None, checked
 
 
 def check_monotonicity(rule: RuleHandle) -> AxiomReport:
@@ -547,8 +503,17 @@ def check_monotonicity(rule: RuleHandle) -> AxiomReport:
     transitions on common symbols; the witness has the shortest common
     suffix, and both its texts are closed by the original's last symbol.
     """
-    facts = rule.facts
+    facts, held = rule.facts, rule.facts.held
     n = len(rule.alphabet)
+
+    def advance(state: int, word: Word) -> int:
+        for i in word:
+            state = held[state][i]
+        return state
+
+    def successors(node: tuple) -> list:
+        orig, copy, kind, name = node
+        return [(i, (a, b, kind, name)) for i, (a, b) in enumerate(zip(held[orig], held[copy]))]
 
     def verdict(node: tuple) -> bool | None:
         orig, copy, kind, name = node
@@ -559,22 +524,19 @@ def check_monotonicity(rule: RuleHandle) -> AxiomReport:
 
     moves = [((e,), (), "deletion", e) for e in range(n)]
     moves += [((b, a), (a, b), "shift", a) for a in range(n) for b in range(n) if b != a]
-    found, checked = _search(
+    found, parent, checked = search(
         [
-            ((q, ours, theirs),
-             (facts.advance(q, ours), facts.advance(q, theirs), kind, rule.alphabet.name(sym)))
+            ((q, ours, theirs), (advance(q, ours), advance(q, theirs), kind, rule.alphabet.name(sym)))
             for q in facts.open_states
             for ours, theirs, kind, sym in moves
         ],
-        lambda node: [
-            (i, (facts.advance(node[0], (i,)), facts.advance(node[1], (i,)), *node[2:]))
-            for i in range(n)
-        ],
+        successors,
         verdict,
     )
     if found is None:
         return AxiomReport("monotonicity", True, None, checked, facts.bound)
-    (q, ours, theirs), common, (orig, copy, kind, _) = found
+    steps, (orig, copy, kind, _) = path(parent, found), found
+    (q, ours, theirs), common = steps[0], steps[1:]
     word = facts.word_to(q)
     original = word + ours + common
     witness = {
@@ -605,7 +567,7 @@ def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
     name, so the witness has the shortest blocking segment for the first
     failing decision.  ``checked`` counts product transitions.
     """
-    facts = rule.facts
+    facts, rows = rule.facts, rule.facts.automaton.rows
     opened = facts.open_states
     outputs = opened[facts.start].toward if opened else {}
     decisions = [s for s in rule.alphabet if s in outputs]
@@ -614,21 +576,24 @@ def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
     for d in decisions:
         others = [i for i, name in enumerate(rule.alphabet) if name != d]
 
+        def successors(pair: tuple) -> list:
+            a, b = rows[pair[0]], rows[pair[1]]
+            return [(i, (a[i], b[i])) for i in others]
+
         def verdict(pair: tuple) -> bool | None:
             if d not in facts.reach(pair[0]):
                 return False
             return True if facts.decision(pair[1]) is not None else None
 
-        found, count = _search(
+        found, parent, count = search(
             [(q, (q, facts.start)) for q, state in opened.items() if d in state.toward],
-            lambda pair: [
-                (i, (facts.step(pair[0], i), facts.step(pair[1], i))) for i in others
-            ],
+            successors,
             verdict,
         )
         checked += count
         if found is not None:
-            q, blocking, (composite_state, _) = found
+            steps, composite_state = path(parent, found), found[0]
+            q, blocking = steps[0], steps[1:]
             cut_word = facts.word_to(q)
             witness = {
                 "minimal_sufficient": _word_text(rule.alphabet, cut_word + facts.path_to(q, d)),
@@ -654,7 +619,7 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
     ``path_to`` extends the copy toward the first two decisions it can
     reach.  ``checked`` counts product transitions.
     """
-    facts = rule.facts
+    facts, rows = rule.facts, rule.facts.automaton.rows
     alphabet = rule.alphabet
     others = [alphabet.index(name) for name in facts.decisive.complement]
 
@@ -664,10 +629,10 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
             return False
         return replaced if facts.decision(orig) is not None else None
 
-    found, checked = _search(
+    found, parent, checked = search(
         [(None, (facts.start, facts.start, False))],
         lambda node: [
-            ((i, j), (facts.step(node[0], i), facts.step(node[1], j), node[2] or i != j))
+            ((i, j), (rows[node[0]][i], rows[node[1]][j], node[2] or i != j))
             for i in others
             for j in ((i,) if node[2] else others)
         ],
@@ -675,7 +640,7 @@ def check_replacement(rule: RuleHandle) -> AxiomReport:
     )
     if found is None:
         return AxiomReport("replacement", True, None, checked, facts.bound)
-    _, steps, (_, copy, _) = found
+    steps, copy = path(parent, found)[1:], found[1]
     segment, replaced = tuple(i for i, _ in steps), tuple(j for _, j in steps)
     pos = next(p for p, (i, j) in enumerate(steps, 1) if i != j)
     dec_a, dec_b = list(facts.open_states[copy].toward)[:2]
@@ -701,7 +666,7 @@ def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
     holds the first and whose second decision is in the first set; each
     first class looks only at the classes deciding inside its set.
     """
-    k = rule.facts.bound
+    facts, k = rule.facts, rule.facts.bound
     _, pool = _non_decisive_outcomes(rule)
     if len(pool) ** 2 > WINDOW_CAP:
         raise ResourceLimit(f"{len(pool)}^2 pairs of (symbol set, decision) classes", WINDOW_CAP)
@@ -717,9 +682,9 @@ def check_sequential_alpha(rule: RuleHandle) -> AxiomReport:
             checked += 1
             if p_dec != m_dec:
                 witness = {
-                    "segment_m": _link_text(rule.alphabet, pool[m_set, m_dec]),
+                    "segment_m": facts.first_segment((m_set, m_dec)),
                     "decision_m": m_dec,
-                    "segment_m_prime": _link_text(rule.alphabet, pool[p_set, p_dec]),
+                    "segment_m_prime": facts.first_segment((p_set, p_dec)),
                     "decision_m_prime": p_dec,
                 }
                 return AxiomReport("sequential-alpha", False, witness, checked, k)
@@ -734,7 +699,7 @@ def check_snbc(rule: RuleHandle) -> AxiomReport:
     and of {x, z} deciding z.  ``checked`` counts the triples whose first
     two classes exist.
     """
-    k = rule.facts.bound
+    facts, k = rule.facts, rule.facts.bound
     dset, pool = _non_decisive_outcomes(rule)
     checked = 0
     for x, y, z in itertools.permutations(sorted(dset.complement), 3):
@@ -745,9 +710,9 @@ def check_snbc(rule: RuleHandle) -> AxiomReport:
         if xz in pool:
             witness = {
                 "x": x, "y": y, "z": z,
-                "segment_xy": _link_text(rule.alphabet, pool[xy]),
-                "segment_yz": _link_text(rule.alphabet, pool[yz]),
-                "segment_xz": _link_text(rule.alphabet, pool[xz]),
+                "segment_xy": facts.first_segment(xy),
+                "segment_yz": facts.first_segment(yz),
+                "segment_xz": facts.first_segment(xz),
                 "decisions": [x, y, z],
             }
             return AxiomReport("sequential-nbc", False, witness, checked, k)
@@ -759,12 +724,12 @@ def _require_choice_rule(rule: RuleHandle, *, in_window: bool) -> None:
     its nonempty window.  A window extends a minimal segment with its
     decision, and a segment without it extends to a window without it, so
     ``Facts.outcomes`` is read, and only its first offending segment named."""
-    for (sset, dec), link in rule.facts.outcomes.items():
+    for sset, dec in rule.facts.outcomes:
         if dec not in rule.alphabet:
-            text = _link_text(rule.alphabet, link)
+            text = rule.facts.first_segment((sset, dec))
             raise NotAChoiceRule(f"decision {dec!r} after {text!r} is not an alternative")
         if in_window and sset and dec not in sset:
-            text = _link_text(rule.alphabet, link)
+            text = rule.facts.first_segment((sset, dec))
             raise NotAChoiceRule(f"decision {dec!r} does not occur in its segment {text!r}")
 
 
@@ -813,13 +778,13 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
     cycle with one witness sequence per edge.
     """
     _require_choice_rule(rule, in_window=True)
-    facts = rule.facts
-    k, n = facts.bound, len(rule.alphabet)
+    facts, rows = rule.facts, rule.facts.automaton.rows
+    k = facts.bound
     _require_windows(rule.alphabet, k)
     # every window of length k in lexicographic order, with its state
     windows: list[tuple[Word, int]] = [((), facts.start)]
     for _ in range(k):
-        windows = [(w + (i,), facts.step(q, i)) for w, q in windows for i in range(n)]
+        windows = [(w + (i,), r) for w, q in windows for i, r in enumerate(rows[q])]
     edges: dict[tuple[str, str], dict] = {}
     checked = 0
     for word, state in windows:
@@ -856,23 +821,16 @@ def check_acyclicity(rule: RuleHandle) -> AxiomReport:
 
 
 def _shortest_cycle(succ: dict[str, list[str]]) -> tuple[str, ...] | None:
-    """Shortest directed cycle, first by length then by start node order."""
+    """Shortest directed cycle, first by length then by start node order: from
+    each start, the path to the first node reached with an edge back to it."""
     best: tuple[str, ...] | None = None
     for start in sorted(succ):
-        back: dict[str, str | None] = {start: None}
-        queue = [start]
-        for node in queue:  # breadth first: the queue grows as it is read
-            if start in succ[node]:
-                path = [node]
-                while back[path[-1]] is not None:
-                    path.append(back[path[-1]])  # type: ignore[arg-type]
-                if best is None or len(path) < len(best):
-                    best = tuple(reversed(path))
-                break
-            for child in succ[node]:
-                if child not in back:
-                    back[child] = node
-                    queue.append(child)
+        found, parent, _ = search([(start, start)], lambda node: [(c, c) for c in succ[node]],
+                                  lambda node: start in succ[node] or None)
+        if found is not None:
+            cycle = path(parent, found)
+            if best is None or len(cycle) < len(best):
+                best = cycle
     return best
 
 
@@ -942,27 +900,26 @@ def _disagreement(
     """A shortest word w on which ``theirs``, reading each symbol i of w as
     ``perm[i]``, does not decide ``rename`` of what ``ours`` decides on w.
 
-    A breadth-first search over pairs of states, each held still once
-    decided, ends a branch where both are decided.  Returns w with both
-    decisions, or None; and the number of product transitions.
+    A breadth-first search over pairs of states, each on its ``held`` rows,
+    ends a branch where both are decided.  Returns w with both decisions, or
+    None; and the number of product transitions.
     """
+
+    held, their_held = ours.held, theirs.held
+
+    def successors(pair: tuple) -> list:
+        a, b = held[pair[0]], their_held[pair[1]]
+        return [(i, (a[i], b[j])) for i, j in enumerate(perm)]
 
     def verdict(pair: tuple) -> bool | None:
         got, want = ours.decision(pair[0]), theirs.decision(pair[1])
         return None if got is None or want is None else rename(got) != want
 
-    found, checked = _search(
-        [(None, (ours.start, theirs.start))],
-        lambda pair: [
-            (i, (ours.advance(pair[0], (i,)), theirs.advance(pair[1], (perm[i],))))
-            for i in range(len(perm))
-        ],
-        verdict,
-    )
+    found, parent, checked = search([(None, (ours.start, theirs.start))], successors, verdict)
     if found is None:
         return None, checked
-    _, word, (mine, other) = found
-    return (word, ours.decision(mine), theirs.decision(other)), checked
+    mine, other = found
+    return (path(parent, found)[1:], ours.decision(mine), theirs.decision(other)), checked
 
 
 def agreement_count(rule: RuleHandle, spec: RuleSpec) -> int:

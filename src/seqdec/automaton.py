@@ -18,6 +18,12 @@ up, refines only the looping states, and hands the verdict on to its
 output, which decides as its input does.  DOT export draws the reachable
 part.
 
+Every walk that needs shortest words is one :func:`search`, breadth first
+with a parent map from which :func:`path` rebuilds any node's word: the
+reachable states (``reach``, cached per automaton, whose words the open
+states reuse), and in the analyses the (state, symbols read) nodes, the
+product searches and acyclicity's shortest cycle.
+
 Automata are immutable after construction and every analysis is a pure
 function, so they are safe to share across concurrent workers.
 
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .core import Alphabet, Segment, SeqSpec, SeqdecError, ValidationError
 
@@ -193,24 +199,61 @@ class DecisionAutomaton:
         peel = self.peel
         # the walk finds the witness, so it is skipped when every state escapes
         if len(peel) < self.outputs.count(None):
-            parent = _breadth_first(self)
-            looping = [q for q in parent if self.outputs[q] is None and q not in peel]
+            looping = [q for q in self.reach if self.outputs[q] is None and q not in peel]
             if looping:
-                raise NonStoppingRuleError(_loop_witness(self, parent, looping))
+                raise NonStoppingRuleError(_loop_witness(self, looping))
         depth, out = peel[self.start]
         return 0 if out is not None else 1 + depth
 
+    @cached_property
+    def reach(self) -> dict[int, tuple[int | None, int | None]]:
+        """The reachable states breadth first, each with the state and symbol it is
+        first entered by, the start with (None, None): the parent map whose
+        :func:`path` is a shortest word, lexicographic among the shortest."""
+        rows = self.rows
+        return search([(None, self.start)], lambda q: enumerate(rows[q]))[1]
 
-def _breadth_first(aut: DecisionAutomaton) -> dict[int, tuple[int, int] | None]:
-    """Reachable states in BFS order, each with the state and symbol it is first entered by."""
-    parent: dict[int, tuple[int, int] | None] = {aut.start: None}
-    order = [aut.start]
-    for q in order:  # the list grows as it is read
-        for i, nxt in enumerate(aut.rows[q]):
-            if nxt not in parent:
-                parent[nxt] = (q, i)
-                order.append(nxt)
-    return parent
+
+def search(
+    sources: Iterable[tuple[Hashable, Hashable]],
+    successors: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
+    verdict: Callable[[Hashable], bool | None] = lambda node: None,
+) -> tuple[Hashable | None, dict, int]:
+    """Breadth-first search from labelled ``sources`` for a failing node.
+
+    ``sources`` are (label, node) pairs and ``successors`` gives a node's
+    (step, child) pairs, a step being what is read.  Each node is judged
+    once, when first reached: ``verdict`` is True where the search fails,
+    False where it drops the node and None where it goes on from it.
+    Returns the failing node or None; the parent map, each reached node's
+    (parent, step) in the order reached, a source's being (None, its
+    label); and the number of transitions taken from nodes.
+    """
+    parent: dict = {}
+    checked = 0
+    # None stands for a root whose children are the sources
+    queue: list = [None]
+    for node in queue:  # breadth first: the list grows as it is read
+        for step, child in sources if node is None else successors(node):
+            checked += node is not None
+            if child in parent:
+                continue
+            parent[child] = (node, step)
+            got = verdict(child)
+            if got:
+                return child, parent, checked
+            if got is None:
+                queue.append(child)
+    return None, parent, checked
+
+
+def path(parent: dict, node: Hashable) -> tuple:
+    """The steps by which a :func:`search` first reached ``node``, its source's label first."""
+    steps = []
+    while node is not None:
+        node, step = parent[node]
+        steps.append(step)
+    return tuple(reversed(steps))
 
 
 def _escaping_states(aut: DecisionAutomaton) -> Peel:
@@ -256,7 +299,7 @@ def _escaping_states(aut: DecisionAutomaton) -> Peel:
     return peel
 
 
-def _loop_witness(aut: DecisionAutomaton, parent: dict, looping: list[int]) -> SeqSpec:
+def _loop_witness(aut: DecisionAutomaton, looping: list[int]) -> SeqSpec:
     """From the first looping state breadth first, follow the first symbol that
     stays among them until a state repeats: a shortest word to that state,
     lexicographic among the shortest, then the loop's symbols."""
@@ -266,12 +309,8 @@ def _loop_witness(aut: DecisionAutomaton, parent: dict, looping: list[int]) -> S
         walked[state] = len(symbols)
         symbols.append(next(i for i, tgt in enumerate(rows[state]) if tgt in inside))
         state = rows[state][symbols[-1]]
-    word, via = [], parent[state]
-    while via is not None:
-        word.append(via[1])
-        via = parent[via[0]]
     cycle = Segment(aut.alphabet, tuple(symbols[walked[state]:]))
-    return SeqSpec(aut.alphabet, Segment(aut.alphabet, tuple(word[::-1])), cycle)
+    return SeqSpec(aut.alphabet, Segment(aut.alphabet, path(aut.reach, state)[1:]), cycle)
 
 
 def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
@@ -304,7 +343,7 @@ def minimize(aut: DecisionAutomaton) -> DecisionAutomaton:
         key = tuple([block[t] for t in rows[q]]) if out is None else out
         block[q] = classes.setdefault(key, len(classes))
     # the walk finds the looping states, so it is skipped when every state is settled
-    looping = [q for q in _breadth_first(aut) if block[q] < 0] if -1 in block else []
+    looping = [q for q in aut.reach if block[q] < 0] if -1 in block else []
     for q in looping:
         block[q] = len(classes)
     count = 1
@@ -366,28 +405,28 @@ def to_dot(aut: DecisionAutomaton) -> str:
 
     Terminal states are double circled and labeled with their output, the
     initial state is marked with an entry arrow, and parallel edges are
-    merged into one edge labeled with the symbol list.
+    merged into one edge labeled with the symbol list.  Names are escaped
+    backslash first, so a label's ``\\n`` is the one line break.
     """
 
-    def quote(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
+    def escape(s: str) -> str:
+        return s.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph decision_automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    reach = list(_breadth_first(aut))
-    names = [quote(q) for q in aut.states]
-    for q in reach:
+    names = [f'"{escape(q)}"' for q in aut.states]
+    for q in aut.reach:
         if (out := aut.outputs[q]) is not None:
-            label = quote(f"{aut.states[q]}\\n=> {out}")
+            label = f'"{escape(aut.states[q])}\\n=> {escape(out)}"'
             lines.append(f"  {names[q]} [shape=doublecircle, label={label}];")
         else:
             lines.append(f"  {names[q]} [shape=circle];")
     lines.append(f"  __start -> {names[aut.start]};")
-    for q in reach:
+    for q in aut.reach:
         merged: dict[int, list[str]] = {}
         for sym, tgt in zip(aut.alphabet, aut.rows[q]):
             merged.setdefault(tgt, []).append(sym)
         for tgt, syms in merged.items():
-            lines.append(f"  {names[q]} -> {names[tgt]} [label={quote(', '.join(syms))}];")
+            lines.append(f'  {names[q]} -> {names[tgt]} [label="{escape(", ".join(syms))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -25,10 +25,9 @@ def window_table(facts) -> dict[tuple[int, ...], str]:
     Built a layer of windows at a time, each window with its state, so every
     window costs one step.
     """
-    n = len(facts.alphabet)
-    layer = [((), facts.start)]
+    rows, layer = facts.automaton.rows, [((), facts.start)]
     for _ in range(facts.bound):
-        layer = [(w + (i,), facts.step(q, i)) for w, q in layer for i in range(n)]
+        layer = [(w + (i,), r) for w, q in layer for i, r in enumerate(rows[q])]
     table = {word: facts.decision(state) for word, state in layer}
     assert None not in table.values(), "full-depth windows must be decided"
     return table
@@ -45,7 +44,7 @@ def minimal_words(facts) -> list[tuple[tuple[int, ...], str]]:
             if got is not None:
                 minimal.append((word, got))
             else:
-                nxt += [(word + (i,), facts.step(state, i)) for i in range(len(facts.alphabet))]
+                nxt += [(word + (i,), r) for i, r in enumerate(facts.automaton.rows[state])]
         frontier = nxt
     return minimal
 

@@ -7,7 +7,13 @@ After them, the automaton passes as they were written over state names,
 before the integer form replaced them: breadth-first order, the peel, the
 stopping verdict, minimization and the JSON text, each looking a state's
 row up by name.  They read the name-keyed views ``initial``,
-``transitions`` and ``terminal``."""
+``transitions`` and ``terminal``.
+
+Last, the walks that ``seqdec.automaton.search`` replaced, each with its
+own queue and its own parent pointers: breadth-first order over integer
+rows, the open states' pass, the (state, symbols read) search of
+``Facts.outcomes`` with its words as links, and acyclicity's shortest
+cycle."""
 
 import itertools
 import json
@@ -295,3 +301,113 @@ def isomorphic_by_name(a, b):
                 pairing[np] = nq
                 queue.append((np, nq))
     return len(pairing) == len(set(reachable_states(b)))
+
+
+def breadth_first(aut):
+    """Reachable states in BFS order, each with the state and symbol it is first entered by."""
+    parent = {aut.start: None}
+    order = [aut.start]
+    for q in order:  # the list grows as it is read
+        for i, nxt in enumerate(aut.rows[q]):
+            if nxt not in parent:
+                parent[nxt] = (q, i)
+                order.append(nxt)
+    return parent
+
+
+def open_states_by_queue(facts):
+    """Each reachable open state, breadth first, as (word, depth, toward,
+    segments): one pass over open states only for the shortest words, each
+    state keeping its parent, symbol and depth, then one in the peel's order."""
+    rows, decision, n = facts.automaton.rows, facts.decision, len(facts.alphabet)
+    if decision(facts.start) is not None:
+        return {}
+    via = {facts.start: (None, None, 0)}
+    order = [facts.start]
+    for q in order:
+        depth = via[q][2] + 1
+        for i in range(n):
+            r = rows[q][i]
+            if r not in via and decision(r) is None:
+                via[r] = (q, i, depth)
+                order.append(r)
+    below = {}
+    for q in facts.automaton.peel:
+        if q not in via:
+            continue
+        toward, segments = {}, 0
+        for i in range(n):
+            r = rows[q][i]
+            if r in via:
+                for d in below[r][0]:
+                    toward.setdefault(d, i)
+                segments += below[r][1]
+            else:
+                toward.setdefault(decision(r), i)
+                segments += 1
+        below[q] = (toward, segments)
+
+    def word(q):
+        symbols = []
+        while via[q][0] is not None:
+            q, i, _ = via[q]
+            symbols.append(i)
+        return tuple(reversed(symbols))
+
+    return {q: (word(q), via[q][2], *below[q]) for q in order}
+
+
+def outcomes_by_links(facts, cap):
+    """Each (symbol set, decision) pair with the text of its first minimal
+    segment, in order: the search over (open state, symbols read) whose nodes
+    and pairs keep their words as links, (prefix link, last symbol), checking
+    ``cap`` after each node.  Returns the message it would raise, if any."""
+    rows, decision, names = facts.automaton.rows, facts.decision, facts.alphabet.symbols
+
+    def text(link):
+        out = []
+        while link is not None:
+            link, i = link
+            out.append(names[i])
+        return " ".join(reversed(out))
+
+    got = decision(facts.start)
+    if got is not None:
+        return [((frozenset(), got), "")], None
+    outcomes = {}
+    order = [(facts.start, frozenset())]
+    links = {order[0]: None}
+    for node in order:
+        for i, name in enumerate(names):
+            child = (rows[node[0]][i], node[1] | {name})
+            got = decision(child[0])
+            if got is not None:
+                outcomes.setdefault((child[1], got), (links[node], i))
+            elif child not in links:
+                links[child] = (links[node], i)
+                order.append(child)
+        if len(order) * len(names) > cap:
+            return None, f"{len(order)} (state, symbol set) nodes times {len(names)} symbols"
+    return [(pair, text(link)) for pair, link in outcomes.items()], None
+
+
+def shortest_cycle_by_queue(succ):
+    """Shortest directed cycle, first by length then by start node order, each
+    node judged as it leaves the queue."""
+    best = None
+    for start in sorted(succ):
+        back = {start: None}
+        queue = [start]
+        for node in queue:  # breadth first: the queue grows as it is read
+            if start in succ[node]:
+                path = [node]
+                while back[path[-1]] is not None:
+                    path.append(back[path[-1]])
+                if best is None or len(path) < len(best):
+                    best = tuple(reversed(path))
+                break
+            for child in succ[node]:
+                if child not in back:
+                    back[child] = node
+                    queue.append(child)
+    return best

@@ -1,6 +1,7 @@
 """Tests for decision automata: runs, the peel's decisions and stopping
 verdict against the sweep and absorption oracles, minimization."""
 
+import re
 from collections import deque
 
 import pytest
@@ -595,6 +596,23 @@ class TestDot:
         dot = to_dot(twosym_threshold2)
         rendered = dot.count("shape=circle") + dot.count("shape=doublecircle")
         assert rendered == len(reachable_states(twosym_threshold2))
+
+    def test_quoted_strings_parse_back_to_their_names(self):
+        # each name is escaped backslash first, so no closing quote comes out escaped
+        ab = Alphabet(("a\\", 'b"', "c\\n"))
+        states = ("s\\", 't"', "u\\\\")
+        rows = {"s\\": {"a\\": 't"', 'b"': "u\\\\", "c\\n": 't"'}}
+        rows.update((q, absorbing_terminal_row(ab, q)) for q in states[1:])
+        aut = DecisionAutomaton(ab, states, "s\\", rows, {'t"': "a\\", "u\\\\": 'b"'})
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        parsed = set()
+        for line in to_dot(aut).splitlines():
+            assert '"' not in quoted.sub("", line), line
+            for m in quoted.finditer(line):
+                parsed.add(re.sub(r"\\(.)", lambda e: "\n" if e[1] == "n" else e[1], m[1]))
+        labels = {f"{q}\n=> {out}" for q, out in aut.terminal.items()}
+        edges = {"a\\, c\\n", 'b"', ", ".join(ab)}
+        assert parsed == {"", *states, *labels, *edges}
 
 
 class TestJson:

@@ -33,7 +33,6 @@ import seqdec.automaton
 from seqdec.analysis import (
     WINDOW_CAP,
     RuleHandle,
-    _link_text,
     _word_text,
     enumerate_minimal_sufficient,
     stopping_time,
@@ -249,7 +248,7 @@ def search_nodes(facts) -> int:
     order = list(seen)
     for state, read in order:
         for i, name in enumerate(facts.alphabet):
-            child = (facts.step(state, i), read | {name})
+            child = (facts.automaton.rows[state][i], read | {name})
             if facts.decision(child[0]) is None and child not in seen:
                 seen.add(child)
                 order.append(child)
@@ -260,7 +259,7 @@ def search_nodes(facts) -> int:
 @given(spec=rule_specs())
 def test_outcomes_link_the_first_segment_of_each_pair(spec):
     facts = RuleHandle.from_rule(spec).facts
-    got = [(pair, _link_text(facts.alphabet, link)) for pair, link in facts.outcomes.items()]
+    got = [(pair, facts.first_segment(pair)) for pair in facts.outcomes]
     assert got == first_segments(facts)
 
 

@@ -32,7 +32,6 @@ from seqdec.analysis import (
     HorizonViolation,
     RuleHandle,
     _closure,
-    _link_text,
     _require_windows,
     tabulate_automaton,
 )
@@ -96,7 +95,7 @@ def outcome(tabulate, horizon=None) -> tuple:
             f"the rule reads past the declared horizon {horizon}"
         )
         return "HorizonViolation", message, text, horizon
-    firsts = [(pair, _link_text(aut.alphabet, link)) for pair, link in facts.outcomes.items()]
+    firsts = [(pair, facts.first_segment(pair)) for pair in facts.outcomes]
     payload = facts.bound, minimal_words(facts), firsts, facts.decisive
     return "automaton", payload, minimize(aut)
 
