@@ -223,9 +223,13 @@ class Facts:
             outcome[q] = out
         facts = cls(aut, aut.alphabet, aut.start, outcome.__getitem__, bound)
         if (h := rule.horizon) is not None and bound > h:
-            # a tabulated state's words have one length, so this is the first open window
-            first = next(q for q, s in facts.open_states.items() if s.depth == h)
-            text = _word_text(aut.alphabet, facts.word_to(first))
+            # the first open window: each step the least symbol whose state stays open for the rest
+            state, word = aut.start, []
+            for left in reversed(range(h)):
+                i, state = next((i, r) for i, r in enumerate(aut.rows[state])
+                                if outcome[r] is None and aut.peel[r][0] >= left)
+                word.append(i)
+            text = _word_text(aut.alphabet, word)
             raise HorizonViolation(text, h, f"the decision after window {text!r} is still open")
         return facts
 
@@ -366,7 +370,7 @@ class Facts:
         """The shortest word of a reachable ``state``, from the automaton's ``reach``."""
         return path(self.automaton.reach, state)[1:]
 
-    def reach(self, state: int) -> AbstractSet[str]:
+    def forcible(self, state: int) -> AbstractSet[str]:
         """Decisions that some continuation from a reachable ``state`` forces."""
         got = self.decision(state)
         return {got} if got is not None else self.open_states[state].toward.keys()
@@ -517,8 +521,8 @@ def check_monotonicity(rule: RuleHandle) -> AxiomReport:
 
     def verdict(node: tuple) -> bool | None:
         orig, copy, kind, name = node
-        legal = facts.reach(orig) & {name} if kind == "shift" else facts.reach(orig) - {name}
-        if orig == copy or not legal or len(legal) == 1 and legal == facts.reach(copy):
+        legal = facts.forcible(orig) & {name} if kind == "shift" else facts.forcible(orig) - {name}
+        if orig == copy or not legal or len(legal) == 1 and legal == facts.forcible(copy):
             return False
         return None if facts.decision(orig) is None or facts.decision(copy) is None else True
 
@@ -581,7 +585,7 @@ def check_informational_dominance(rule: RuleHandle) -> AxiomReport:
             return [(i, (a[i], b[i])) for i in others]
 
         def verdict(pair: tuple) -> bool | None:
-            if d not in facts.reach(pair[0]):
+            if d not in facts.forcible(pair[0]):
                 return False
             return True if facts.decision(pair[1]) is not None else None
 

@@ -54,7 +54,7 @@ def _emit(payload, out_path=None, end="\n") -> None:
 def _load(path: str, args) -> RuleHandle:
     """The rule a document states: a rule compiled, an automaton as it is, a
     machine run within ``--budget`` on ``--alphabet``, its ``input_alphabet``
-    or its tape's symbols.  ``tm-run`` refuses all but machines."""
+    or its tape's symbols.  ``tm-run`` and the machine flags refuse all but machines."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -79,6 +79,8 @@ def _load(path: str, args) -> RuleHandle:
         raise ValidationError("unrecognized document: need a rule, automaton, or machine")
     if args.command == "tm-run":
         raise ValidationError("tm-run expects a machine document")
+    if flags := [f"--{k}" for k in ("horizon", "budget", "alphabet") if getattr(args, k) is not None]:
+        raise ValidationError(f"only machine documents take {', '.join(flags)}")
     return handle(parsed)
 
 

@@ -33,8 +33,10 @@ A machine checks each rule once and files it under its key, so loading
 costs the rules, not the |states| × |tape|² table, and memory follows the
 rules and the cells runs reach.  Documents are written in that form, a rule
 per row of cells that share the next state and both moves and a default per
-state for its most common row; expanded tables still load.  Rules naming an
-unknown state or symbol, and repeated tape symbols, are refused.
+state for its most common row; expanded tables still load.  A document is
+checked in four stages, and the first fault met is refused: its states and
+tape symbols; each rule as written, in document order; left moves, on the
+cells of left-moving rules; totality.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ class TapeBoundsError(SeqdecError):
 class TwoTapeTm:
     """States, tape alphabet and rules filed under their keys, a later rule
     replacing an earlier one.  A cell (state, input symbol, output symbol)
-    takes its most specific rule's next state, write and head moves.
-    Terminal states have no outgoing transitions; the rules of a live state
-    must cover every symbol pair.  ``transitions``, every cell, is built
-    when first read; machines with the same cells are equal."""
+    takes its most specific rule's next state, write and head moves.  Rules
+    are checked as written, in document order, as more specific ones may
+    override all a rule's cells: none leaves a terminal state.  Then no
+    resolved cell may move the input head left of the start marker, and a
+    live state's rules must cover every symbol pair.  ``transitions``, every
+    cell, is built when first read; machines with the same cells are equal."""
 
     states: tuple[str, ...]
     initial: str
@@ -98,17 +102,6 @@ class TwoTapeTm:
         object.__setattr__(self, "terminal", frozenset(self.terminal))
         object.__setattr__(self, "tape_alphabet", tuple(self.tape_alphabet))
         state_set, syms = set(self.states), self.tape_alphabet
-        # each action is checked on its rule, since more specific rules may override every cell it has
-        for q, read, peek, nq, w, mi, mo in rules:
-            if nq not in state_set:
-                raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
-            if w != "*" and w not in syms:
-                raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {read!r}, {peek!r})")
-            if mi not in MOVES or mo not in MOVES:
-                raise InvalidMachineError(f"moves must be L, S or R, got ({mi!r}, {mo!r})")
-        filed = {(q, r, p): (nq, w, mi, mo) for q, r, p, nq, w, mi, mo in rules}
-        object.__setattr__(self, "_filed", filed)
-        object.__setattr__(self, "_cells", {})
         if len(state_set) != len(self.states):
             raise InvalidMachineError("duplicate state names")
         if self.initial not in state_set:
@@ -119,9 +112,27 @@ class TwoTapeTm:
             raise InvalidMachineError(f"duplicate tape symbols: {syms}")
         if START not in syms or BLANK not in syms:
             raise InvalidMachineError(f"tape alphabet must contain {START!r} and {BLANK!r}")
-        live = [q for q in self.states if q not in self.terminal]
-        object.__setattr__(self, "_one_way", self._check_cells(set(live)))
-        for q in (q for q in live if (q, "*", "*") not in filed):
+        filed, slots = {}, {*syms, "*"}
+        for q, read, peek, nq, w, mi, mo in rules:
+            if q in self.terminal:
+                raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
+            if q not in state_set or nq not in state_set:
+                raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
+            if read not in slots or peek not in slots or w not in slots:
+                raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {read!r}, {peek!r})")
+            if mi not in MOVES or mo not in MOVES:
+                raise InvalidMachineError(f"moves must be L, S or R, got ({mi!r}, {mo!r})")
+            filed[q, read, peek] = nq, w, mi, mo
+        object.__setattr__(self, "_filed", filed)
+        object.__setattr__(self, "_cells", {})
+        one_way = True
+        for q, r, p in (key for key, action in filed.items() if action[2] == "L"):
+            reads, peeks = syms if r == "*" else (r,), syms if p == "*" else (p,)
+            if r in (START, "*") and any(self._cell(q, START, b)[2] == "L" for b in peeks):
+                raise InvalidMachineError("input head cannot move left of the start cell")
+            one_way = one_way and not any(self._cell(q, a, b)[2] == "L" for a in reads for b in peeks)
+        object.__setattr__(self, "_one_way", one_way)
+        for q in (q for q in self.states if q not in self.terminal and (q, "*", "*") not in filed):
             cells = ((q, a, b) for a in syms if (q, a, "*") not in filed for b in syms)
             if missing := next((c for c in cells if c not in filed and (q, "*", c[2]) not in filed), None):
                 raise InvalidMachineError(f"transition table not total: missing {missing!r}")
@@ -141,39 +152,6 @@ class TwoTapeTm:
         f = self._filed
         nq, w, mi, mo = f.get((q, a, b)) or f.get((q, a, "*")) or f.get((q, "*", b)) or f[q, "*", "*"]
         return nq, b if w == "*" else w, mi, mo
-
-    def _check_cells(self, live: set[str]) -> bool:
-        """Whether no cell moves the input head left, resolving only the cells
-        of left-moving rules.  Refuses the expanded table's first cell whose
-        state is not live, whose symbols are not tape symbols, or that moves
-        the input head left from the start marker: the input tape is
-        read-only, so the marker pins its head to cell 1 (the output head is
-        guarded at run time, since the marker cell may be overwritten)."""
-        filed, syms, known = self._filed, self.tape_alphabet, set(self.tape_alphabet)
-        one_way, slots, first = True, known | {"*"}, syms[0]
-        for (q, r, p), (_, _, mi, _) in filed.items():
-            if mi == "L":
-                reads, peeks = syms if r == "*" else (r,), syms if p == "*" else (p,)
-                one_way = one_way and not any(self._cell(q, a, b)[2] == "L" for a in reads for b in peeks)
-        if one_way and all(q in live and r in slots and p in slots for q, r, p in filed):
-            return True
-        # the expanded table's order: keys least specific first, each listing the cells no key before held
-        for q, r, p in sorted(filed, key=lambda key: (key[1] != "*") * 2 + (key[2] != "*")):
-            a, b = first if r == "*" else r, first if p == "*" else p
-            if q in self.terminal:
-                raise InvalidMachineError(f"terminal state {q!r} has an outgoing transition")
-            if q not in live:
-                # named by the cell's most specific rule, where a "*" peek holds tape symbols only
-                keys = ((q, a, b), (q, a, "*"), (q, "*", b), (q, "*", "*"))
-                nq = next(filed[k][0] for k in keys if k in filed and (k[2] != "*" or b in known))
-                raise InvalidMachineError(f"unknown state in transition ({q!r} -> {nq!r})")
-            if r not in slots or p not in slots:
-                raise InvalidMachineError(f"unknown tape symbol in transition ({q!r}, {a!r}, {b!r})")
-            for peek in (syms if p == "*" else (p,)) if r in (START, "*") else ():
-                keys = ((q, "*", "*"), (q, "*", peek), (q, START, "*"), (q, START, peek))
-                if next(k for k in keys if k in filed) == (q, r, p) and self._cell(q, START, peek)[2] == "L":
-                    raise InvalidMachineError("input head cannot move left of the start cell")
-        return one_way
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdec.core import Alphabet, AlphabetMismatchError, ResourceLimit, Segment, SeqSpec, constant
-from seqdec.automaton import MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, Sufficiency
+from seqdec.automaton import (
+    MINIMAL_SUFFICIENT, NOT_SUFFICIENT, SUFFICIENT, DecisionAutomaton, NonStoppingRuleError, Sufficiency,
+)
 from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, OsrSpec
 from seqdec.analysis import (
     CHECKERS,
@@ -38,6 +41,7 @@ from seqdec.analysis import (
 )
 from tests.conftest import ABC, XY
 from tests.definitions import csr_evaluate, evaluate, osr_evaluate
+from tests.test_search import automata
 from tests.mutants import MUTANTS
 
 ONE = Fraction(1)
@@ -215,10 +219,37 @@ class TestHorizon:
             uniform_bound_search(rule)
         assert calls == []
 
-    def test_non_stopping_automaton_refused(self):
-        from seqdec.automaton import DecisionAutomaton
-        from seqdec.analysis import NonStoppingRuleError
+    def test_a_state_entered_at_several_depths_names_the_first_open_window(self):
+        # p is entered after 'a' and after 'b a', and its shortest depth is 1
+        ab = Alphabet(("a", "b"))
+        transitions = {"s": {"a": "p", "b": "q"}, "q": {"a": "p", "b": "dec:b"},
+                       "p": {"a": "dec:a", "b": "dec:b"}}
+        transitions.update({t: {"a": t, "b": t} for t in ("dec:a", "dec:b")})
+        aut = DecisionAutomaton(ab, ("s", "p", "q", "dec:a", "dec:b"), "s", transitions,
+                                {"dec:a": "a", "dec:b": "b"})
+        assert aut.bound == 3
+        with pytest.raises(HorizonViolation, match="after window 'b a' is still open") as info:
+            RuleHandle(ab, automaton=aut, horizon=2).facts
+        assert (info.value.window, info.value.horizon) == ("b a", 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(aut=automata(), horizon=st.integers(1, 5))
+    def test_a_violated_horizon_names_the_first_open_window(self, aut, horizon):
+        try:
+            facts = RuleHandle.from_automaton(aut).facts
+        except NonStoppingRuleError:
+            return
+        windows = itertools.product(range(len(aut.alphabet)), repeat=horizon)
+        first = next((w for w in windows if facts.decided(w) is None), None)
+        rule = RuleHandle(aut.alphabet, automaton=aut, horizon=horizon)
+        if first is None:
+            assert rule.facts.bound <= horizon
+            return
+        with pytest.raises(HorizonViolation) as info:
+            rule.facts
+        assert info.value.window == " ".join(aut.alphabet.symbols[i] for i in first)
+
+    def test_non_stopping_automaton_refused(self):
         loop = DecisionAutomaton(XY, ("q",), "q", {"q": {"x": "q", "y": "q"}}, {})
         with pytest.raises(NonStoppingRuleError, match=r"never decides on '\|x'") as info:
             uniform_bound_search(RuleHandle.from_automaton(loop))

@@ -366,6 +366,24 @@ def test_tm_run_refuses_a_rule_before_compiling_it(capsys, tmp_path):
     assert capsys.readouterr().err == "seqdec: tm-run expects a machine document\n"
 
 
+@pytest.mark.parametrize("kind", ["rule", "automaton"])
+@pytest.mark.parametrize("flags, named", [
+    (["--horizon", "1", "--budget", "0", "--alphabet", "zz"], "--horizon, --budget, --alphabet"),
+    (["--budget", "5"], "--budget"),
+    (["--horizon", "9"], "--horizon"),
+])
+@pytest.mark.parametrize("command", [["eval", "|x"], ["compile"], ["analyze"], ["axioms"]])
+def test_machine_flags_on_other_documents_exit_2(capsys, tmp_path, fig_file, kind, flags, named,
+                                                command):
+    # the asserted horizon would otherwise go unchecked, and eval would exit 0
+    path = fig_file
+    if kind == "automaton":
+        path = tmp_path / "aut.json"
+        path.write_text(automaton_to_json(build_twosym_threshold2()))
+    assert main([command[0], str(path), *command[1:], *flags]) == 2
+    assert capsys.readouterr() == ("", f"seqdec: only machine documents take {named}\n")
+
+
 @pytest.mark.parametrize("name", ["machine-input-alphabet-number", "machine-input-alphabet-string"])
 def test_malformed_input_alphabet_exits_2_under_a_given_alphabet(capsys, tmp_path, name):
     path = tmp_path / "tm.json"

@@ -4,8 +4,11 @@ One child interpreter caps its own address space at 512 MiB and its own
 CPU time, then runs ``seqdec.cli.main`` in-process on each document with
 each command and prints one JSON line per command.  Every command must
 exit with the code recorded below, print exactly one stderr line when it
-exits 2 or 3, and print no traceback.  The documents are ones that once
-took a traceback, an unbounded build or most of a gigabyte.
+exits 2 or 3, and print no traceback.  The rule documents are ones that
+once took a traceback, an unbounded build or most of a gigabyte.  The
+machine documents run every command, and ``tm-run``, within a budget deep
+enough that the walk of their run tree stops at a cap or at the budget a
+thousand symbols down or more.
 """
 
 import json
@@ -13,6 +16,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from seqdec.core import Alphabet
+from seqdec.machines import START, BLANK, TwoTapeTm, to_json_dict as machine_json_dict
+from tests.test_machines import copier_machine, scanner_machine, zigzag_machine
 
 ROOT = Path(__file__).resolve().parent.parent
 MEMORY_CAP = 512 << 20
@@ -49,6 +56,13 @@ def csr(weights: dict[str, str]) -> dict:
     return {"kind": "csr", "alphabet": list(weights), "weights": weights, "threshold": "1"}
 
 
+AB = Alphabet(("a", "b"))
+# two rules over 1,500 tape symbols, each an input symbol: one state per depth,
+# each with 1,500 transitions
+WIDE_TAPE = TwoTapeTm(("q0", "halt"), "q0", ("halt",), (*names("s", 1500), START, BLANK), [
+    ("q0", "*", "*", "q0", "*", "R", "S"), ("q0", "s00", "*", "halt", "s00", "S", "S"),
+])
+
 DOCUMENTS = {
     "chain-1/40": csr({"a": "1/40", "b": "1"}),
     "csr3/8": csr(dict.fromkeys("abc", "1/8")),
@@ -60,18 +74,38 @@ DOCUMENTS = {
     "csr-unit-4000": csr(dict.fromkeys(names("s", 4000), "1")),
     "osr40/5": osr(names("s", 40), names("s", 40), "s00", 5),
     "osr24/6-reversed": osr(names("s", 24), names("s", 24)[::-1], "s05", 6),
+    "scanner": machine_json_dict(scanner_machine(AB)),
+    # an output tape as long as the input read
+    "copier": machine_json_dict(copier_machine(AB)),
+    # two-way: one state per word
+    "zigzag": machine_json_dict(zigzag_machine(AB)),
+    "wide-tape": machine_json_dict(WIDE_TAPE),
 }
 
+# the flags of each command on a machine document, which only machine documents take
+MACHINE_FLAGS = {
+    "scanner": ["--budget", "3000", "--alphabet", "b a"],
+    "copier": ["--budget", "3000"],
+    "zigzag": ["--budget", "3000"],
+    "wide-tape": ["--budget", "3000"],
+}
+
+
+def first_symbol(doc: dict) -> str:
+    return (doc.get("alphabet") or doc["tape_alphabet"])[0]
+
+
 COMMANDS = {
-    "eval": lambda doc: ["eval", f"|{doc['alphabet'][0]}"],
+    "eval": lambda doc: ["eval", f"|{first_symbol(doc)}"],
     "compile": lambda doc: ["compile"],
     "analyze": lambda doc: ["analyze"],
     "axioms": lambda doc: ["axioms"],
     "identify-csr": lambda doc: ["identify", "--as", "csr"],
     "identify-osr": lambda doc: ["identify", "--as", "osr"],
+    "tm-run": lambda doc: ["tm-run", f"|{first_symbol(doc)}"],
 }
 
-# exit codes, one per command in COMMANDS' order
+# exit codes, one per command in COMMANDS' order; rule documents stop before tm-run
 EXPECTED = {
     "chain-1/40": (0, 0, 0, 3, 0, 0),
     "csr3/8": (0, 0, 3, 3, 0, 1),
@@ -80,6 +114,10 @@ EXPECTED = {
     "csr-unit-4000": (3, 3, 3, 3, 3, 3),
     "osr40/5": (0, 0, 3, 3, 3, 3),
     "osr24/6-reversed": (0, 0, 0, 3, 1, 0),
+    "scanner": (3, 3, 3, 3, 3, 3, 3),
+    "copier": (3, 3, 3, 3, 3, 3, 3),
+    "zigzag": (3, 3, 3, 3, 3, 3, 3),
+    "wide-tape": (3, 3, 3, 3, 3, 3, 0),
 }
 
 
@@ -88,8 +126,8 @@ def test_hostile_documents_keep_the_exit_code_contract(tmp_path):
     for name, doc in DOCUMENTS.items():
         path = tmp_path / f"doc{len(runs)}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for command, argv in COMMANDS.items():
-            words = argv(doc)
+        for command, _ in zip(COMMANDS, EXPECTED[name]):
+            words = COMMANDS[command](doc) + MACHINE_FLAGS.get(name, [])
             runs.append([f"{name} {command}", [words[0], str(path), *words[1:]]])
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(runs), encoding="utf-8")

@@ -115,9 +115,9 @@ def test_runs_agree_with_the_eager_oracle(machine, data):
     "extra, message",
     [
         (("nosuch", "*", "*", "q0", "*", "S", "S"), "unknown state in transition ('nosuch' -> 'q0')"),
-        (("q0", "z", "*", "q0", "*", "S", "S"), "unknown tape symbol in transition ('q0', 'z', 'x')"),
-        (("q0", "*", "z", "q0", "*", "S", "S"), "unknown tape symbol in transition ('q0', 'x', 'z')"),
-        # an action is checked on its rule, before any cell is filed
+        # a rule is named as written
+        (("q0", "z", "*", "q0", "*", "S", "S"), "unknown tape symbol in transition ('q0', 'z', '*')"),
+        (("q0", "*", "z", "q0", "*", "S", "S"), "unknown tape symbol in transition ('q0', '*', 'z')"),
         (("q0", "x", "*", "q0", "z", "S", "S"), "unknown tape symbol in transition ('q0', 'x', '*')"),
     ],
 )
@@ -133,20 +133,20 @@ def test_rules_naming_unknown_names_are_refused(extra, message):
 @pytest.mark.parametrize(
     "extras, message",
     [
-        # the expanded table listed the least specific rules' cells first
-        ([("q0", "z", "*", "q0", "*", "S", "S"), ("nosuch", "*", "*", "q0", "*", "S", "S")],
+        # the first faulty rule in document order, whatever the specificities
+        ([("nosuch", "x", "x", "q0", "*", "S", "S"), ("q0", "*", "z", "q0", "*", "S", "S")],
          "unknown state in transition ('nosuch' -> 'q0')"),
-        ([("q0", "x", "*", "halt", "*", "S", "S"), ("halt", "*", "*", "q0", "*", "S", "S")],
+        ([("halt", "x", "*", "q0", "*", "S", "S"), ("nosuch", "*", "*", "q0", "*", "S", "S")],
          "terminal state 'halt' has an outgoing transition"),
-        # a left move from the start marker is listed under the default it overrides
-        ([("q0", START, "*", "halt", "*", "L", "S"), ("halt", "*", "*", "q0", "*", "S", "S")],
+        # a left move is judged on the resolved cells: this default replaces
+        # the first and moves left from the start marker
+        ([("q0", "*", "*", "q0", "*", "L", "S"), ("q0", "x", "*", "halt", "*", "S", "S")],
          "input head cannot move left of the start cell"),
-        # then by rule, in document order
         ([("q0", "*", "z", "q0", "*", "S", "S"), ("nosuch", "*", "x", "q0", "*", "S", "S")],
-         "unknown tape symbol in transition ('q0', 'x', 'z')"),
-        # a cell names the action of its most specific rule
+         "unknown tape symbol in transition ('q0', '*', 'z')"),
+        # a rule names its own next state, not that of a more specific rule
         ([("nosuch", "*", "*", "q0", "*", "S", "S"), ("nosuch", "x", "*", "halt", "*", "S", "S")],
-         "unknown state in transition ('nosuch' -> 'halt')"),
+         "unknown state in transition ('nosuch' -> 'q0')"),
     ],
 )
 def test_the_first_refused_cell_of_the_table_is_named(extras, message):
@@ -170,6 +170,16 @@ def test_rules_overridden_everywhere_are_refused(action, message):
     rules += [("q0", a, "*", "halt", "*", "S", "S") for a in ("x", START, BLANK)]
     machine = (("q0", "halt"), "q0", ("halt",), ("x", START, BLANK), rules)
     assert outcome(TwoTapeTm, machine) == message
+
+
+def test_left_moves_and_totality_are_judged_after_every_rule():
+    left = ("q0", START, "*", "halt", "*", "L", "S")
+    unknown = ("q0", "x", "*", "nosuch", "*", "S", "S")
+    # q0 has no rule for reading a blank, and its start marker rule moves left
+    machine = (("q0", "halt"), "q0", ("halt",), ("x", START, BLANK), [left, unknown])
+    assert outcome(TwoTapeTm, machine) == "unknown state in transition ('q0' -> 'nosuch')"
+    machine[4][1] = ("q0", "x", "*", "halt", "*", "S", "S")
+    assert outcome(TwoTapeTm, machine) == "input head cannot move left of the start cell"
 
 
 def test_totality_names_the_first_missing_cell():
