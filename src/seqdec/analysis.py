@@ -122,7 +122,8 @@ class EvaluatorRuns:
                 raise HorizonViolation(text, h, why)
             return got.pop()
 
-        return heuristics.segment_tree_automaton(alphabet, h, closed)
+        words = itertools.product(range(len(alphabet)), repeat=h)
+        return heuristics.segment_tree_automaton(alphabet, h, map(closed, words))
 
 
 @dataclass

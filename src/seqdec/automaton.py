@@ -135,8 +135,8 @@ class DecisionAutomaton:
     def from_rows(cls, alphabet: Alphabet, states, rows: tuple[tuple[int, ...], ...],
                   outputs, start: int, bound: int | None = None) -> DecisionAutomaton:
         """The integer form as compilers build it, under a structural check of the
-        rows alone: one tuple of in-range targets per state and symbol, absorbing
-        terminals and an open start.  A known ``bound`` is kept as the verdict."""
+        rows alone, read in flat passes: one in-range target per state and symbol,
+        absorbing terminals and an open start.  A known ``bound`` is kept as the verdict."""
         aut = cls.__new__(cls)
         vars(aut).update(alphabet=alphabet, states=tuple(states), rows=tuple(rows),
                          outputs=tuple(outputs), start=start)
@@ -144,7 +144,7 @@ class DecisionAutomaton:
         terminals = [q for q, out in enumerate(outputs) if out is not None]
         if not (len(rows) == len(outputs) == len(aut.states) > start >= 0
                 and set(map(len, rows)) == {width}
-                and min(map(min, rows)) >= 0 and max(map(max, rows)) < len(rows)
+                and min(chain.from_iterable(rows)) >= 0 and max(chain.from_iterable(rows)) < len(rows)
                 and all(rows[q] == (q,) * width for q in terminals) and outputs[start] is None):
             raise InvalidAutomatonError("rows must hold one known target per state and symbol, "
                                         "with terminals absorbing and the start open")

@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .core import Alphabet, ResourceLimit, ValidationError, _require_windows
 from .automaton import DecisionAutomaton
@@ -237,18 +237,16 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     )
 
 
-def segment_tree_automaton(
-    alphabet: Alphabet, depth: int, decide: Callable[[tuple[int, ...]], str]
-) -> DecisionAutomaton:
+def segment_tree_automaton(alphabet: Alphabet, depth: int, leaves: Iterable[str]) -> DecisionAutomaton:
     """Prefix-tree automaton absorbing at a fixed depth.
 
     Internal states are the words shorter than ``depth``, breadth first,
     each named by its parent's text plus one symbol, so the children of
     state q are q * n + 1 onwards; reading the final symbol of a full-depth
-    word moves to the absorbing output state labeled by ``decide(word)``,
-    which is called once per word, in lexicographic order, after the state
-    count and then the word count, against ``WINDOW_CAP``, are checked.  The
-    generic bridge from any bounded-window evaluator to an automaton.
+    word moves to the absorbing output state of its decision in ``leaves``,
+    one per word in lexicographic order, read only after the state count and
+    then the word count, against ``WINDOW_CAP``, are checked.  The generic
+    bridge from any bounded-window evaluator to an automaton.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
@@ -260,7 +258,7 @@ def segment_tree_automaton(
     for _ in range(depth - 1):
         level = [f"{text} {sym}" if text else sym for text in level for sym in alphabet]
         texts = texts + level
-    leaves = [decide(word) for word in itertools.product(range(n), repeat=depth)]
+    leaves = list(leaves)
     rows = [range(q * n + 1, q * n + n + 1) for q in range(len(texts) - len(level))]
     rows += [leaves[i : i + n] for i in range(0, len(leaves), n)]
     return DecisionAutomaton.with_decisions(
@@ -269,24 +267,34 @@ def segment_tree_automaton(
 
 
 def config_compile(spec: ConfigRuleSpec) -> DecisionAutomaton:
-    """Tabulate the window evaluator into a prefix-tree automaton.
+    """Tabulate the window evaluator into a prefix-tree automaton, all windows
+    at once.  A window decides for its occurring symbol of greatest key, its
+    mask's rank * n + symbol; each mask is ranked once, when first needed.  A
+    window is a word of length w - 1 and a last symbol.  Each symbol is keyed
+    in every word as another symbol ends the window (below every key where
+    absent) and as it does, and a window's best key is its last symbol's or
+    the best other key of its word, read off the word's best two."""
+    w, n, names = spec.window, len(spec.alphabet), spec.alphabet.symbols
 
-    Each leaf picks the occurring symbol whose occupancy mask the comparator
-    ranks best; the comparator ranks each mask once, lazily.
-    """
-    w = spec.window
+    def leaves() -> Iterator[str]:
+        @functools.cache
+        def rank(mask: int) -> int:
+            return spec.comparator.rank(tuple(mask >> (w - 1 - p) & 1 for p in range(w)))
 
-    @functools.cache
-    def rank(mask: int) -> int:
-        return spec.comparator.rank(tuple(mask >> (w - 1 - p) & 1 for p in range(w)))
+        before, ending = [], []  # per symbol and word: its key as another symbol, or it, ends the window
+        for s in range(n):
+            bits, masks = [2 * (c == s) for c in range(n)], [0]
+            for _ in range(w - 1):  # the bit of the last position left clear
+                masks = [m + m + b for m in masks for b in bits]
+            before.append([*map({m: rank(m) * n + s if m else -math.inf for m in set(masks)}.get, masks)])
+            ending.append([*map({m: rank(m + 1) * n + s for m in set(masks)}.get, masks)])
+        tops = [sorted(keys)[-2:] for keys in zip(itertools.repeat(-math.inf), *before)]
+        # keys differ, so a symbol holds its word's best key exactly when its own equals it
+        best = [[max(end, k2 if k == k1 else k1) for end, k, (k2, k1) in zip(*keys, tops)]
+                for keys in zip(ending, before)]
+        yield from (names[k % n] for k in itertools.chain.from_iterable(zip(*best)))
 
-    def decide(word: tuple[int, ...]) -> str:
-        masks = dict.fromkeys(word, 0)
-        for p, idx in enumerate(word):
-            masks[idx] |= 1 << (w - 1 - p)
-        return spec.alphabet.name(max(masks, key=lambda idx: rank(masks[idx])))
-
-    return segment_tree_automaton(spec.alphabet, w, decide)
+    return segment_tree_automaton(spec.alphabet, w, leaves())
 
 
 def compile_rule(spec: RuleSpec) -> DecisionAutomaton:

@@ -112,6 +112,8 @@ class TwoTapeTm:
             raise InvalidMachineError(f"duplicate tape symbols: {syms}")
         if START not in syms or BLANK not in syms:
             raise InvalidMachineError(f"tape alphabet must contain {START!r} and {BLANK!r}")
+        if "*" in syms:
+            raise InvalidMachineError("tape alphabet must not contain '*', the wildcard of rules")
         filed, slots = {}, {*syms, "*"}
         for q, read, peek, nq, w, mi, mo in rules:
             if q in self.terminal:

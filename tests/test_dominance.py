@@ -95,9 +95,7 @@ def tree_automata(draw):
             max_size=len(alphabet) ** depth,
         )
     )
-    words = list(itertools.product(range(len(alphabet)), repeat=depth))
-    table = dict(zip(words, cells))
-    return segment_tree_automaton(alphabet, depth, table.__getitem__)
+    return segment_tree_automaton(alphabet, depth, cells)  # in lexicographic order of the windows
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +120,8 @@ def test_mutants_match_the_enumeration(axiom):
 def test_decision_reachable_only_through_its_own_symbol():
     # y first decides y, else the third symbol decides: after "x" + "y" the
     # pair's first component is still open and reaches x only by reading x
-    aut = segment_tree_automaton(XY, 3, lambda w: "y" if w[0] == 1 else XY.name(w[2]))
+    words = itertools.product(range(2), repeat=3)
+    aut = segment_tree_automaton(XY, 3, ("y" if w[0] == 1 else XY.name(w[2]) for w in words))
     for rule in both_handles(aut):
         report = assert_agrees_with_oracle(rule)
         assert not report.passed and report.witness["composite"] == "x y x|x"

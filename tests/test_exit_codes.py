@@ -298,6 +298,19 @@ def test_wide_rules_past_the_transition_cap_exit_3(capsys, tmp_path, kind, size,
     assert capsys.readouterr() == ("", f"seqdec: {what} exceed the cap of {1 << 22}\n")
 
 
+def test_a_machine_with_the_wildcard_as_a_tape_symbol_exits_2(capsys, tmp_path):
+    rules = [("q0", "*", "*", "q0", "*", "R", "S"), ("q0", "x", "*", "halt", "x", "S", "S")]
+    path = tmp_path / "star-tm.json"
+    path.write_text(json.dumps({
+        "kind": "tm", "states": ["q0", "halt"], "initial": "q0", "terminal": ["halt"],
+        "tape_alphabet": ["x", "*", "◁", "_"],
+        "transitions": [dict(zip(RULE_FIELDS, rule)) for rule in rules],
+    }))
+    assert main(["tm-run", str(path), "|* x", "--budget", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tape alphabet must not contain '*', the wildcard of rules" in err
+
+
 def test_a_machine_over_a_wide_tape_costs_its_rules(capsys, tmp_path):
     # two rules over 1,502 tape symbols: loading resolves no cell of the
     # 2.25M-cell table until a run reaches it

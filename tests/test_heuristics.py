@@ -61,13 +61,18 @@ def bit_words(window: int) -> list[str]:
 
 @st.composite
 def config_specs(draw):
-    """Config rules over 1-3 symbols, windows 1-5, a complete table or a builtin."""
-    alphabet = Alphabet(tuple("abc"[: draw(st.integers(1, 3))]))
-    window = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(("table",) + BUILTIN_COMPARATORS))
+    """Config rules over 1-4 symbols, windows 1-6, a builtin or a complete
+    table of distinct ranks, a permutation of 0..2^w-1 or any ints, negative
+    and sparse ones included."""
+    alphabet = Alphabet(tuple("abcd"[: draw(st.integers(1, 4))]))
+    window = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("table", "sparse") + BUILTIN_COMPARATORS))
+    words = bit_words(window)
     if kind == "table":
-        words = bit_words(window)
         comparator = Comparator(window, table=dict(zip(words, draw(st.permutations(range(len(words)))))))
+    elif kind == "sparse":
+        ranks = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=len(words), max_size=len(words), unique=True)
+        comparator = Comparator(window, table=dict(zip(words, draw(ranks))))
     else:
         comparator = Comparator(window, builtin=kind)
     return ConfigRuleSpec(alphabet, window, comparator)
@@ -304,13 +309,49 @@ class TestConfigEvaluate:
             Comparator(2, table={"00": 0, "01": 1, "10": 1, "11": 2})  # not injective
 
 
+def compile_counting_ranks(spec):
+    """``config_compile(spec)`` and the bit-words its comparator ranked, in order."""
+    calls, rank = [], Comparator.rank
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Comparator, "rank", lambda self, bits: calls.append(bits) or rank(self, bits))
+        return config_compile(spec), calls
+
+
 class TestConfigCompile:
     @settings(max_examples=100, deadline=None)
     @given(spec=config_specs())
     def test_agreement_on_all_windows(self, spec):
-        aut = config_compile(spec)
+        aut, calls = compile_counting_ranks(spec)
+        # each occupancy mask is ranked at most once
+        assert len(calls) == len(set(calls)) <= 2**spec.window
         for seq in closures(spec.alphabet, spec.window):
             assert evaluate(aut, seq)[0] == config_evaluate(spec, seq)
+
+    @pytest.mark.parametrize("size, window", [(300, 1), (64, 2), (12, 3)])
+    def test_wide_alphabets_decide_every_window(self, size, window):
+        # a window holds at most `window` of the symbols, however many there are
+        alphabet = Alphabet(tuple(f"s{i}" for i in range(size)))
+        words = bit_words(window)
+        # a permutation of the words' indices, shifted to take negative ranks too
+        table = {word: i * 37 % len(words) - len(words) // 2 for i, word in enumerate(words)}
+        spec = ConfigRuleSpec(alphabet, window, Comparator(window, table=table))
+        aut, calls = compile_counting_ranks(spec)
+        assert len(calls) == len(set(calls)) <= 2**window
+        closing = constant(alphabet, alphabet.symbols[0])
+        for seg in enumerate_segments(alphabet, window):
+            seq = concat(seg, closing)
+            assert evaluate(aut, seq)[0] == config_evaluate(spec, seq)
+
+    def test_one_symbol_fills_its_one_window(self):
+        a = Alphabet(("a",))
+        table = {word: -(i << 20) for i, word in enumerate(bit_words(4))}
+        spec = ConfigRuleSpec(a, 4, Comparator(4, table=table))
+        aut = config_compile(spec)
+        assert aut.states == ("<>", "<a>", "<a a>", "<a a a>", "dec:a")
+        assert evaluate(aut, constant(a, "a"))[0] == config_evaluate(spec, constant(a, "a")) == "a"
+        # one window, so at most two of the 2^40 masks are ranked
+        wide, calls = compile_counting_ranks(ConfigRuleSpec(a, 40, Comparator(40, builtin="numeric-value")))
+        assert len(wide.states) == 41 and wide.outputs[-1] == "a" and len(calls) <= 2
 
     def test_bound_equals_window(self):
         # every run absorbs at the window, while the first symbol already decides
@@ -320,7 +361,8 @@ class TestConfigCompile:
         assert aut.bound == minimize(aut).bound == 1
 
     def test_segment_tree_shape(self):
-        aut = segment_tree_automaton(XY, 2, lambda w: XY.name(w[0]))
+        words = itertools.product(range(2), repeat=2)
+        aut = segment_tree_automaton(XY, 2, (XY.name(w[0]) for w in words))
         assert len(aut.states) == 3 + 2  # words of length < 2, plus two outputs
 
 

@@ -71,6 +71,10 @@ DOCUMENTS = {
                         "comparator": {"table": {"0": 1}}},
     "config-builtin-22": {"kind": "config", "alphabet": ["a", "b"], "window": 22,
                           "comparator": {"builtin": "numeric-value"}},
+    # 2^18 windows over 512 symbols, each holding at most two: a compile that spent
+    # |alphabet| on each window would need 2^27 entries
+    "config-wide-512/2": {"kind": "config", "alphabet": names("s", 512), "window": 2,
+                          "comparator": {"builtin": "numeric-value"}},
     "csr-unit-4000": csr(dict.fromkeys(names("s", 4000), "1")),
     "osr40/5": osr(names("s", 40), names("s", 40), "s00", 5),
     "osr24/6-reversed": osr(names("s", 24), names("s", 24)[::-1], "s05", 6),
@@ -111,6 +115,7 @@ EXPECTED = {
     "csr3/8": (0, 0, 3, 3, 0, 1),
     "config-table-40": (2, 2, 2, 2, 2, 2),
     "config-builtin-22": (3, 3, 3, 3, 3, 3),
+    "config-wide-512/2": (0, 0, 0, 0, 0, 0),
     "csr-unit-4000": (3, 3, 3, 3, 3, 3),
     "osr40/5": (0, 0, 3, 3, 3, 3),
     "osr24/6-reversed": (0, 0, 0, 3, 1, 0),

@@ -85,6 +85,7 @@ def test_random_automata_agree_with_the_name_keyed_passes():
     (((1, 1), (0, 1)), (None, "x"), 0),  # a terminal that moves
     (((1, 1), (1, 1)), (None, "x"), 1),  # a terminal start
     (((1, 1), (1, 1)), (None,), 0),  # an output missing
+    (((1, -1), (1, 1)), (None, "x"), 0),  # a target before the states, which indexing would wrap
 ])
 def test_the_integer_form_is_checked(rows, outputs, start):
     xy = Alphabet(("x", "y"))

@@ -182,6 +182,15 @@ def test_left_moves_and_totality_are_judged_after_every_rule():
     assert outcome(TwoTapeTm, machine) == "input head cannot move left of the start cell"
 
 
+def test_the_wildcard_is_not_a_tape_symbol():
+    # '*' matches any symbol in a read or peek and keeps the peeked one in a
+    # write, so a tape symbol '*' could have no rule of its own nor be written
+    rules = [("q0", "*", "*", "q0", "*", "R", "S"), ("q0", "x", "*", "halt", "x", "S", "S")]
+    machine = (("q0", "halt"), "q0", ("halt",), ("x", "*", START, BLANK), rules)
+    message = "tape alphabet must not contain '*', the wildcard of rules"
+    assert outcome(TwoTapeTm, machine) == outcome(oracle_build, machine) == message
+
+
 def test_totality_names_the_first_missing_cell():
     rules = [("q0", "*", "*", "halt", "*", "S", "S"), ("q1", "x", "*", "halt", "*", "S", "S")]
     with pytest.raises(InvalidMachineError) as err:

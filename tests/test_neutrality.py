@@ -143,8 +143,7 @@ def four_symbol_automata(draw):
         return compile_rule(ConfigRuleSpec(ABCD, window, comparator))
     outputs = list(ABCD.symbols) + draw(st.sampled_from(([], ["none"])))
     cells = draw(st.lists(st.sampled_from(outputs), min_size=16, max_size=16))
-    table = dict(zip(itertools.product(range(4), repeat=2), cells))
-    return segment_tree_automaton(ABCD, 2, table.__getitem__)
+    return segment_tree_automaton(ABCD, 2, cells)  # in lexicographic order of the windows
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,7 +212,8 @@ def test_csr3_past_the_window_cap(count):
 
 def test_choice_check_names_a_minimal_segment():
     # "a" then anything decides c, else a: "a" is the first segment without its decision
-    aut = segment_tree_automaton(ABC, 2, lambda w: "c" if w[0] == 0 else "a")
+    words = itertools.product(range(3), repeat=2)
+    aut = segment_tree_automaton(ABC, 2, ("c" if w[0] == 0 else "a" for w in words))
     rule = RuleHandle.from_automaton(aut)
     with pytest.raises(NotAChoiceRule, match="does not occur in its segment 'a'$"):
         _require_choice_rule(rule, in_window=True)

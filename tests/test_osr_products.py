@@ -285,7 +285,8 @@ def test_corpus_matches_the_enumerations():
 def test_decision_outside_the_alphabet():
     # "none" on a repeat is never a member of a symbol set; replacement
     # passes, and sequential-alpha and SNBC fail
-    aut = segment_tree_automaton(ABC, 2, lambda w: "none" if w[0] == w[1] else ABC.name(w[1]))
+    words = itertools.product(range(3), repeat=2)
+    aut = segment_tree_automaton(ABC, 2, ("none" if a == b else ABC.name(b) for a, b in words))
     for rule in both_handles(aut):
         verdicts = [r.verdict for r in assert_agrees_with_oracles(rule)]
         assert verdicts == ["pass", "fail", "fail"]

@@ -187,7 +187,7 @@ def test_shift_of_the_last_window_symbol_replays():
     # the rule picks the symbol other than the first: moving x ahead of y in
     # "y x" flips it; closing the two texts with different cycle symbols
     # would make the shifted sequence differ past the window
-    aut = segment_tree_automaton(XY, 1, lambda w: "y" if w[0] == 0 else "x")
+    aut = segment_tree_automaton(XY, 1, ["y", "x"])
     for rule in both_handles(aut):
         report = assert_monotonicity_agrees(rule)
         assert report.witness == {

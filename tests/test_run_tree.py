@@ -52,7 +52,9 @@ def oracle_tabulate_machine(tm: TwoTapeTm, alphabet: Alphabet, budget: int):
         return tm_run(tm, _closure(alphabet, word, 0), budget).decision
 
     # a run within the budget reads no symbol past the window
-    return segment_tree_automaton(alphabet, max(budget - 1, 1), decide)
+    depth = max(budget - 1, 1)
+    words = itertools.product(range(len(alphabet)), repeat=depth)
+    return segment_tree_automaton(alphabet, depth, map(decide, words))
 
 
 def oracle_tabulate_blackbox(alphabet: Alphabet, evaluator, horizon: int):
@@ -68,7 +70,8 @@ def oracle_tabulate_blackbox(alphabet: Alphabet, evaluator, horizon: int):
             )
         return got.pop()
 
-    return segment_tree_automaton(alphabet, horizon, decide)
+    words = itertools.product(range(n), repeat=horizon)
+    return segment_tree_automaton(alphabet, horizon, map(decide, words))
 
 
 def outcome(tabulate, horizon=None) -> tuple:
