@@ -15,8 +15,9 @@ its forced decision and its open depth, and with them the one stopping
 verdict: the least K such that every length-K window forces the decision,
 or an input that never decides.  Minimization hash-conses the peel bottom
 up, refines only the looping states, and hands the verdict on to its
-output, which decides as its input does.  DOT export draws the reachable
-part.
+output, which decides as its input does; the CSR and OSR compilers hand on
+the bound their parameters give, so their automata are peeled only when a
+state's decision is asked.  DOT export draws the reachable part.
 
 Every walk that needs shortest words is one :func:`search`, breadth first
 with a parent map from which :func:`path` rebuilds any node's word: the
@@ -43,7 +44,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .core import Alphabet, Segment, SeqSpec, SeqdecError, ValidationError
+from .core import Alphabet, Segment, SeqSpec, SeqdecError, ValidationError, _require_states
 
 
 class InvalidAutomatonError(ValidationError):
@@ -154,17 +155,19 @@ class DecisionAutomaton:
 
     @classmethod
     def with_decisions(cls, alphabet: Alphabet, names: list[str], rows: list,
-                       labels: list[str], start: int) -> DecisionAutomaton:
+                       labels: list[str], start: int, bound: int | None = None) -> DecisionAutomaton:
         """The open states ``names`` with their ``rows``, each target an open state's
         index or a decision, then one absorbing state per decision of ``labels``, in
-        that order, named ``dec:`` and the decision."""
+        that order, named ``dec:`` and the decision.  All of them count against the
+        state and transition caps before any row is built; a known ``bound`` is kept."""
         n, width = len(names), len(alphabet)
+        _require_states(n + len(labels), width)
         index = dict(zip(range(n), range(n)))
         index.update((out, n + j) for j, out in enumerate(labels))
         targets = [*map(index.__getitem__, chain.from_iterable(rows)),
                    *(n + j for j in range(len(labels)) for _ in range(width))]
         return cls.from_rows(alphabet, names + [f"dec:{out}" for out in labels],
-                             list(zip(*[iter(targets)] * width)), [None] * n + labels, start)
+                             list(zip(*[iter(targets)] * width)), [None] * n + labels, start, bound)
 
     @property
     def initial(self) -> str:

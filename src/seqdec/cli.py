@@ -46,7 +46,7 @@ def _emit(payload, out_path=None, end="\n") -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + end)
+            fh.writelines((text, end))  # no second copy of the payload
     else:
         print(text, end=end)
 

@@ -53,6 +53,25 @@ def _require_windows(alphabet: Alphabet, length: int) -> None:
         raise ResourceLimit(f"{len(alphabet)}^{length} windows of length {length}", WINDOW_CAP)
 
 
+# Most states a compiler may build: 64 times the largest automaton that the
+# test suite or the benchmark workloads compile (4,099 states).  A CSR
+# automaton this size takes about 250 MB and 8 s to compile and verify.
+STATE_CAP = 1 << 18
+# Most transitions, states times symbols: over 500 times the most that the
+# test suite (8,004) or the benchmark workloads (6,120) build.
+TRANSITION_CAP = 16 * STATE_CAP
+
+
+def _require_states(count: int, width: int) -> None:
+    """Refuse to compile ``count`` states over ``width`` symbols past the
+    caps, before building any; the state count is checked first."""
+    if count > STATE_CAP:
+        shown = count if count < 1 << 64 else "more than 2^64"
+        raise ResourceLimit(f"{shown} states", STATE_CAP)
+    if count * width > TRANSITION_CAP:
+        raise ResourceLimit(f"{count * width} transitions of {count} states", TRANSITION_CAP)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite ordered set of symbol names.

@@ -13,7 +13,7 @@ Three parameterized families of choice rules over sequences:
 Weights and thresholds are exact rationals: the stopping position depends on
 equality at the crossing boundary, which floating point would corrupt.
 Each compiler counts its states first and raises :class:`ResourceLimit`
-past ``STATE_CAP`` of them, or past ``TRANSITION_CAP`` states times
+past ``core.STATE_CAP`` of them, or past ``TRANSITION_CAP`` states times
 symbols, instead of building the automaton.
 
 Rule JSON formats (rationals as ``"p/q"`` or integer strings)::
@@ -36,31 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .core import Alphabet, ResourceLimit, ValidationError, _require_windows
+from .core import Alphabet, ValidationError, _require_states, _require_windows
 from .automaton import DecisionAutomaton
 
 
 class InvalidRuleError(ValidationError):
     """A rule description violates one of its invariants."""
-
-
-# Most states a compiler may build: 64 times the largest automaton that the
-# test suite or the benchmark workloads compile (4,099 states).  A CSR
-# automaton this size takes about 250 MB and 8 s to compile and verify.
-STATE_CAP = 1 << 18
-# Most transitions, states times symbols: over 500 times the most that the
-# test suite (8,004) or the benchmark workloads (6,120) build.
-TRANSITION_CAP = 16 * STATE_CAP
-
-
-def _require_states(count: int, width: int) -> None:
-    """Refuse to compile ``count`` states over ``width`` symbols past the
-    caps, before building any; the state count is checked first."""
-    if count > STATE_CAP:
-        shown = count if count < 1 << 64 else "more than 2^64"
-        raise ResourceLimit(f"{shown} states", STATE_CAP)
-    if count * width > TRANSITION_CAP:
-        raise ResourceLimit(f"{count * width} transitions of {count} states", TRANSITION_CAP)
 
 
 @dataclass(frozen=True)
@@ -192,6 +173,9 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
     to that symbol's absorbing output state.  Every vector below the counts
     is reachable from zero, so the whole mixed-radix box is named at once,
     from one ``name:k`` piece per symbol and count, and listed by name.
+    Over two or more symbols no open state is decided, so the uniform bound
+    is one more than the longest run through the box, 1 + sum(c - 1) over
+    the critical counts c; over one symbol the start is decided, bound 0.
     """
     aut = spec.alphabet
     counts = list(csr_critical_counts(spec).values())  # in alphabet order
@@ -205,7 +189,8 @@ def csr_compile(spec: CsrSpec) -> DecisionAutomaton:
         stride, last = math.prod(counts[i + 1 :]), counts[i] - 1
         columns.append([name if v // stride % counts[i] == last else at[v + stride] for v in order])
     return DecisionAutomaton.with_decisions(
-        aut, [names[v] for v in order], list(zip(*columns)), sorted(aut.symbols), at[0]
+        aut, [names[v] for v in order], list(zip(*columns)), sorted(aut.symbols), at[0],
+        1 + sum(counts) - len(counts) if len(aut) > 1 else 0,
     )
 
 
@@ -215,7 +200,9 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
     The strict order makes the running best a sufficient statistic for the
     fallback choice, so no further history is needed.  Every such pair is
     reachable, by repeating its best symbol, so all are named at once and
-    listed by name.
+    listed by name.  Over two or more symbols repeating the worst one stays
+    undecided until the span is read, so the uniform bound is the span; over
+    one symbol the start is decided, bound 0.
     """
     aut, rank = spec.alphabet, spec._rank  # type: ignore[attr-defined]
     cut = rank[spec.threshold_alt]  # a symbol ranked before the threshold decides at once
@@ -233,7 +220,8 @@ def osr_compile(spec: OsrSpec) -> DecisionAutomaton:
         rows.append([new if rank[sym] < cut or pos + 1 == spec.span else at[pos + 1, new]
                      for sym, new in zip(aut, bests)])
     return DecisionAutomaton.with_decisions(
-        aut, [names[k] for k in order], rows, sorted(aut.symbols), at[0, None]
+        aut, [names[k] for k in order], rows, sorted(aut.symbols), at[0, None],
+        spec.span if len(aut) > 1 else 0,
     )
 
 
@@ -283,7 +271,7 @@ def config_compile(spec: ConfigRuleSpec) -> DecisionAutomaton:
 
         before, ending = [], []  # per symbol and word: its key as another symbol, or it, ends the window
         for s in range(n):
-            bits, masks = [2 * (c == s) for c in range(n)], [0]
+            bits, masks = ([0] * s + [2] + [0] * (n - 1 - s) if w > 1 else []), [0]
             for _ in range(w - 1):  # the bit of the last position left clear
                 masks = [m + m + b for m in masks for b in bits]
             before.append([*map({m: rank(m) * n + s if m else -math.inf for m in set(masks)}.get, masks)])

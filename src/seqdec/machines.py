@@ -49,9 +49,8 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .core import WINDOW_CAP, Alphabet, ResourceLimit, SeqSpec, SeqdecError, ValidationError
+from .core import WINDOW_CAP, Alphabet, ResourceLimit, SeqSpec, SeqdecError, ValidationError, _require_states
 from .automaton import DecisionAutomaton, NonStoppingRuleError
-from .heuristics import _require_states
 
 START = "◁"
 BLANK = "_"

@@ -20,8 +20,9 @@ string for a list.  Whatever the input, the command must exit 0, 1, 2 or 3
 and never print a traceback.  ``analyze``, and ``compile`` and ``minimize``
 in JSON, exiting 0 must print one JSON document ending in ``}`` and one
 newline, and the automaton ``compile`` or ``minimize`` prints must load
-again.  A wide CSR and a wide OSR, whose few states times their symbols
-pass the transition cap, exit 3 at once.
+again.  A wide CSR, a wide OSR and a wide window-1 config, whose few states
+times their symbols pass the transition cap, exit 3 at once, and so does a
+machine whose decision states pass it.
 """
 
 import contextlib
@@ -273,12 +274,16 @@ def test_machine_deciding_outside_the_alphabet_exits_2(capsys, tmp_path):
 
 
 def wide_rule(kind: str, size: int) -> dict:
-    """Unit weights and threshold 1, or span 2 ranked in alphabet order with
-    the best symbol the threshold: size + 1 or 2 * size + 1 states of size symbols."""
+    """Unit weights and threshold 1, span 2 ranked in alphabet order with the
+    best symbol the threshold, or window 1, each symbol its own decision: size + 1,
+    2 * size + 1 or size + 1 states of size symbols."""
     alphabet = [f"s{i}" for i in range(size)]
     if kind == "csr":
         return {"kind": "csr", "alphabet": alphabet, "weights": dict.fromkeys(alphabet, "1"),
                 "threshold": "1"}
+    if kind == "config":
+        return {"kind": "config", "alphabet": alphabet, "window": 1,
+                "comparator": {"builtin": "numeric-value"}}
     return {"kind": "osr", "alphabet": alphabet, "order": alphabet, "threshold_alt": alphabet[0],
             "span": 2}
 
@@ -287,6 +292,8 @@ def wide_rule(kind: str, size: int) -> dict:
 @pytest.mark.parametrize("kind, size, what", [
     ("csr", 4000, "16004000 transitions of 4001 states"),
     ("osr", 2000, "8002000 transitions of 4001 states"),
+    # one open state: the absorbing decision states pass the cap
+    ("config", 4096, "16781312 transitions of 4097 states"),
 ])
 def test_wide_rules_past_the_transition_cap_exit_3(capsys, tmp_path, kind, size, what, command):
     # few states, but states times symbols past the cap of 2^22
@@ -295,6 +302,24 @@ def test_wide_rules_past_the_transition_cap_exit_3(capsys, tmp_path, kind, size,
     begin = time.perf_counter()
     assert main([command[0], str(path), *command[1:]]) == 3
     assert time.perf_counter() - begin < 1.0
+    assert capsys.readouterr() == ("", f"seqdec: {what} exceed the cap of {1 << 22}\n")
+
+
+def test_a_machine_deciding_each_symbol_read_counts_its_decision_states(capsys, tmp_path):
+    # one open state, then one absorbing decision state per symbol: 2,101 states of 2,100 symbols
+    alphabet = [f"s{i}" for i in range(2100)]
+    rules = [("q0", "*", "*", "q1", "*", "R", "S"), ("q1", "*", "*", "q1", "*", "R", "S")]
+    rules += [("q1", s, "*", "halt", s, "S", "S") for s in alphabet]
+    path = tmp_path / "decide-tm.json"
+    path.write_text(json.dumps({
+        "kind": "tm", "states": ["q0", "q1", "halt"], "initial": "q0", "terminal": ["halt"],
+        "tape_alphabet": [*alphabet, "◁", "_"],
+        "transitions": [dict(zip(RULE_FIELDS, rule)) for rule in rules],
+    }))
+    begin = time.perf_counter()
+    assert main(["compile", str(path), "--budget", "5"]) == 3
+    assert time.perf_counter() - begin < 1.0
+    what = "4412100 transitions of 2101 states"
     assert capsys.readouterr() == ("", f"seqdec: {what} exceed the cap of {1 << 22}\n")
 
 

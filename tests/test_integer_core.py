@@ -5,7 +5,8 @@ Seeded random automata over one to three symbols, cyclic and acyclic, with
 states listed in a shuffled order, many of them never deciding on some
 input, go through the peel, the stopping verdict, ``minimize``,
 ``isomorphic`` and the JSON text and document both ways.  The compilers' structural check
-and the single peel of ``compile --minimize`` are checked on their own.
+and the peels of ``compile`` are checked on their own: none for a CSR or
+OSR rule, whose compiler hands its bound on, and one with ``--minimize``.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from seqdec.automaton import (
 )
 from seqdec.cli import main
 from seqdec.core import Alphabet
-from seqdec.heuristics import CsrSpec, rule_to_json
+from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, rule_to_json
 from tests.definitions import (
     absorbing_terminal_row, document_by_name, isomorphic_by_name, minimize_by_name, peel_by_name,
     stopping_bound_by_name, to_json_by_name,
@@ -94,14 +95,25 @@ def test_the_integer_form_is_checked(rows, outputs, start):
     assert DecisionAutomaton.from_rows(xy, ("q", "t"), ((1, 1), (1, 1)), (None, "x"), 0).bound == 0
 
 
-def test_compile_minimize_peels_once(tmp_path, monkeypatch):
+PEEL_DOCUMENTS = {
+    "csr": CsrSpec(Alphabet(("a", "b")), {"a": Fraction(1, 3), "b": Fraction(1, 2)}, Fraction(1)),
+    "osr": OsrSpec(Alphabet(("a", "b", "c")), ("c", "a", "b"), "a", 3),
+    "config": ConfigRuleSpec(Alphabet(("a", "b")), 3, Comparator(3, builtin="numeric-value")),
+}
+
+
+@pytest.mark.parametrize("minimized", [False, True], ids=["plain", "minimize"])
+@pytest.mark.parametrize("kind, bound", [("csr", 4), ("osr", 3), ("config", 1)])
+def test_compile_peels_only_where_no_bound_is_handed_on(tmp_path, monkeypatch, kind, bound, minimized):
+    # the CSR and OSR compilers hand their bound on, so plain compile reads it without
+    # a peel; minimize peels once for the decided states, and a config rule once for its bound
     calls = []
     peel = seqdec.automaton._escaping_states
     monkeypatch.setattr(seqdec.automaton, "_escaping_states", lambda aut: calls.append(aut) or peel(aut))
-    path = tmp_path / "csr.json"
-    ab = Alphabet(("a", "b"))
-    path.write_text(rule_to_json(CsrSpec(ab, {"a": Fraction(1, 3), "b": Fraction(1, 2)}, Fraction(1))))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(rule_to_json(PEEL_DOCUMENTS[kind]))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["compile", str(path), "--minimize"]) == 0
-    assert len(calls) == 1 and json.loads(out.getvalue())["uniform_bound"] == 4
+        assert main(["compile", str(path), *["--minimize"] * minimized]) == 0
+    assert len(calls) == (1 if minimized or kind == "config" else 0)
+    assert json.loads(out.getvalue())["uniform_bound"] == bound

@@ -10,7 +10,8 @@ is no K: ``analyze`` exits 3 naming an input ``u|v`` that parses back and
 that ``evaluate`` never decides, ``eval`` of it exits 3 with the same
 message, and ``compile`` and ``minimize`` exit 0 and print a null bound.
 The documents are the acceptance corpus, the mutants' tabulated automata
-and random automata, cyclic and acyclic.
+and random automata, cyclic and acyclic.  The bound the CSR and OSR
+compilers hand on from their parameters is the peel's on the same rows.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqdec.analysis import RuleHandle, stopping_time, tabulate_automaton
 from seqdec.automaton import (
@@ -28,7 +29,7 @@ from seqdec.automaton import (
 )
 from seqdec.cli import main
 from seqdec.core import Alphabet, Segment, SeqSpec
-from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, compile_rule, rule_to_json
+from seqdec.heuristics import Comparator, ConfigRuleSpec, CsrSpec, OsrSpec, compile_rule, rule_to_json
 from tests.conftest import XY, oracle_decidedness, oracle_least_bound
 from tests.definitions import DivergenceError, absorbing_terminal_row, evaluate, run
 from tests.mutants import MUTANTS
@@ -139,3 +140,32 @@ def test_long_chain_and_long_loop(tmp_path):
     assert assert_one_bound(tmp_path, compile_rule(spec), rule_to_json(spec)) == 12
     aut = tail_into_loop(12, 2)
     assert assert_one_bound(tmp_path, aut, to_json(aut)) is None
+
+
+AMOUNTS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+@st.composite
+def csr_and_osr_specs(draw):
+    """One to five symbols: weights and thresholds among ``AMOUNTS``, so critical
+    counts run from 1 to 4, or any order, threshold alternative and a span of 1 to 4."""
+    alphabet = Alphabet(("a", "b", "c", "d", "e")[: draw(st.integers(1, 5))])
+    if draw(st.booleans()):
+        weights = {name: draw(st.sampled_from(AMOUNTS)) for name in alphabet}
+        return CsrSpec(alphabet, weights, draw(st.sampled_from(AMOUNTS)))
+    order = tuple(draw(st.permutations(alphabet.symbols)))
+    return OsrSpec(alphabet, order, draw(st.sampled_from(order)), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=csr_and_osr_specs())
+@example(spec=CsrSpec(Alphabet(("a",)), {"a": Fraction(1, 2)}, Fraction(2)))  # one symbol
+@example(spec=CsrSpec(XY, {"x": Fraction(2), "y": Fraction(1)}, Fraction(1)))  # critical counts 1
+@example(spec=OsrSpec(Alphabet(("a",)), ("a",), "a", 3))  # one symbol
+@example(spec=OsrSpec(XY, ("y", "x"), "x", 1))  # span 1
+@example(spec=OsrSpec(XY, ("y", "x"), "y", 3))  # the threshold alternative at the top rank
+def test_the_bound_a_compiler_hands_on_is_the_peels(spec):
+    aut = compile_rule(spec)
+    assert "bound" in vars(aut)  # handed on, not peeled
+    peeled = DecisionAutomaton.from_rows(aut.alphabet, aut.states, aut.rows, aut.outputs, aut.start)
+    assert aut.bound == peeled.bound
